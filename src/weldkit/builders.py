@@ -1181,9 +1181,9 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     code = asm.code
     phantoms = _phantom_welded_faces(graph, asm, lay, spec)
     if phantoms:
-        for bits in phantoms:
-            if not gf2.in_row_space(code.z_rows, bits):
-                raise AssertionError("reconstructed plaquette left the group")
+        basis = gf2._echelon(gf2._pack(code.z_rows))
+        if any(gf2._residual(basis, v) for v in gf2._pack(phantoms)):
+            raise AssertionError("reconstructed plaquette left the group")
         gens = GeneratingSet(
             code.n, code.x_rows, np.vstack([code.z_rows] + [b[None, :] for b in phantoms])
         )

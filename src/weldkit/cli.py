@@ -31,7 +31,7 @@ from .builders import (
     star,
 )
 from . import gf2
-from .css import dumps, encoded_qubits, loads
+from .css import dumps, loads
 from .energy import (
     DEFAULT_STATE_CAP,
     exact_barrier,
@@ -190,13 +190,14 @@ def cmd_weld(args) -> int:
 
 def cmd_info(args) -> int:
     code = _load_code(args.code)
+    x_rank, z_rank = gf2.rank(code.x_rows), gf2.rank(code.z_rows)
     fields = {
         "qubits": code.n,
-        "encoded": encoded_qubits(code),
+        "encoded": code.n - x_rank - z_rank,
         "x_generators": int(code.x_rows.shape[0]),
-        "x_rank": gf2.rank(code.x_rows),
+        "x_rank": x_rank,
         "z_generators": int(code.z_rows.shape[0]),
-        "z_rank": gf2.rank(code.z_rows),
+        "z_rank": z_rank,
         "logicals": [
             {
                 "x": format_operator(lc.x_rep),

@@ -137,13 +137,18 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
     code = gens if isinstance(gens, CssCode) else None
     if code is not None:
         gens = code.gens
-    overlap = (gens.x_rows @ gens.z_rows.T) % 2
-    bad = np.argwhere(overlap)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        return CssViolation(
-            f"x generator {i} anticommutes with z generator {j}", x_index=i, z_index=j
-        )
+    # z_masks[q] marks the z generators touching qubit q; XOR-ing them
+    # over an x row's support leaves the z generators it anticommutes with
+    z_masks = gf2._pack(gens.z_rows.T)
+    overlap = [0] * gens.x_rows.shape[0]
+    for i, q in zip(*(idx.tolist() for idx in np.nonzero(gens.x_rows))):
+        overlap[i] ^= z_masks[q]
+    for i, hits in enumerate(overlap):
+        if hits:
+            j = (hits & -hits).bit_length() - 1
+            return CssViolation(
+                f"x generator {i} anticommutes with z generator {j}", x_index=i, z_index=j
+            )
     if code is None:
         return None
     for ci, cls in enumerate(code.logicals):
@@ -338,16 +343,6 @@ def anticommuting_partner(code: CssCode, logical_rep: PauliOperator) -> PauliOpe
     return PauliOperator(n, v, np.zeros(n, np.uint8))
 
 
-def _row_masks(rows: np.ndarray) -> list[int]:
-    masks = []
-    for row in rows:
-        m = 0
-        for q in np.nonzero(row)[0]:
-            m |= 1 << int(q)
-        masks.append(m)
-    return masks
-
-
 def _coset_min_weight(base: int, reduced_masks: list[int]) -> int:
     """Minimum Hamming weight over base XOR span(reduced_masks)."""
     best = base.bit_count()
@@ -383,14 +378,9 @@ def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int
                 required=r + k,
                 cap=rank_cap,
             )
-        stab_masks = _row_masks(reduced)
-        rep_masks = _row_masks(
-            np.array(
-                [
-                    (c.x_rep.x_bits if kind == "x" else c.z_rep.z_bits)
-                    for c in code.logicals
-                ]
-            )
+        stab_masks = gf2._pack(reduced)
+        rep_masks = gf2._pack(
+            [(c.x_rep.x_bits if kind == "x" else c.z_rep.z_bits) for c in code.logicals]
         )
         best = None
         for combo in range(1, 1 << k):

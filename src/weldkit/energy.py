@@ -98,32 +98,15 @@ class WeldInvarianceReport:
     unchanged: bool
 
 
-def _bits_to_int(bits) -> int:
-    out = 0
-    for i, b in enumerate(bits):
-        if b:
-            out |= 1 << i
-    return out
-
-
-def _column_masks(rows, n: int) -> list[int]:
-    # masks[q] toggles the violation bits of every stored row hitting q
-    masks = [0] * n
-    for i in range(rows.shape[0]):
-        row = rows[i]
-        for q in row.nonzero()[0]:
-            masks[int(q)] |= 1 << i
-    return masks
-
-
 def walk_barrier(code: CssCode, walk: PauliWalk) -> int:
     """Peak violation count along a walk, measured after every step.
 
     Costs are counted against the stored generating set, so redundant
     rows are deliberately counted once each.
     """
-    vx = _column_masks(code.x_rows, code.n)
-    vz = _column_masks(code.z_rows, code.n)
+    # vx[q] toggles the violation bits of every stored x row hitting q
+    vx = gf2._pack(code.x_rows.T)
+    vz = gf2._pack(code.z_rows.T)
     sx = sz = 0
     peak = 0
     for q, kind in walk.steps:
@@ -201,8 +184,7 @@ def exact_barrier(
     same = code.z_rows if kind == "z" else code.x_rows
     opp = code.x_rows if kind == "z" else code.z_rows
     bits = rep.z_bits if kind == "z" else rep.x_bits
-    reduced, pivots = gf2.rref(same)
-    pivot_rows = [(int(p), _bits_to_int(reduced[i])) for i, p in enumerate(pivots)]
+    pivot_rows = gf2._reduced(gf2._pack(same))
     free = code.n - len(pivot_rows)
     if (1 << free) > cap:
         raise FeasibilityError(
@@ -215,10 +197,10 @@ def exact_barrier(
                 v ^= row
         return v
 
-    target = canon(_bits_to_int(bits))
+    target = canon(gf2._pack(bits)[0])
     if target == 0:
         raise ValidationError("representative is a stabilizer, not a logical")
-    masks = _column_masks(opp, code.n)
+    masks = gf2._pack(opp.T)
     return _bottleneck_search(code.n, masks, canon, target, kind, cap, "exact")
 
 
@@ -243,9 +225,9 @@ def operator_barrier(
         raise FeasibilityError(
             "flip space exceeds the state cap", required=1 << code.n, cap=cap
         )
-    masks = _column_masks(opp, code.n)
+    masks = gf2._pack(opp.T)
     return _bottleneck_search(
-        code.n, masks, lambda v: v, _bits_to_int(bits), kind, cap, "exact"
+        code.n, masks, lambda v: v, gf2._pack(bits)[0], kind, cap, "exact"
     )
 
 

@@ -1,7 +1,10 @@
 """Linear algebra over GF(2).
 
 Matrices are 2-d numpy uint8 arrays with entries in {0, 1}; rows are
-vectors.  Functions never modify their arguments.
+vectors.  Functions never modify their arguments.  Inside, each row is
+packed into a Python int with bit q = column q, so a row operation is
+one XOR.  Rank and membership use a semi-echelon basis keyed by each
+row's lowest set bit; rref back-substitutes it to the unique reduced form.
 """
 
 from __future__ import annotations
@@ -32,6 +35,53 @@ def as_vector(v, width: int | None = None) -> np.ndarray:
     return a
 
 
+def _pack(mat) -> list[int]:
+    packed = np.packbits(as_matrix(mat), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack(rows: list[int], width: int) -> np.ndarray:
+    step = (width + 7) // 8
+    data = b"".join(r.to_bytes(step, "little") for r in rows)
+    packed = np.frombuffer(data, np.uint8).reshape(len(rows), step)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _echelon(rows: list[int]) -> dict[int, int]:
+    """Semi-echelon basis of the span, keyed by each row's lowest set bit."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r:
+            low = r & -r
+            if low not in basis:
+                basis[low] = r
+                break
+            r ^= basis[low]
+    return basis
+
+
+def _residual(basis: dict[int, int], v: int) -> int:
+    """v with every pivot bit of basis cleared; zero iff v is in the span."""
+    out = 0
+    while v:
+        low = v & -v
+        if low in basis:
+            v ^= basis[low]
+        else:
+            out |= low
+            v ^= low
+    return out
+
+
+def _reduced(rows: list[int]) -> list[tuple[int, int]]:
+    """Canonical reduced rows as (pivot column, row), by ascending pivot."""
+    basis = _echelon(rows)
+    done: dict[int, int] = {}
+    for low in sorted(basis, reverse=True):  # the rows above low are reduced
+        done[low] = _residual(done, basis[low])
+    return [(low.bit_length() - 1, done[low]) for low in sorted(done)]
+
+
 def rref(mat) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 
@@ -40,43 +90,23 @@ def rref(mat) -> tuple[np.ndarray, list[int]]:
     the row space: two matrices have equal row spaces iff their rref
     arrays are equal.
     """
-    a = as_matrix(mat).copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        lead = r + int(hits[0])
-        if lead != r:
-            a[[r, lead]] = a[[lead, r]]
-        for i in np.nonzero(a[:, c])[0]:
-            if i != r:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    a = as_matrix(mat)
+    red = _reduced(_pack(a))
+    return _unpack([row for _, row in red], a.shape[1]), [c for c, _ in red]
 
 
 def rank(mat) -> int:
-    return rref(mat)[0].shape[0]
+    return len(_echelon(_pack(mat)))
 
 
 def reduce_vector(mat, vec) -> np.ndarray:
     """Residual of vec after eliminating against the rows of mat."""
-    red, pivots = rref(mat)
-    v = as_vector(vec).copy()
-    for row, c in zip(red, pivots):
-        if v[c]:
-            v ^= row
-    return v
+    v = as_vector(vec)
+    return _unpack([_residual(_echelon(_pack(mat)), _pack(v[None])[0])], v.size)[0]
 
 
 def in_row_space(mat, vec) -> bool:
-    return not reduce_vector(mat, vec).any()
+    return not _residual(_echelon(_pack(mat)), _pack(as_vector(vec)[None])[0])
 
 
 def solve(a, b) -> np.ndarray | None:
@@ -88,12 +118,11 @@ def solve(a, b) -> np.ndarray | None:
     rows, cols = a.shape
     b = as_vector(b, rows)
     aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    red, pivots = rref(aug)
     x = np.zeros(cols, dtype=np.uint8)
-    for row, c in zip(red, pivots):
+    for c, row in _reduced(_pack(aug)):
         if c == cols:
             return None
-        x[c] = row[cols]
+        x[c] = row >> cols & 1
     return x
 
 
@@ -110,20 +139,17 @@ def express_in_rows(mat, vec) -> np.ndarray | None:
 def null_space(mat) -> np.ndarray:
     """Rows form a basis of the right kernel {x : mat @ x == 0 (mod 2)}."""
     a = as_matrix(mat)
-    cols = a.shape[1]
     red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, c in zip(red, pivots):
-            if row[f]:
-                basis[i, c] = 1
+    pivots = np.asarray(pivots, dtype=np.intp)
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = red[:, free].T
     return basis
 
 
 def row_spaces_equal(a, b) -> bool:
-    ra, _ = rref(a)
-    rb, _ = rref(b)
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
+    a, b = as_matrix(a), as_matrix(b)
+    return a.shape[1] == b.shape[1] and _reduced(_pack(a)) == _reduced(_pack(b))

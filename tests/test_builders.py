@@ -91,6 +91,25 @@ def test_welded_assemblies_encode_one_qubit():
         assert encoded_qubits(solid) == 1
 
 
+def test_phantom_face_outside_the_group_is_caught(monkeypatch):
+    import weldkit.builders as builders
+
+    real = builders._phantom_welded_faces
+
+    def with_stray_face(graph, asm, lay, spec):
+        faces = real(graph, asm, lay, spec)
+        assert faces
+        # a lone Z anticommutes with the X generators on its qubit, so no
+        # product of Z generators can equal it
+        stray = np.zeros(asm.code.n, dtype=np.uint8)
+        stray[int(np.nonzero(asm.code.x_rows[0])[0][0])] = 1
+        return faces[:1] + [stray] + faces[1:]
+
+    monkeypatch.setattr(builders, "_phantom_welded_faces", with_stray_face)
+    with pytest.raises(AssertionError, match="reconstructed plaquette left the group"):
+        build_welded_solid(path(3), SolidSpec(2, 2, 2))
+
+
 def test_smooth_welding_also_encodes_one_qubit():
     code = build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2))
     assert validate(code) is None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from weldkit.css import (
     validate_or_raise,
 )
 from weldkit.errors import ValidationError
+from weldkit.gf2 import null_space
 from weldkit.pauli import PauliOperator, multiply, parse_operator
 
 
@@ -39,6 +42,58 @@ def test_validate_flags_anticommuting_rows():
     with pytest.raises(ValidationError):
         validate_or_raise(bad)
     assert validate(GeneratingSet(2, [[1, 1]], [[1, 1]])) is None
+
+
+def test_validate_reports_first_pair_in_row_major_order():
+    rng = np.random.default_rng(7)
+    for n in (5, 9, 64, 130):
+        for _ in range(20):
+            z = rng.integers(0, 2, size=(int(rng.integers(1, n)), n), dtype=np.uint8)
+            kernel = null_space(z)
+            x = (rng.integers(0, 2, size=(n, kernel.shape[0]), dtype=np.uint8) @ kernel) % 2
+            assert validate(GeneratingSet(n, x, z)) is None
+            for _ in range(int(rng.integers(2, 6))):
+                # one flipped bit anticommutes the x row with every z row on it
+                x[rng.integers(0, x.shape[0]), rng.integers(0, n)] ^= 1
+            overlap = (x.astype(np.int64) @ z.T.astype(np.int64)) % 2
+            violation = validate(GeneratingSet(n, x, z))
+            if not overlap.any():
+                assert violation is None
+                continue
+            i, j = (int(v) for v in np.argwhere(overlap)[0])
+            assert (violation.x_index, violation.z_index) == (i, j)
+            assert violation.message == f"x generator {i} anticommutes with z generator {j}"
+
+
+def test_validate_logical_messages():
+    code = build_surface(SurfaceSpec(2, 2))
+    cls = code.logicals[0]
+    n = code.n
+    assert validate(code) is None
+
+    def message(*classes):
+        violation = validate(replace(code, logicals=classes))
+        return violation.message if violation is not None else None
+
+    mixed = PauliOperator(n, cls.x_rep.x_bits, cls.x_rep.x_bits)
+    assert message(LogicalClass(mixed, cls.z_rep)) == (
+        "logical class 0 representatives are not pure"
+    )
+    assert message(LogicalClass(cls.x_rep, PauliOperator.identity(n))) == (
+        "logical class 0 representatives commute"
+    )
+    # a qubit outside the partner's support that some generator touches
+    q = next(q for q in range(n) if not cls.z_rep.z_bits[q] and code.z_rows[:, q].any())
+    flip = PauliOperator.from_support(n, x=(q,))
+    assert message(LogicalClass(multiply(cls.x_rep, flip), cls.z_rep)) == (
+        "logical x rep of class 0 anticommutes with a generator"
+    )
+    q = next(q for q in range(n) if not cls.x_rep.x_bits[q] and code.x_rows[:, q].any())
+    flip = PauliOperator.from_support(n, z=(q,))
+    assert message(LogicalClass(cls.x_rep, multiply(cls.z_rep, flip))) == (
+        "logical z rep of class 0 anticommutes with a generator"
+    )
+    assert message(cls, cls) == "logical classes 0 and 1 overlap"
 
 
 def test_encoded_qubits_counts_rank_deficit():

@@ -77,3 +77,106 @@ def test_in_row_space_rejects_outsiders():
     assert gf2.in_row_space(m, np.array([1, 1, 0, 0], dtype=np.uint8))
     assert gf2.in_row_space(m, np.zeros(4, dtype=np.uint8))
     assert not gf2.in_row_space(m, np.array([1, 0, 0, 0], dtype=np.uint8))
+
+
+def _reference_rref(mat):
+    # the dense uint8 elimination that gf2 used before rows were packed
+    a = gf2.as_matrix(mat).copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        lead = r + int(hits[0])
+        if lead != r:
+            a[[r, lead]] = a[[lead, r]]
+        for i in np.nonzero(a[:, c])[0]:
+            if i != r:
+                a[i] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def _reference_reduce(mat, vec):
+    red, pivots = _reference_rref(mat)
+    v = gf2.as_vector(vec).copy()
+    for row, c in zip(red, pivots):
+        if v[c]:
+            v ^= row
+    return v
+
+
+def _reference_solve(a, b):
+    a = gf2.as_matrix(a)
+    cols = a.shape[1]
+    red, pivots = _reference_rref(np.concatenate([a, b.reshape(-1, 1)], axis=1))
+    x = np.zeros(cols, dtype=np.uint8)
+    for row, c in zip(red, pivots):
+        if c == cols:
+            return None
+        x[c] = row[cols]
+    return x
+
+
+def _reference_null_space(mat):
+    a = gf2.as_matrix(mat)
+    cols = a.shape[1]
+    red, pivots = _reference_rref(a)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for row, c in zip(red, pivots):
+            if row[f]:
+                basis[i, c] = 1
+    return basis
+
+
+def _random_matrix(rng, rows, cols):
+    # low-rank and sparse cases reach dependent rows and empty columns
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    if kind == 1:
+        return (rng.random((rows, cols)) < 0.1).astype(np.uint8)
+    inner = int(rng.integers(1, 4))
+    left = rng.integers(0, 2, size=(rows, inner), dtype=np.uint8)
+    right = rng.integers(0, 2, size=(inner, cols), dtype=np.uint8)
+    return ((left.astype(np.int64) @ right) % 2).astype(np.uint8)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+def test_packed_core_matches_dense_elimination(cols):
+    rng = np.random.default_rng(cols)
+    for rows in (0, 1, 2, 5, 13, 70):
+        for _ in range(4):
+            m = _random_matrix(rng, rows, cols)
+            red, pivots = gf2.rref(m)
+            ref_red, ref_pivots = _reference_rref(m)
+            assert red.dtype == np.uint8 and red.shape == ref_red.shape
+            assert np.array_equal(red, ref_red) and pivots == ref_pivots
+            assert gf2.rank(m) == len(ref_pivots)
+            member = (rng.integers(0, 2, size=rows, dtype=np.uint8) @ m) % 2
+            for vec in (rng.integers(0, 2, size=cols, dtype=np.uint8), member):
+                want = _reference_reduce(m, vec)
+                got = gf2.reduce_vector(m, vec)
+                assert got.dtype == np.uint8 and np.array_equal(got, want)
+                assert gf2.in_row_space(m, vec) == (not want.any())
+            b = rng.integers(0, 2, size=rows, dtype=np.uint8)
+            for target in (b, (m @ rng.integers(0, 2, size=cols, dtype=np.uint8)) % 2):
+                got, want = gf2.solve(m, target), _reference_solve(m, target)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got, want)
+            kernel = gf2.null_space(m)
+            assert kernel.dtype == np.uint8
+            assert np.array_equal(kernel, _reference_null_space(m))
+            other = _random_matrix(rng, rows, cols)
+            for b_mat in (other, red, np.vstack([m, member[None, :]])):
+                want = np.array_equal(ref_red, _reference_rref(b_mat)[0])
+                assert gf2.row_spaces_equal(m, b_mat) == want
