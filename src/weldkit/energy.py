@@ -122,49 +122,41 @@ def walk_barrier(code: CssCode, walk: PauliWalk) -> int:
     return peak
 
 
-def _check_rep(code: CssCode, rep: PauliOperator, kind: str):
-    if kind not in ("x", "z"):
-        raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
-    if rep.n != code.n:
-        raise ValidationError(f"operator is on {rep.n} qubits, code has {code.n}")
-    pure = rep.is_z_type if kind == "z" else rep.is_x_type
-    if not pure:
-        raise ValidationError(f"representative must be a pure {kind}-type operator")
+def _bottleneck_search(masks, flips, target, steps, method):
+    """Lexicographic Dijkstra on (peak cost, length) over search states.
 
-
-def _bottleneck_search(n, masks, canon, target, kind, cap, method):
-    """Lexicographic Dijkstra on (peak cost, steps) over canonical states.
-
-    Neighbors flip one qubit in ascending order, so witnesses are
-    deterministic.  Syndromes ride along as bitmasks and update
-    incrementally; canonicalization never changes them.
+    Move j toggles the syndrome bits masks[j], XORs flips[j] into the
+    state and records the walk step steps[j].  Moves run in ascending
+    order, so witnesses are deterministic; a state's cost is the
+    popcount of the syndrome that rides along with it.
     """
     if target == 0:
         return BarrierResult(method, 0, PauliWalk(()), 1)
+    moves = tuple(enumerate(zip(masks, flips)))
     tick = count()
-    best = {0: (0, 0)}
-    parent: dict[int, tuple[int, int]] = {}
+    # state -> (peak, length, previous state, move)
+    best = {0: (0, 0, 0, -1)}
     heap = [(0, 0, next(tick), 0, 0)]
     explored = 0
     while heap:
-        bott, steps, _, state, syn = heapq.heappop(heap)
-        if (bott, steps) > best.get(state, (bott, steps)):
+        peak, length, _, state, syn = heapq.heappop(heap)
+        if (peak, length) > best[state][:2]:
             continue
         explored += 1
         if state == target:
             trail = []
             while state:
-                state, q = parent[state]
-                trail.append((q, kind))
-            return BarrierResult(method, bott, PauliWalk(tuple(reversed(trail))), explored)
-        for q in range(n):
-            nsyn = syn ^ masks[q]
-            nstate = canon(state ^ (1 << q))
-            key = (max(bott, nsyn.bit_count()), steps + 1)
-            if nstate not in best or key < best[nstate]:
-                best[nstate] = key
-                parent[nstate] = (state, q)
-                heapq.heappush(heap, (key[0], key[1], next(tick), nstate, nsyn))
+                _, _, state, j = best[state]
+                trail.append(steps[j])
+            return BarrierResult(method, peak, PauliWalk(tuple(reversed(trail))), explored)
+        for j, (mask, flip) in moves:
+            nsyn = syn ^ mask
+            nstate = state ^ flip
+            key = (max(peak, nsyn.bit_count()), length + 1)
+            old = best.get(nstate)
+            if old is None or key < old[:2]:
+                best[nstate] = (*key, state, j)
+                heapq.heappush(heap, (*key, next(tick), nstate, nsyn))
     raise AssertionError("flip space is connected, target must be reachable")
 
 
@@ -178,30 +170,31 @@ def exact_barrier(
     some representative of rep's class, not necessarily rep itself.
     Raises FeasibilityError when the coset space outgrows cap.
     """
-    _check_rep(code, rep, kind)
+    if kind not in ("x", "z"):
+        raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
+    if rep.n != code.n:
+        raise ValidationError(f"operator is on {rep.n} qubits, code has {code.n}")
+    if not (rep.is_z_type if kind == "z" else rep.is_x_type):
+        raise ValidationError(f"representative must be a pure {kind}-type operator")
     if syndrome(code, rep).count:
         raise ValidationError("representative violates the group")
     same = code.z_rows if kind == "z" else code.x_rows
     opp = code.x_rows if kind == "z" else code.z_rows
     bits = rep.z_bits if kind == "z" else rep.x_bits
-    pivot_rows = gf2._reduced(gf2._pack(same))
-    free = code.n - len(pivot_rows)
+    basis = gf2._echelon(gf2._pack(same))
+    free = code.n - len(basis)
     if (1 << free) > cap:
         raise FeasibilityError(
             "coset space exceeds the state cap", required=1 << free, cap=cap
         )
-
-    def canon(v: int) -> int:
-        for p, row in pivot_rows:
-            if (v >> p) & 1:
-                v ^= row
-        return v
-
-    target = canon(gf2._pack(bits)[0])
+    # a state is the member of its coset with no pivot bits; that map is
+    # linear, so one flip moves a state by the flip's own image
+    target = gf2._residual(basis, gf2._pack(bits)[0])
     if target == 0:
         raise ValidationError("representative is a stabilizer, not a logical")
-    masks = gf2._pack(opp.T)
-    return _bottleneck_search(code.n, masks, canon, target, kind, cap, "exact")
+    flips = [gf2._residual(basis, 1 << q) for q in range(code.n)]
+    steps = [(q, kind) for q in range(code.n)]
+    return _bottleneck_search(gf2._pack(opp.T), flips, target, steps, "exact")
 
 
 def operator_barrier(
@@ -225,10 +218,9 @@ def operator_barrier(
         raise FeasibilityError(
             "flip space exceeds the state cap", required=1 << code.n, cap=cap
         )
-    masks = gf2._pack(opp.T)
-    return _bottleneck_search(
-        code.n, masks, lambda v: v, gf2._pack(bits)[0], kind, cap, "exact"
-    )
+    flips = [1 << q for q in range(code.n)]
+    steps = [(q, kind) for q in range(code.n)]
+    return _bottleneck_search(gf2._pack(opp.T), flips, gf2._pack(bits)[0], steps, "exact")
 
 
 def parity_lower_bound(
@@ -247,8 +239,7 @@ def parity_lower_bound(
         raise ValidationError(
             f"operator is on {rep.n} qubits, region graph covers {region_graph.n}"
         )
-    pure = rep.is_z_type if kind == "z" else rep.is_x_type
-    if not pure:
+    if not (rep.is_z_type if kind == "z" else rep.is_x_type):
         raise ValidationError(
             f"a flat-{region_graph.particle_type} graph bounds {kind}-type logicals"
         )
@@ -262,7 +253,9 @@ def parity_lower_bound(
     for j, boundary in enumerate(region_graph.boundaries):
         if len(support.intersection(boundary.qubits)) & 1:
             target |= 1 << j
-    bonds = []
+    # masks[j] has one bit per bond at spin j; a popcount counts frustrated bonds
+    masks = [0] * spins
+    bond = 0
     for patch, incident in zip(region_graph.regions, region_graph.incidence):
         if len(incident) != 2:
             raise MetadataError(
@@ -270,50 +263,12 @@ def parity_lower_bound(
                 f"{patch.label!r} touches {len(incident)}"
             )
         if incident[0] != incident[1]:
-            bonds.append((incident[0], incident[1]))
-    if target == 0:
-        return BarrierResult("parity_bound", 0, PauliWalk(()), 1)
-
-    adjacency = [[] for _ in range(spins)]
-    for u, v in bonds:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    def frustration(s: int) -> int:
-        return sum(1 for u, v in bonds if ((s >> u) ^ (s >> v)) & 1)
-
-    tick = count()
-    best = {0: (0, 0)}
-    parent: dict[int, tuple[int, int]] = {}
-    heap = [(0, 0, next(tick), 0, 0)]
-    explored = 0
-    while heap:
-        bott, steps, _, state, cost = heapq.heappop(heap)
-        if (bott, steps) > best.get(state, (bott, steps)):
-            continue
-        explored += 1
-        if state == target:
-            trail = []
-            while state:
-                state, j = parent[state]
-                trail.append((min(region_graph.boundaries[j].qubits), kind))
-            return BarrierResult(
-                "parity_bound", bott, PauliWalk(tuple(reversed(trail))), explored
-            )
-        for j in range(spins):
-            mine = (state >> j) & 1
-            delta = sum(
-                1 if ((state >> k) & 1) == mine else -1 for k in adjacency[j]
-            )
-            key = (max(bott, cost + delta), steps + 1)
-            nstate = state ^ (1 << j)
-            if nstate not in best or key < best[nstate]:
-                best[nstate] = key
-                parent[nstate] = (state, j)
-                heapq.heappush(
-                    heap, (key[0], key[1], next(tick), nstate, cost + delta)
-                )
-    raise AssertionError("spin space is connected, target must be reachable")
+            masks[incident[0]] |= 1 << bond
+            masks[incident[1]] |= 1 << bond
+            bond += 1
+    flips = [1 << j for j in range(spins)]
+    steps = [(min(b.qubits), kind) for b in region_graph.boundaries]
+    return _bottleneck_search(masks, flips, target, steps, "parity_bound")
 
 
 def verify_bound(

@@ -283,44 +283,33 @@ def check_weld_independence(gens, shared, weld_type: str):
     return False, witness
 
 
-def _touching_split(rows: np.ndarray, mask: np.ndarray) -> tuple[list[int], list[int]]:
-    touching, untouched = [], []
-    for i, row in enumerate(rows):
-        (touching if (row & mask).any() else untouched).append(i)
-    return touching, untouched
+def _untouched(rows: np.ndarray, mask: np.ndarray) -> list[int]:
+    return [i for i, row in enumerate(rows) if not (row & mask).any()]
 
 
-def _match_pairs(rows1, touch1, rows2, touch2, mask) -> list[tuple[int, int]]:
+def _match_pairs(rows1, rows2, mask) -> list[tuple[int, int]]:
     """Deterministic pairing of weld-touching rows by shared restriction.
 
     Each side is sorted by restriction pattern then by full pattern and
     paired in order.  A count mismatch within one restriction value
-    pairs the extras against the other side's first entry; a
-    restriction value present on only one side raises.
+    (a repeated row, say) pairs the extras against the other side's
+    first entry.  check_well_matched has already seen every restriction
+    on both sides.
     """
 
-    def grouped(rows, idxs):
+    def grouped(rows):
         groups: dict[bytes, list[int]] = {}
-        for i in idxs:
-            groups.setdefault((rows[i] & mask).tobytes(), []).append(i)
+        for i, row in enumerate(rows):
+            if (row & mask).any():
+                groups.setdefault((row & mask).tobytes(), []).append(i)
         for bucket in groups.values():
             bucket.sort(key=lambda i: rows[i].tobytes())
         return groups
 
-    side1 = grouped(rows1, touch1)
-    side2 = grouped(rows2, touch2)
+    side1, side2 = grouped(rows1), grouped(rows2)
     pairs: list[tuple[int, int]] = []
-    for key in sorted(set(side1) | set(side2)):
-        a = side1.get(key, [])
-        b = side2.get(key, [])
-        if not a or not b:
-            stranded_side = 1 if a else 2
-            stranded = (a or b)[0]
-            raise WeldError(
-                "well_matched",
-                {"side": stranded_side, "index": int(stranded)},
-                f"weld-touching generator {stranded} of code {stranded_side} has no partner",
-            )
+    for key in sorted(side1):
+        a, b = side1[key], side2[key]
         common = min(len(a), len(b))
         pairs.extend((a[i], b[i]) for i in range(common))
         pairs.extend((a[i], b[0]) for i in range(common, len(a)))
@@ -395,8 +384,7 @@ def _assemble(
     else:
         weld1, weld2 = set1.x_rows, set2.x_rows
         keep1, keep2 = set1.z_rows, set2.z_rows
-    _, un1 = _touching_split(weld1, mask)
-    _, un2 = _touching_split(weld2, mask)
+    un1, un2 = _untouched(weld1, mask), _untouched(weld2, mask)
     welded_list = [weld1[i] ^ weld2[j] ^ (weld1[i] & mask) for i, j in pairs]
     welded = np.array(welded_list, dtype=np.uint8).reshape(-1, n)
     keep_rows = np.vstack([keep1, keep2])
@@ -498,12 +486,9 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
                 witness,
                 f"code {side} generators multiply to identity on the weld: {witness}",
             )
-    weld1 = _weld_rows(set1, kind)
-    weld2 = _weld_rows(set2, kind)
-    mask = layout.shared_mask()
-    touch1, _ = _touching_split(weld1, mask)
-    touch2, _ = _touching_split(weld2, mask)
-    pairs = _match_pairs(weld1, touch1, weld2, touch2, mask)
+    pairs = _match_pairs(
+        _weld_rows(set1, kind), _weld_rows(set2, kind), layout.shared_mask()
+    )
     gens, trace = _assemble(layout, set1, set2, kind, pairs)
     validate_or_raise(gens)
     return CssCode(gens, (), None, trace)
@@ -545,6 +530,9 @@ def trace_successor(trace: WeldTrace, side: int, op: PauliOperator) -> PauliOper
     through the layout and looked up among the trace entries.
     """
     embedded = trace.layout.embed_operator(op, side)
+    if embedded.is_identity:
+        # the other side's entries keep the identity in this slot
+        raise ValidationError("operator is not a tracked generator of that side")
     for entry in trace.entries:
         part = entry.part1 if side == 1 else entry.part2
         if part == embedded:

@@ -96,6 +96,20 @@ def test_validate_logical_messages():
     assert message(cls, cls) == "logical classes 0 and 1 overlap"
 
 
+def test_stabilizer_rep_is_reported_as_commuting():
+    # a rep in its own-type span overlaps evenly with a partner that
+    # commutes with every generator, so no "is a stabilizer" check is needed
+    code = build_surface(SurfaceSpec(2, 2))
+    cls = code.logicals[0]
+    n = code.n
+    zero = np.zeros(n, np.uint8)
+    x_stab = PauliOperator(n, code.x_rows[0] ^ code.x_rows[1], zero)
+    z_stab = PauliOperator(n, zero, code.z_rows[0] ^ code.z_rows[1])
+    for bad in (LogicalClass(x_stab, cls.z_rep), LogicalClass(cls.x_rep, z_stab)):
+        violation = validate(replace(code, logicals=(bad,)))
+        assert violation.message == "logical class 0 representatives commute"
+
+
 def test_encoded_qubits_counts_rank_deficit():
     assert encoded_qubits(CssCode(steane_like_block())) == 1
     assert encoded_qubits(build_two_qubit()) == 0

@@ -1,8 +1,12 @@
+import heapq
+import random
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
 
+from weldkit import gf2
 from weldkit.builders import (
     FlatRegionGraph,
     QubitPatch,
@@ -239,3 +243,175 @@ def test_barrier_result_shape():
     assert isinstance(result, BarrierResult)
     assert result.states_explored >= 1
     assert isinstance(result.witness, PauliWalk)
+
+
+# ---------------------------------------------------------------------------
+# the shared engine against the two searches it replaced
+
+
+def _reference_bottleneck(n, masks, canon, target, kind):
+    # per-state canonicalization, separate best and parent dicts
+    if target == 0:
+        return 0, (), 1
+    tick = count()
+    best = {0: (0, 0)}
+    parent = {}
+    heap = [(0, 0, next(tick), 0, 0)]
+    explored = 0
+    while heap:
+        bott, steps, _, state, syn = heapq.heappop(heap)
+        if (bott, steps) > best.get(state, (bott, steps)):
+            continue
+        explored += 1
+        if state == target:
+            trail = []
+            while state:
+                state, q = parent[state]
+                trail.append((q, kind))
+            return bott, tuple(reversed(trail)), explored
+        for q in range(n):
+            nsyn = syn ^ masks[q]
+            nstate = canon(state ^ (1 << q))
+            key = (max(bott, nsyn.bit_count()), steps + 1)
+            if nstate not in best or key < best[nstate]:
+                best[nstate] = key
+                parent[nstate] = (state, q)
+                heapq.heappush(heap, (key[0], key[1], next(tick), nstate, nsyn))
+    raise AssertionError("unreachable target")
+
+
+def _reference_exact(code, rep, kind):
+    same = code.z_rows if kind == "z" else code.x_rows
+    opp = code.x_rows if kind == "z" else code.z_rows
+    bits = rep.z_bits if kind == "z" else rep.x_bits
+    pivot_rows = gf2._reduced(gf2._pack(same))
+
+    def canon(v):
+        for p, row in pivot_rows:
+            if (v >> p) & 1:
+                v ^= row
+        return v
+
+    target = canon(gf2._pack(bits)[0])
+    return _reference_bottleneck(code.n, gf2._pack(opp.T), canon, target, kind)
+
+
+def _reference_operator(code, op):
+    kind = "z" if op.is_z_type else "x"
+    bits = op.z_bits if kind == "z" else op.x_bits
+    opp = code.x_rows if kind == "z" else code.z_rows
+    return _reference_bottleneck(
+        code.n, gf2._pack(opp.T), lambda v: v, gf2._pack(bits)[0], kind
+    )
+
+
+def _reference_parity(graph, rep):
+    # the private loop: adjacency lists and a frustration delta per flip
+    kind = "z" if graph.particle_type == "x" else "x"
+    support = set(rep.z_support() if kind == "z" else rep.x_support())
+    spins = len(graph.boundaries)
+    target = 0
+    for j, boundary in enumerate(graph.boundaries):
+        if len(support.intersection(boundary.qubits)) & 1:
+            target |= 1 << j
+    if target == 0:
+        return 0, (), 1
+    adjacency = [[] for _ in range(spins)]
+    for u, v in graph.incidence:
+        if u != v:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    tick = count()
+    best = {0: (0, 0)}
+    parent = {}
+    heap = [(0, 0, next(tick), 0, 0)]
+    explored = 0
+    while heap:
+        bott, steps, _, state, cost = heapq.heappop(heap)
+        if (bott, steps) > best.get(state, (bott, steps)):
+            continue
+        explored += 1
+        if state == target:
+            trail = []
+            while state:
+                state, j = parent[state]
+                trail.append((min(graph.boundaries[j].qubits), kind))
+            return bott, tuple(reversed(trail)), explored
+        for j in range(spins):
+            mine = (state >> j) & 1
+            delta = sum(1 if ((state >> k) & 1) == mine else -1 for k in adjacency[j])
+            key = (max(bott, cost + delta), steps + 1)
+            nstate = state ^ (1 << j)
+            if nstate not in best or key < best[nstate]:
+                best[nstate] = key
+                parent[nstate] = (state, j)
+                heapq.heappush(heap, (key[0], key[1], next(tick), nstate, cost + delta))
+    raise AssertionError("unreachable target")
+
+
+def _outcome(result):
+    return result.barrier, result.witness.steps, result.states_explored
+
+
+def test_exact_and_operator_searches_match_the_reference_engine():
+    codes = [
+        build_surface(SurfaceSpec(2, 2)),
+        build_surface(SurfaceSpec(2, 3)),
+        build_surface(SurfaceSpec(3, 2)),
+        build_solid(SolidSpec(1, 1, 1)),
+        build_solid(SolidSpec(1, 1, 2)),
+        build_solid(SolidSpec(2, 2, 1)),
+        build_solid(SolidSpec(2, 1, 2)),
+        build_welded_solid(star(3), SolidSpec(1, 1, 2)),
+    ]
+    for code in codes:
+        for cls in code.logicals:
+            for kind, rep in (("x", cls.x_rep), ("z", cls.z_rep)):
+                got = _outcome(exact_barrier(code, rep, kind))
+                assert got == _reference_exact(code, rep, kind)
+    small = [build_repetition(4), build_surface(SurfaceSpec(2, 2))]
+    small.append(build_solid(SolidSpec(1, 1, 1)))
+    for code in small:
+        cls = code.logicals[0]
+        charged = PauliOperator.from_support(code.n, x=(0, 2))
+        for op in (cls.x_rep, cls.z_rep, charged, PauliOperator.identity(code.n)):
+            assert _outcome(operator_barrier(code, op)) == _reference_operator(code, op)
+
+
+def _random_region_graph(rng, spins):
+    # boundary j owns one or two qubits; every region holds the qubits of
+    # its two boundaries plus one interior qubit of its own
+    boundaries, qubit = [], 0
+    for j in range(spins):
+        width = rng.choice((1, 2))
+        boundaries.append(QubitPatch(f"b{j}", range(qubit, qubit + width)))
+        qubit += width
+    pairs = [(j, j + 1) for j in range(spins - 1)] or [(0, 0)]
+    for _ in range(rng.randrange(spins + 1)):
+        pairs.append((rng.randrange(spins), rng.randrange(spins)))
+    pairs.append(pairs[0])  # a multi-bond
+    pairs.append((spins - 1, spins - 1))  # a self-loop
+    regions = []
+    for r, (u, v) in enumerate(pairs):
+        inside = boundaries[u].qubits + boundaries[v].qubits + (qubit,)
+        regions.append(QubitPatch(f"r{r}", inside))
+        qubit += 1
+    return FlatRegionGraph("x", qubit, regions, boundaries, pairs)
+
+
+def test_parity_bound_matches_the_reference_engine():
+    rng = random.Random(11)
+    for spins in (1, 2, 3, 5, 7, 9):
+        for _ in range(6):
+            graph = _random_region_graph(rng, spins)
+            support = [q for q in range(graph.n) if rng.random() < 0.5]
+            reps = [PauliOperator.from_support(graph.n, z=support)]
+            # even parity on every boundary: target 0
+            reps.append(PauliOperator.from_support(graph.n, z=graph.regions[0].qubits[-1:]))
+            for rep in reps:
+                got = _outcome(parity_lower_bound(graph, rep))
+                assert got == _reference_parity(graph, rep)
+    # a self-loop adds no bond, so it never costs anything
+    loop = _random_region_graph(random.Random(0), 1)
+    one = PauliOperator.from_support(loop.n, z=loop.boundaries[0].qubits[:1])
+    assert _outcome(parity_lower_bound(loop, one)) == (0, ((0, "z"),), 2)

@@ -59,6 +59,19 @@ def test_trace_successor_finds_absorbing_generator():
     assert trace_successor(trace, 1, parse_operator("XX")) == parse_operator("XXI")
     with pytest.raises(ValidationError):
         trace_successor(trace, 1, parse_operator("ZI"))
+    # side-2 entries keep the identity in their side-1 slot
+    for side in (1, 2):
+        with pytest.raises(ValidationError, match="not a tracked generator"):
+            trace_successor(trace, side, PauliOperator.identity(2))
+
+
+def test_repeated_weld_row_pairs_with_the_first_partner():
+    base = build_two_qubit()
+    doubled = CssCode(GeneratingSet(2, base.x_rows, [[1, 1], [1, 1]]))
+    merged = weld(doubled, base, [(1, 0)], "z")
+    assert groups_equal(merged, weld_oracle(doubled, base, [(1, 0)], "z"))
+    welded = [entry.op for entry in welded_operator_trace(merged).welded()]
+    assert welded == [parse_operator("ZZZ")] * 2
 
 
 def test_anticommuting_entries_single_out_the_weld():
