@@ -13,7 +13,7 @@ ground truth in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,15 +184,14 @@ def contract(
     return layout, set1, set2
 
 
-def _block_rows(gens: GeneratingSet, block: str) -> np.ndarray:
-    return gens.z_rows if block == "z" else gens.x_rows
+def _weld_rows(gens: GeneratingSet, kind: str) -> np.ndarray:
+    return gens.z_rows if kind == "z" else gens.x_rows
 
 
-def _pure(bits: np.ndarray, kind: str) -> PauliOperator:
-    zero = np.zeros(bits.size, dtype=np.uint8)
-    if kind == "x":
-        return PauliOperator(bits.size, bits, zero)
-    return PauliOperator(bits.size, zero, bits)
+def _format_row(bits: np.ndarray, kind: str, n: int) -> str:
+    zero = np.zeros(n, dtype=np.uint8)
+    op = PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
+    return format_operator(op)
 
 
 def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
@@ -205,8 +204,8 @@ def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
     """
     kind = _norm_type(weld_type)
     mask = layout.shared_mask()
-    rows1 = _block_rows(set1.gens if isinstance(set1, CssCode) else set1, kind)
-    rows2 = _block_rows(set2.gens if isinstance(set2, CssCode) else set2, kind)
+    rows1 = _weld_rows(set1.gens if isinstance(set1, CssCode) else set1, kind)
+    rows2 = _weld_rows(set2.gens if isinstance(set2, CssCode) else set2, kind)
     seen1 = {(row & mask).tobytes() for row in rows1 if (row & mask).any()}
     seen2 = {(row & mask).tobytes() for row in rows2 if (row & mask).any()}
     for side, rows, other in ((1, rows1, seen2), (2, rows2, seen1)):
@@ -218,8 +217,8 @@ def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
                 witness = {
                     "side": side,
                     "index": i,
-                    "generator": format_operator(_pure(row, kind)),
-                    "shared_restriction": format_operator(_pure(on_weld, kind)),
+                    "generator": _format_row(row, kind, layout.n),
+                    "shared_restriction": _format_row(on_weld, kind, layout.n),
                 }
                 return False, witness
     return True, None
@@ -242,7 +241,7 @@ def check_weld_independence(gens, shared, weld_type: str):
     mask = np.zeros(n, dtype=np.uint8)
     for q in shared:
         mask[int(q)] = 1
-    rows = _block_rows(gens, kind)
+    rows = _weld_rows(gens, kind)
     touching = [i for i, row in enumerate(rows) if (row & mask).any()]
     if not touching:
         return True, None
@@ -271,7 +270,7 @@ def check_weld_independence(gens, shared, weld_type: str):
     product = np.bitwise_xor.reduce(full[chosen], axis=0)
     witness = {
         "subset": tuple(int(touching[j]) for j in chosen),
-        "product": format_operator(_pure(product, kind)),
+        "product": _format_row(product, kind, n),
     }
     return False, witness
 
@@ -329,77 +328,36 @@ class TraceEntry:
     shared_part: PauliOperator
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeldTrace:
-    """Where each output generator of a weld came from.
-
-    inputs are the two input generating sets on their own registers.
-    sources[block][r] == (i, j) says that output row r of that block is
-    built from row i of side 1 and row j of side 2 in the same block,
-    with -1 for no row from that side; entries resolves them through
-    the layout.
-    """
-
     weld_type: str
     layout: WeldLayout
-    inputs: tuple[GeneratingSet, GeneratingSet]
-    sources: dict[str, tuple[tuple[int, int], ...]]
+    entries: tuple[TraceEntry, ...]
 
     @property
     def n(self) -> int:
         return self.layout.n
 
-    @property
-    def entries(self) -> tuple[TraceEntry, ...]:
-        return trace_entries(self)
-
     def welded(self) -> tuple[TraceEntry, ...]:
         return tuple(e for e in self.entries if e.kind == "welded")
 
     def permuted(self, perm) -> "WeldTrace":
-        return replace(self, layout=self.layout.permuted(perm))
+        relabel = [int(p) for p in perm]
+        inv = np.empty(len(relabel), dtype=np.int64)
+        for old, new in enumerate(relabel):
+            inv[new] = old
 
+        def move(op: PauliOperator) -> PauliOperator:
+            return PauliOperator(op.n, op.x_bits[inv], op.z_bits[inv])
 
-def _resolve(trace: WeldTrace, block: str, pairs):
-    """Rows of op, part1, part2 and shared_part for sources in one block.
-
-    The two embedded parts overlap only on shared qubits, where a
-    matched pair agrees, so their overlap is the shared part.
-    """
-    picks = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    parts = []
-    for side, gens, rows in zip((1, 2), trace.inputs, picks):
-        # row -1 picks the appended zero row
-        zero = np.zeros((1, gens.n), dtype=np.uint8)
-        padded = np.concatenate((_block_rows(gens, block), zero))
-        parts.append(trace.layout.embed_rows(padded[rows], side))
-    part1, part2 = parts
-    shared = part1 & part2
-    return part1 ^ part2 ^ shared, part1, part2, shared
-
-
-def trace_entries(trace: WeldTrace) -> tuple[TraceEntry, ...]:
-    """One TraceEntry per output generator, resolved from the sources.
-
-    Entries list the adopted block first, then the weld-type block, each
-    in output row order.
-    """
-    identity = PauliOperator.identity(trace.n)
-    adopted = "x" if trace.weld_type == "z" else "z"
-    entries = []
-    for block in (adopted, trace.weld_type):
-        pairs = trace.sources[block]
-        ops, parts1, parts2, shared = _resolve(trace, block, pairs)
-        kind = "adopted" if block == adopted else "untouched"
-        for r, (i, j) in enumerate(pairs):
-            op = _pure(ops[r], block)
-            if i >= 0 and j >= 0:
-                parts = [_pure(rows[r], block) for rows in (parts1, parts2, shared)]
-                entries.append(TraceEntry("welded", block, r, op, *parts))
-            else:
-                parts = [op, identity] if i >= 0 else [identity, op]
-                entries.append(TraceEntry(kind, block, r, op, *parts, identity))
-    return tuple(entries)
+        entries = tuple(
+            TraceEntry(
+                e.kind, e.block, e.row,
+                move(e.op), move(e.part1), move(e.part2), move(e.shared_part),
+            )
+            for e in self.entries
+        )
+        return WeldTrace(self.weld_type, self.layout.permuted(relabel), entries)
 
 
 def _assemble(
@@ -408,28 +366,72 @@ def _assemble(
     set2: GeneratingSet,
     kind: str,
     pairs: list[tuple[int, int]],
-) -> tuple[GeneratingSet, dict]:
-    """Build the output blocks and their sources from a chosen pairing."""
+) -> tuple[GeneratingSet, WeldTrace]:
+    """Build the output blocks and the trace from a chosen pairing."""
+    n = layout.n
     mask = layout.shared_mask()
-    keep = "x" if kind == "z" else "z"
-    weld1, weld2 = _block_rows(set1, kind), _block_rows(set2, kind)
-    keep1, keep2 = _block_rows(set1, keep), _block_rows(set2, keep)
+    if kind == "z":
+        weld1, weld2 = set1.z_rows, set2.z_rows
+        keep1, keep2 = set1.x_rows, set2.x_rows
+    else:
+        weld1, weld2 = set1.x_rows, set2.x_rows
+        keep1, keep2 = set1.z_rows, set2.z_rows
     un1, un2 = _untouched(weld1, mask), _untouched(weld2, mask)
-    picks = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    first = weld1[picks[:, 0]]
-    welded = first ^ weld2[picks[:, 1]] ^ (first & mask)
-    blocks = {
-        keep: np.vstack([keep1, keep2]),
-        kind: np.vstack([weld1[un1], weld2[un2], welded]),
-    }
-    sources = {
-        keep: tuple((i, -1) for i in range(len(keep1)))
-        + tuple((-1, j) for j in range(len(keep2))),
-        kind: tuple((i, -1) for i in un1)
-        + tuple((-1, j) for j in un2)
-        + tuple(pairs),
-    }
-    return GeneratingSet(layout.n, blocks["x"], blocks["z"]), sources
+    welded_list = [weld1[i] ^ weld2[j] ^ (weld1[i] & mask) for i, j in pairs]
+    welded = np.array(welded_list, dtype=np.uint8).reshape(-1, n)
+    keep_rows = np.vstack([keep1, keep2])
+    weld_rows = np.vstack([weld1[un1], weld2[un2], welded])
+    if kind == "z":
+        gens = GeneratingSet(n, keep_rows, weld_rows)
+    else:
+        gens = GeneratingSet(n, weld_rows, keep_rows)
+
+    zero = np.zeros(n, dtype=np.uint8)
+    identity = PauliOperator.identity(n)
+
+    def weld_op(bits):
+        return PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
+
+    def keep_op(bits):
+        return PauliOperator(n, bits, zero) if kind == "z" else PauliOperator(n, zero, bits)
+
+    entries: list[TraceEntry] = []
+    keep_block = "x" if kind == "z" else "z"
+    row = 0
+    for side, block in ((1, keep1), (2, keep2)):
+        for bits in block:
+            op = keep_op(bits)
+            entries.append(
+                TraceEntry(
+                    "adopted", keep_block, row, op,
+                    op if side == 1 else identity,
+                    op if side == 2 else identity,
+                    identity,
+                )
+            )
+            row += 1
+    row = 0
+    for side, rows, idxs in ((1, weld1, un1), (2, weld2, un2)):
+        for i in idxs:
+            op = weld_op(rows[i])
+            entries.append(
+                TraceEntry(
+                    "untouched", kind, row, op,
+                    op if side == 1 else identity,
+                    op if side == 2 else identity,
+                    identity,
+                )
+            )
+            row += 1
+    for (i, j), bits in zip(pairs, welded_list):
+        entries.append(
+            TraceEntry(
+                "welded", kind, row, weld_op(bits),
+                weld_op(weld1[i]), weld_op(weld2[j]), weld_op(weld1[i] & mask),
+            )
+        )
+        row += 1
+    return gens, WeldTrace(kind, layout, tuple(entries))
 
 
 def _require_stabilizer_inputs(code1: CssCode, code2: CssCode):
@@ -457,8 +459,8 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     the check name and a witness.  The output generating set holds
     every opposite-type generator of both codes, every weld-type
     generator that avoids the shared qubits, and one combined generator
-    per matched pair of weld-touching generators.  A trace naming the
-    input rows behind each output generator is attached.
+    per matched pair of weld-touching generators.  A trace mapping
+    output generators to their per-side parts is attached.
     """
     kind = _norm_type(weld_type)
     _require_stabilizer_inputs(code1, code2)
@@ -477,12 +479,11 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
                 f"code {side} generators multiply to identity on the weld: {witness}",
             )
     pairs = _match_pairs(
-        _block_rows(set1, kind), _block_rows(set2, kind), layout.shared_mask()
+        _weld_rows(set1, kind), _weld_rows(set2, kind), layout.shared_mask()
     )
     # No output check: a welded row a ^ b ^ (a & mask) overlaps each adopted
     # row of either side evenly, as a or b does, since b & mask == a & mask.
-    gens, sources = _assemble(layout, set1, set2, kind, pairs)
-    trace = WeldTrace(kind, layout, (code1.gens, code2.gens), sources)
+    gens, trace = _assemble(layout, set1, set2, kind, pairs)
     return CssCode(gens, (), None, trace)
 
 
@@ -518,24 +519,22 @@ def welded_operator_trace(code: CssCode) -> WeldTrace:
 def trace_successor(trace: WeldTrace, side: int, op: PauliOperator) -> PauliOperator:
     """The output generator that absorbed a given pre-weld generator.
 
-    op lives on the original register of the named side; it is looked
-    up among that side's generators, and the first output row built
-    from a match is returned.
+    op lives on the original register of the named side; it is embedded
+    through the layout and looked up among the trace entries.
     """
-    if side not in (1, 2):
-        raise ValidationError(f"side must be 1 or 2, got {side!r}")
-    gens = trace.inputs[side - 1]
-    if op.n != gens.n:
-        raise ValidationError(
-            f"operator acts on {op.n} qubits, but side {side} has {gens.n}"
-        )
-    if op.is_identity or not (op.is_x_type or op.is_z_type):
+    size = len(trace.layout._embedding(side))
+    if op.n != size:
+        raise ValidationError(f"operator acts on {op.n} qubits, but side {side} has {size}")
+    embedded = trace.layout.embed_operator(op, side)
+    if embedded.is_identity:
+        # the other side's entries keep the identity in this slot
         raise ValidationError("operator is not a tracked generator of that side")
-    block, bits = ("x", op.x_bits) if op.is_x_type else ("z", op.z_bits)
-    matches = (_block_rows(gens, block) == bits).all(axis=1)
-    for pair in trace.sources[block]:
-        if pair[side - 1] >= 0 and matches[pair[side - 1]]:
-            return _pure(_resolve(trace, block, [pair])[0][0], block)
+    # comparing raw bytes skips the per-entry array_equal calls
+    key = (embedded.x_bits.tobytes(), embedded.z_bits.tobytes())
+    for entry in trace.entries:
+        part = entry.part1 if side == 1 else entry.part2
+        if (part.x_bits.tobytes(), part.z_bits.tobytes()) == key:
+            return entry.op
     raise ValidationError("operator is not a tracked generator of that side")
 
 

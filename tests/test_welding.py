@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from weldkit import gf2
-from weldkit.builders import SurfaceSpec, build_surface, build_two_qubit
-from weldkit import css
+from weldkit import css, gf2
 from weldkit.builders import (
     SolidSpec,
+    SurfaceSpec,
     build_solid_by_welding,
+    build_surface,
+    build_two_qubit,
     build_welded_solid,
     build_welded_surface,
     path,
@@ -21,12 +22,10 @@ from weldkit.css import (
     validate,
 )
 from weldkit.errors import MetadataError, ValidationError, WeldError
-from weldkit.pauli import PauliOperator, multiply, parse_operator, permute_operator
+from weldkit.pauli import PauliOperator, multiply, parse_operator
 from weldkit.verify import random_weld_case
 from weldkit.welding import (
     QubitIdentification,
-    TraceEntry,
-    _match_pairs,
     anticommuting_entries,
     contract,
     parse_identification,
@@ -92,132 +91,6 @@ def test_repeated_weld_row_pairs_with_the_first_partner():
     assert welded == [parse_operator("ZZZ")] * 2
 
 
-def _reference_trace(code1, code2, ident, kind):
-    """The dense trace: four operators per output row, built eagerly.
-
-    Returns (layout, entries) for weld(code1, code2, ident, kind), with
-    the pairing taken from the same matching step.
-    """
-    layout, set1, set2 = contract(code1, code2, ident)
-    n = layout.n
-    mask = layout.shared_mask()
-    if kind == "z":
-        weld1, weld2 = set1.z_rows, set2.z_rows
-        keep1, keep2 = set1.x_rows, set2.x_rows
-    else:
-        weld1, weld2 = set1.x_rows, set2.x_rows
-        keep1, keep2 = set1.z_rows, set2.z_rows
-    pairs = _match_pairs(weld1, weld2, mask)
-    un1 = [i for i, row in enumerate(weld1) if not (row & mask).any()]
-    un2 = [i for i, row in enumerate(weld2) if not (row & mask).any()]
-    zero = np.zeros(n, dtype=np.uint8)
-    identity = PauliOperator.identity(n)
-
-    def weld_op(bits):
-        return PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
-
-    def keep_op(bits):
-        return PauliOperator(n, bits, zero) if kind == "z" else PauliOperator(n, zero, bits)
-
-    entries = []
-    keep_block = "x" if kind == "z" else "z"
-    row = 0
-    for side, block in ((1, keep1), (2, keep2)):
-        for bits in block:
-            op = keep_op(bits)
-            parts = (op, identity) if side == 1 else (identity, op)
-            entries.append(TraceEntry("adopted", keep_block, row, op, *parts, identity))
-            row += 1
-    row = 0
-    for side, rows, idxs in ((1, weld1, un1), (2, weld2, un2)):
-        for i in idxs:
-            op = weld_op(rows[i])
-            parts = (op, identity) if side == 1 else (identity, op)
-            entries.append(TraceEntry("untouched", kind, row, op, *parts, identity))
-            row += 1
-    for i, j in pairs:
-        bits = weld1[i] ^ weld2[j] ^ (weld1[i] & mask)
-        entries.append(
-            TraceEntry(
-                "welded", kind, row, weld_op(bits),
-                weld_op(weld1[i]), weld_op(weld2[j]), weld_op(weld1[i] & mask),
-            )
-        )
-        row += 1
-    return layout, entries
-
-
-def _reference_successor(layout, entries, side, op):
-    """Dense scan: embed op, return the first entry holding it on that side."""
-    embedded = layout.embed_operator(op, side)
-    if embedded.is_identity:
-        raise ValidationError("operator is not a tracked generator of that side")
-    for entry in entries:
-        if (entry.part1 if side == 1 else entry.part2) == embedded:
-            return entry.op
-    raise ValidationError("operator is not a tracked generator of that side")
-
-
-def _outcome(call, *args):
-    try:
-        return call(*args)
-    except ValidationError:
-        return "rejected"
-
-
-def _check_trace_against_reference(code1, code2, ident, kind, perm=None):
-    merged = weld(code1, code2, ident, kind)
-    layout, entries = _reference_trace(code1, code2, ident, kind)
-    if perm is not None:
-        merged = permute_qubits(merged, perm)
-        layout = layout.permuted(perm)
-        entries = [
-            TraceEntry(
-                e.kind, e.block, e.row,
-                *(permute_operator(p, perm) for p in (e.op, e.part1, e.part2, e.shared_part)),
-            )
-            for e in entries
-        ]
-    trace = welded_operator_trace(merged)
-    fields = ("kind", "block", "row", "op", "part1", "part2", "shared_part")
-    got = trace.entries
-    assert len(got) == len(entries)
-    for mine, ref in zip(got, entries):
-        for name in fields:
-            assert getattr(mine, name) == getattr(ref, name), name
-        rows = merged.x_rows if mine.block == "x" else merged.z_rows
-        bits = mine.op.x_bits if mine.block == "x" else mine.op.z_bits
-        assert np.array_equal(rows[mine.row], bits)
-    for side, code in ((1, code1), (2, code2)):
-        probes = code.gens.x_ops() + code.gens.z_ops()
-        probes.append(PauliOperator.identity(code.n))
-        for op in probes:
-            assert _outcome(trace_successor, trace, side, op) == _outcome(
-                _reference_successor, layout, entries, side, op
-            )
-
-
-def _reference_cases():
-    two = build_two_qubit()
-    doubled = CssCode(GeneratingSet(2, two.x_rows, [[1, 1], [1, 1]]))
-    yield build_two_qubit(), build_two_qubit(), [(1, 0)], "z"
-    yield doubled, two, [(1, 0)], "z"
-    yield two, doubled, [(1, 0)], "z"
-    rng = np.random.default_rng(2024)
-    for max_side in (8, 12, 24):
-        for _ in range(70):
-            yield random_weld_case(rng, max_side=max_side)
-
-
-def test_trace_view_and_successor_match_the_dense_reference():
-    rng = np.random.default_rng(99)
-    for case in _reference_cases():
-        code1, code2, ident, _ = case
-        _check_trace_against_reference(*case)
-        n = code1.n + code2.n - len(ident)
-        _check_trace_against_reference(*case, perm=rng.permutation(n))
-
-
 def test_anticommuting_entries_single_out_the_weld():
     merged = golden_weld()
     probe = PauliOperator.from_support(3, x=(0,))
@@ -234,11 +107,13 @@ def test_trace_requires_a_welded_code():
 
 def test_weld_matches_kernel_oracle_on_random_cases():
     rng = np.random.default_rng(7)
-    for _ in range(60):
-        code1, code2, ident, weld_type = random_weld_case(rng)
-        merged = weld(code1, code2, ident, weld_type)
-        assert groups_equal(merged, weld_oracle(code1, code2, ident, weld_type))
-        assert encoded_qubits(merged) == 0
+    for rounds, max_side in ((60, 12), (200, 24)):
+        for _ in range(rounds):
+            code1, code2, ident, weld_type = random_weld_case(rng, max_side=max_side)
+            merged = weld(code1, code2, ident, weld_type)
+            assert groups_equal(merged, weld_oracle(code1, code2, ident, weld_type))
+            assert encoded_qubits(merged) == 0
+            assert validate(merged) is None
 
 
 def test_weld_is_symmetric_up_to_relabeling():
@@ -258,33 +133,6 @@ def test_weld_is_symmetric_up_to_relabeling():
         for j, q in enumerate(lay_b.embed1):
             perm[q] = lay_f.embed2[j]
         assert groups_equal(permute_qubits(backward, perm), forward)
-
-
-def test_weld_output_is_valid_without_a_check_at_larger_sides():
-    rng = np.random.default_rng(24)
-    for _ in range(200):
-        code1, code2, ident, weld_type = random_weld_case(rng, max_side=24)
-        merged = weld(code1, code2, ident, weld_type)
-        assert groups_equal(merged, weld_oracle(code1, code2, ident, weld_type))
-        assert encoded_qubits(merged) == 0
-        assert validate(merged) is None
-
-
-def test_weld_constructs_no_operators(monkeypatch):
-    rng = np.random.default_rng(5)
-    cases = [random_weld_case(rng, max_side=12) for _ in range(20)]
-    cases.append((build_two_qubit(), build_two_qubit(), [(1, 0)], "z"))
-    made = []
-    original = PauliOperator.__post_init__
-
-    def counting(self):
-        made.append(self)
-        original(self)
-
-    monkeypatch.setattr(PauliOperator, "__post_init__", counting)
-    for case in cases:
-        weld(*case)
-    assert made == []
 
 
 @pytest.mark.parametrize(
