@@ -1,8 +1,9 @@
 """Command line front end.
 
 Verbs: build, weld, info, barrier, bound, verify, sweep, export.
-Exit codes: 0 on success, 1 for validation and metadata problems, 2
-when a search refuses to start because it would exceed its state cap.
+Exit codes: 0 on success, 1 for validation and metadata problems and
+for a bound or verify check that fails, 2 when a search refuses to
+start because it would exceed its state cap.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def cmd_bound(args) -> int:
             )
             + "\n",
         )
-        return 0
+        return 0 if report.ok else 1
     _emit(
         args,
         f"parity bound: {report.bound.barrier}\n"
@@ -275,7 +276,7 @@ def cmd_bound(args) -> int:
         f"bound holds: {report.ok}\n"
         f"saturated: {report.saturated}\n",
     )
-    return 0
+    return 0 if report.ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -295,7 +296,7 @@ def cmd_sweep(args) -> int:
 
     Cells whose coset spaces outgrow the cap leave the exact columns
     blank; the bounds always fill in, which is the point of having
-    them.
+    them.  A bound above a filled exact cell raises AssertionError.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -320,9 +321,14 @@ def cmd_sweep(args) -> int:
                 except FeasibilityError:
                     cells[f"barrier_{kind}"] = ""
                 graph = flat_region_graph(code, "z" if kind == "X" else "x")
-                cells[f"bound_{kind}"] = parity_lower_bound(
-                    graph, rep, args.max_states
-                ).barrier
+                bound = parity_lower_bound(graph, rep, args.max_states).barrier
+                barrier = cells[f"barrier_{kind}"]
+                if barrier != "" and bound > barrier:
+                    raise AssertionError(
+                        f"parity bound {bound} exceeds exact barrier {barrier} "
+                        f"for {kind} at d={d}, R={pieces}"
+                    )
+                cells[f"bound_{kind}"] = bound
             writer.writerow(
                 [
                     d,

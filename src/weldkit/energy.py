@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
 from . import gf2
 from .builders import (
@@ -129,34 +128,60 @@ def _bottleneck_search(masks, flips, target, steps, method):
     state and records the walk step steps[j].  Moves run in ascending
     order, so witnesses are deterministic; a state's cost is the
     popcount of the syndrome that rides along with it.
+
+    The queue is a bucket queue (Dial, CACM 1969): (peak, length) packs
+    into one int key, each key holds a FIFO bucket of (state, syndrome)
+    and a heap holds each pending key once.  A move out of a bucket adds
+    one to the length, so it lands in a strictly larger key and a bucket
+    never grows while it drains; states therefore pop in (peak, length,
+    push order), the order of a heap with a tie-breaking counter.
     """
     if target == 0:
         return BarrierResult(method, 0, PauliWalk(()), 1)
     moves = tuple(enumerate(zip(masks, flips)))
-    tick = count()
-    # state -> (peak, length, previous state, move)
-    best = {0: (0, 0, 0, -1)}
-    heap = [(0, 0, next(tick), 0, 0)]
+    # states lie in the span of the flips, at most 2^k of them for k
+    # bits set across all flips; a stored walk is simple, so every length
+    # pushed is at most 2^k and fits in k + 1 low bits
+    span = 0
+    for flip in flips:
+        span |= flip
+    shift = span.bit_count() + 1
+    length_mask = (1 << shift) - 1
+    # state -> (key, previous state, move)
+    best = {0: (0, 0, -1)}
+    buckets = {0: [(0, 0)]}
+    keys = [0]
     explored = 0
-    while heap:
-        peak, length, _, state, syn = heapq.heappop(heap)
-        if (peak, length) > best[state][:2]:
-            continue
-        explored += 1
-        if state == target:
-            trail = []
-            while state:
-                _, _, state, j = best[state]
-                trail.append(steps[j])
-            return BarrierResult(method, peak, PauliWalk(tuple(reversed(trail))), explored)
-        for j, (mask, flip) in moves:
-            nsyn = syn ^ mask
-            nstate = state ^ flip
-            key = (max(peak, nsyn.bit_count()), length + 1)
-            old = best.get(nstate)
-            if old is None or key < old[:2]:
-                best[nstate] = (*key, state, j)
-                heapq.heappush(heap, (*key, next(tick), nstate, nsyn))
+    while keys:
+        key = heapq.heappop(keys)
+        peak = key >> shift
+        step = (key & length_mask) + 1
+        for state, syn in buckets.pop(key):
+            if key > best[state][0]:
+                continue
+            explored += 1
+            if state == target:
+                trail = []
+                while state:
+                    _, state, j = best[state]
+                    trail.append(steps[j])
+                return BarrierResult(
+                    method, peak, PauliWalk(tuple(reversed(trail))), explored
+                )
+            for j, (mask, flip) in moves:
+                nsyn = syn ^ mask
+                nstate = state ^ flip
+                cost = nsyn.bit_count()
+                nkey = key + 1 if cost <= peak else (cost << shift) | step
+                old = best.get(nstate)
+                if old is None or nkey < old[0]:
+                    best[nstate] = (nkey, state, j)
+                    bucket = buckets.get(nkey)
+                    if bucket is None:
+                        buckets[nkey] = [(nstate, nsyn)]
+                        heapq.heappush(keys, nkey)
+                    else:
+                        bucket.append((nstate, nsyn))
     raise AssertionError("flip space is connected, target must be reachable")
 
 

@@ -3,8 +3,11 @@
 One spin per vertex, ferromagnetic bonds on the edges: a configuration
 costs its number of frustrated bonds.  spin_flip_barrier finds the
 lowest peak cost over all single-flip paths between two configurations
-by deepening a threshold search.  Kept free of the stabilizer
-machinery on purpose, so it can serve as an independent cross-check.
+by deepening a threshold search; a flip updates the frustration from
+the flipped spin's own bonds.  Kept free of the stabilizer machinery on
+purpose, so it can serve as an independent cross-check: it imports
+nothing from weldkit, shares no code with the bottleneck engine in
+energy.py and uses no syndrome masks.
 """
 
 MAX_SPINS = 24
@@ -32,20 +35,35 @@ def spin_flip_barrier(n_spins, edges, target_mask, start_mask=0):
     if not (0 <= start < 1 << n and 0 <= target < 1 << n):
         raise ValueError("spin masks must fit in n_spins bits")
 
+    # a repeated bond is listed once per copy, so it counts once per copy
+    neighbours = [[] for _ in range(n)]
+    for u, v in bonds:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+
     def frustration(s):
         return sum(1 for u, v in bonds if ((s >> u) ^ (s >> v)) & 1)
 
-    floor = max(frustration(start), frustration(target))
+    first = frustration(start)
+    floor = max(first, frustration(target))
     for threshold in range(floor, len(bonds) + 1):
         seen = {start}
-        stack = [start]
+        stack = [(start, first)]
         while stack:
-            s = stack.pop()
+            s, f = stack.pop()
             if s == target:
                 return threshold
             for j in range(n):
                 t = s ^ (1 << j)
-                if t not in seen and frustration(t) <= threshold:
+                if t in seen:
+                    continue
+                # flipping j toggles each of its bonds: an agreeing
+                # neighbour becomes frustrated, a disagreeing one relaxes
+                side = (s >> j) & 1
+                g = f
+                for v in neighbours[j]:
+                    g += 1 if (s >> v) & 1 == side else -1
+                if g <= threshold:
                     seen.add(t)
-                    stack.append(t)
+                    stack.append((t, g))
     raise AssertionError("flipping one frustrated bond at a time always connects")

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from weldkit import cli
 from weldkit.builders import SolidSpec, build_solid, build_two_qubit
 from weldkit.cli import main
 from weldkit.css import CssCode, GeneratingSet, dumps, groups_equal, loads
@@ -74,6 +76,21 @@ def test_bound_on_welded_solid_star(tmp_path):
     assert data["ok"] and data["saturated"]
 
 
+def test_bound_that_exceeds_the_exact_barrier_fails(tmp_path, monkeypatch):
+    real = cli.verify_bound
+
+    def broken(*args):
+        report = real(*args)
+        return replace(report, ok=False)
+
+    monkeypatch.setattr(cli, "verify_bound", broken)
+    argv = ["bound", "--family", "welded-solid", "--graph", "star:3", "--kind", "z"]
+    assert main(argv + ["--out", str(tmp_path / "report.txt")]) == 1
+    assert "bound holds: False" in (tmp_path / "report.txt").read_text()
+    assert main(argv + ["--json", "--out", str(tmp_path / "report.json")]) == 1
+    assert json.loads((tmp_path / "report.json").read_text())["ok"] is False
+
+
 def test_bound_needs_builder_metadata(tmp_path, capsys):
     solid = tmp_path / "solid.txt"
     solid.write_text(dumps(build_solid(SolidSpec(1, 1, 2)), "text"))
@@ -109,6 +126,19 @@ def test_sweep_produces_the_barrier_table(tmp_path):
     first = lines[1].split(",")
     assert (first[0], first[1]) == ("1", "1")
     assert first[3] == "2" and first[5] == "2"
+
+
+def test_sweep_asserts_the_bound_stays_below_the_barrier(tmp_path, monkeypatch):
+    real = cli.parity_lower_bound
+
+    def inflated(*args):
+        result = real(*args)
+        return replace(result, barrier=result.barrier + 1)
+
+    monkeypatch.setattr(cli, "parity_lower_bound", inflated)
+    argv = ["sweep", "--max-size", "1", "--max-pieces", "1"]
+    with pytest.raises(AssertionError, match="exceeds exact barrier"):
+        main(argv + ["--out", str(tmp_path / "table.csv")])
 
 
 def test_conflicting_code_sources_are_rejected(tmp_path, capsys):

@@ -17,6 +17,8 @@ from weldkit.builders import (
     build_surface,
     build_welded_solid,
     build_welded_surface,
+    cubic,
+    grid2d,
     path,
     region_graph_from_weld_graph,
     star,
@@ -35,6 +37,7 @@ from weldkit.energy import (
     walk_barrier,
 )
 from weldkit.errors import FeasibilityError, MetadataError, ValidationError
+from weldkit.ising import spin_flip_barrier
 from weldkit.pauli import PauliOperator, permute_operator
 
 
@@ -363,11 +366,14 @@ def test_exact_and_operator_searches_match_the_reference_engine():
         build_solid(SolidSpec(2, 2, 1)),
         build_solid(SolidSpec(2, 1, 2)),
         build_welded_solid(star(3), SolidSpec(1, 1, 2)),
+        # 84 moves a state over hundreds of states: many ties at one key;
+        # its 2^free bound on the coset space passes the default cap
+        build_welded_solid(grid2d(2, 2), SolidSpec(2, 2, 2)),
     ]
     for code in codes:
         for cls in code.logicals:
             for kind, rep in (("x", cls.x_rep), ("z", cls.z_rep)):
-                got = _outcome(exact_barrier(code, rep, kind))
+                got = _outcome(exact_barrier(code, rep, kind, cap=1 << 64))
                 assert got == _reference_exact(code, rep, kind)
     small = [build_repetition(4), build_surface(SurfaceSpec(2, 2))]
     small.append(build_solid(SolidSpec(1, 1, 1)))
@@ -415,3 +421,35 @@ def test_parity_bound_matches_the_reference_engine():
     loop = _random_region_graph(random.Random(0), 1)
     one = PauliOperator.from_support(loop.n, z=loop.boundaries[0].qubits[:1])
     assert _outcome(parity_lower_bound(loop, one)) == (0, ((0, "z"),), 2)
+
+
+# Target vertex sets of the benchmark's certify workload, one grid of
+# each dimension; each needs tens of thousands of search states.
+_CERTIFY_TARGETS = {
+    (2, 3, 3): (
+        ((0, 0, 2), (0, 2, 0), (0, 2, 1)),
+        ((0, 1, 0), (1, 0, 0), (1, 1, 0)),
+        ((0, 0, 1), (1, 0, 0), (1, 2, 1)),
+        ((0, 1, 0), (1, 0, 0), (1, 0, 2)),
+    ),
+    (4, 5): (
+        ((1, 3), (2, 0), (3, 1)),
+        ((1, 3), (1, 4), (2, 0)),
+        ((1, 0), (2, 4), (3, 0)),
+        ((1, 0), (2, 4), (3, 1)),
+    ),
+}
+
+
+def test_parity_bound_equals_the_spin_flip_barrier_at_certify_scale():
+    for dims, targets in _CERTIFY_TARGETS.items():
+        graph = cubic(*dims) if len(dims) == 3 else grid2d(*dims)
+        region = region_graph_from_weld_graph(graph, "x")
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        edges = [(index[u], index[v]) for u, v in graph.edges]
+        for target in targets:
+            spins = sorted(index[v] for v in target)
+            rep = PauliOperator.from_support(region.n, z=spins)
+            bound = parity_lower_bound(region, rep).barrier
+            mask = sum(1 << j for j in spins)
+            assert bound == spin_flip_barrier(len(graph.vertices), edges, mask), target

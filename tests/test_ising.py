@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weldkit.ising import MAX_SPINS, spin_flip_barrier
@@ -65,3 +67,66 @@ def test_input_validation():
         spin_flip_barrier(3, [(1, 1)], 0)
     with pytest.raises(ValueError):
         spin_flip_barrier(3, [], 1 << 3)
+
+
+def _reference_spin_flip_barrier(n_spins, edges, target_mask, start_mask=0):
+    # the from-scratch oracle: every visited neighbour recounts all bonds
+    n = int(n_spins)
+    if not 0 < n <= MAX_SPINS:
+        raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
+    bonds = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"bond ({u},{v}) leaves the spin range")
+        if u == v:
+            raise ValueError(f"bond ({u},{v}) ties a spin to itself")
+        bonds.append((u, v))
+    start = int(start_mask)
+    target = int(target_mask)
+    if not (0 <= start < 1 << n and 0 <= target < 1 << n):
+        raise ValueError("spin masks must fit in n_spins bits")
+
+    def frustration(s):
+        return sum(1 for u, v in bonds if ((s >> u) ^ (s >> v)) & 1)
+
+    floor = max(frustration(start), frustration(target))
+    for threshold in range(floor, len(bonds) + 1):
+        seen = {start}
+        stack = [start]
+        while stack:
+            s = stack.pop()
+            if s == target:
+                return threshold
+            for j in range(n):
+                t = s ^ (1 << j)
+                if t not in seen and frustration(t) <= threshold:
+                    seen.add(t)
+                    stack.append(t)
+    raise AssertionError("flipping one frustrated bond at a time always connects")
+
+
+def _random_bonds(rng, n):
+    # random pairs, so some spins stay isolated; half the graphs repeat a
+    # bond or two
+    bonds = []
+    if n > 1:
+        for _ in range(rng.randrange(2 * n)):
+            u, v = rng.sample(range(n), 2)
+            bonds.append((u, v))
+    if bonds and rng.random() < 0.5:
+        bonds += rng.choices(bonds, k=rng.randrange(1, 3))
+    return bonds
+
+
+def test_local_update_matches_the_from_scratch_oracle():
+    rng = random.Random(5)
+    for case in range(200):
+        n = 1 + case % 12
+        bonds = _random_bonds(rng, n)
+        start = rng.randrange(1 << n) if case % 3 else 0
+        target = start if case % 7 == 0 else rng.randrange(1 << n)
+        want = _reference_spin_flip_barrier(n, bonds, target, start)
+        assert spin_flip_barrier(n, bonds, target, start) == want, (n, bonds, start, target)
+    # a doubled bond counts twice along the way
+    assert spin_flip_barrier(2, [(0, 1), (0, 1)], 0b01) == 2
