@@ -281,7 +281,7 @@ class FlatRegionGraph:
         if len(self.incidence) != len(self.regions):
             raise ValidationError("incidence must list boundaries per region")
         for patch in self.regions + self.boundaries:
-            if patch.qubits and not 0 <= patch.qubits[-1] < self.n:
+            if patch.qubits and not 0 <= patch.qubits[0] <= patch.qubits[-1] < self.n:
                 raise ValidationError(f"{patch.label}: qubit index out of range")
         taken: set[int] = set()
         for patch in self.boundaries:
@@ -866,6 +866,34 @@ class _SolidLayout:
         ]
 
 
+def _sheet_region_graph(lay: _SolidLayout, n: int, lift) -> FlatRegionGraph:
+    """Flat-Z graph of a solid: sheets between neighbouring columns.
+
+    lift maps a support on one solid's register to the qubits it covers
+    on the n-qubit register: the identity for a single solid, the union
+    over every piece's embedding for a welded one.
+    """
+    columns = {
+        (x, y): QubitPatch(f"column ({x},{y})", lift(lay.column(x, y)))
+        for y in range(lay.dy + 1)
+        for x in range(lay.dx + 1)
+    }
+    order = {pos: i for i, pos in enumerate(columns)}
+    regions = []
+    incidence = []
+    for y in range(lay.dy + 1):
+        for x in range(lay.dx):
+            regions.append(QubitPatch(f"sheet x ({x},{y})", lift(lay.sheet_x(x, y))))
+            incidence.append((order[(x, y)], order[(x + 1, y)]))
+    for y in range(lay.dy):
+        for x in range(lay.dx + 1):
+            regions.append(QubitPatch(f"sheet y ({x},{y})", lift(lay.sheet_y(x, y))))
+            incidence.append((order[(x, y)], order[(x, y + 1)]))
+    return FlatRegionGraph(
+        "z", n, tuple(regions), tuple(columns.values()), tuple(incidence)
+    )
+
+
 def _solid_region_metadata(spec: SolidSpec) -> dict:
     lay = _SolidLayout(spec)
     meta = {}
@@ -885,29 +913,7 @@ def _solid_region_metadata(spec: SolidSpec) -> dict:
         # With horizontal plaquettes generated, Z particles can no longer
         # cross a sheet silently, so the sheet decomposition only holds
         # for the half-plaquette generating set.
-        columns = {
-            (x, y): QubitPatch(f"column ({x},{y})", lay.column(x, y))
-            for y in range(spec.dy + 1)
-            for x in range(spec.dx + 1)
-        }
-        order = {pos: i for i, pos in enumerate(columns)}
-        regions = []
-        incidence = []
-        for y in range(spec.dy + 1):
-            for x in range(spec.dx):
-                regions.append(QubitPatch(f"sheet x ({x},{y})", lay.sheet_x(x, y)))
-                incidence.append((order[(x, y)], order[(x + 1, y)]))
-        for y in range(spec.dy):
-            for x in range(spec.dx + 1):
-                regions.append(QubitPatch(f"sheet y ({x},{y})", lay.sheet_y(x, y)))
-                incidence.append((order[(x, y)], order[(x, y + 1)]))
-        meta["z"] = FlatRegionGraph(
-            "z",
-            lay.n,
-            tuple(regions),
-            tuple(columns.values()),
-            tuple(incidence),
-        )
+        meta["z"] = _sheet_region_graph(lay, lay.n, lambda support: support)
     return meta
 
 
@@ -991,6 +997,27 @@ def _weld_along_graph(
     return _Assembly(code, merged, vertex_qubits, embeddings)
 
 
+def _lift(asm: _Assembly, support) -> set[int]:
+    """The qubits a per-piece support covers, over every piece of asm."""
+    return {int(embed[q]) for _, embed in asm.piece_embeddings for q in support}
+
+
+def _piece_region_graph(
+    graph: WeldGraph, asm: _Assembly, particle_type: str, label: str
+) -> FlatRegionGraph:
+    """One region per welded piece, one boundary per weld-graph vertex."""
+    vindex = {v: i for i, v in enumerate(graph.vertices)}
+    boundaries = tuple(
+        QubitPatch(f"boundary {v}", asm.vertex_qubits[v]) for v in graph.vertices
+    )
+    regions = tuple(
+        QubitPatch(f"{label} {u}-{v}", tuple(int(q) for q in embed))
+        for (u, v), embed in asm.piece_embeddings
+    )
+    incidence = tuple((vindex[u], vindex[v]) for (u, v), _ in asm.piece_embeddings)
+    return FlatRegionGraph(particle_type, asm.code.n, regions, boundaries, incidence)
+
+
 def build_welded_surface(
     graph: WeldGraph, boundary_type: str, spec: SurfaceSpec
 ) -> CssCode:
@@ -1051,25 +1078,8 @@ def build_welded_surface(
     # the welds freely: one region, bounded by the assembly's two free
     # sides, each the union of the per-piece sides (adjacent pieces
     # share their corners).
-    boundaries = tuple(
-        QubitPatch(f"boundary {v}", asm.vertex_qubits[v]) for v in graph.vertices
-    )
-    vindex = {v: i for i, v in enumerate(graph.vertices)}
-    regions = []
-    incidence = []
-    side_unions = [set(), set()]
-    for edge, embed in asm.piece_embeddings:
-        u, v = edge
-        regions.append(QubitPatch(f"piece {u}-{v}", tuple(int(q) for q in embed)))
-        incidence.append((vindex[u], vindex[v]))
-        for union, side in zip(side_unions, free_sides):
-            union.update(int(embed[q]) for q in side)
     split_kind = "x" if weld_type == "z" else "z"
-    meta = {
-        split_kind: FlatRegionGraph(
-            split_kind, code.n, tuple(regions), boundaries, tuple(incidence)
-        )
-    }
+    meta = {split_kind: _piece_region_graph(graph, asm, split_kind, "piece")}
     if btype == "rough" or spec.height >= 2:
         # A smooth assembly of one-row pieces has a single rough side,
         # which leaves the welded particle type nothing to move between.
@@ -1078,8 +1088,8 @@ def build_welded_surface(
             code.n,
             (QubitPatch("assembly", tuple(range(code.n))),),
             tuple(
-                QubitPatch(label, tuple(union))
-                for label, union in zip(free_labels, side_unions)
+                QubitPatch(label, _lift(asm, side))
+                for label, side in zip(free_labels, free_sides)
             ),
             ((0, 1),),
         )
@@ -1195,64 +1205,12 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
         code, "z", _row_index(code.z_rows, asm.merged.z_bits), membrane
     )
 
-    vindex = {v: i for i, v in enumerate(graph.vertices)}
-    boundaries = tuple(
-        QubitPatch(f"boundary {v}", asm.vertex_qubits[v]) for v in graph.vertices
-    )
-    regions = []
-    incidence = []
-    for edge, embed in asm.piece_embeddings:
-        regions.append(
-            QubitPatch(f"solid {edge[0]}-{edge[1]}", tuple(int(q) for q in embed))
-        )
-        incidence.append((vindex[edge[0]], vindex[edge[1]]))
+    # Flat-Z columns and sheets of every piece fuse across the welds into
+    # one column and one sheet each.
     meta = {
-        "x": FlatRegionGraph(
-            "x", code.n, tuple(regions), boundaries, tuple(incidence)
-        )
+        "x": _piece_region_graph(graph, asm, "x", "solid"),
+        "z": _sheet_region_graph(lay, code.n, lambda support: _lift(asm, support)),
     }
-
-    # Merged flat-Z structure: the (x, y) columns and sheets of every
-    # piece fuse across the welds into one column and one sheet each.
-    def merged_patch(label, supports) -> QubitPatch:
-        qubits: set[int] = set()
-        for (_, embed), support in zip(asm.piece_embeddings, supports):
-            qubits.update(int(embed[q]) for q in support)
-        return QubitPatch(label, tuple(qubits))
-
-    columns = {}
-    for y in range(spec.dy + 1):
-        for x in range(spec.dx + 1):
-            columns[(x, y)] = merged_patch(
-                f"column ({x},{y})",
-                [lay.column(x, y)] * len(asm.piece_embeddings),
-            )
-    order = {pos: i for i, pos in enumerate(columns)}
-    z_regions = []
-    z_incidence = []
-    for y in range(spec.dy + 1):
-        for x in range(spec.dx):
-            z_regions.append(
-                merged_patch(
-                    f"sheet x ({x},{y})", [lay.sheet_x(x, y)] * len(asm.piece_embeddings)
-                )
-            )
-            z_incidence.append((order[(x, y)], order[(x + 1, y)]))
-    for y in range(spec.dy):
-        for x in range(spec.dx + 1):
-            z_regions.append(
-                merged_patch(
-                    f"sheet y ({x},{y})", [lay.sheet_y(x, y)] * len(asm.piece_embeddings)
-                )
-            )
-            z_incidence.append((order[(x, y)], order[(x, y + 1)]))
-    meta["z"] = FlatRegionGraph(
-        "z",
-        code.n,
-        tuple(z_regions),
-        tuple(columns.values()),
-        tuple(z_incidence),
-    )
     code = replace(code, region_metadata=meta)
     validate_or_raise(code)
     return code

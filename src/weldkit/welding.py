@@ -14,6 +14,7 @@ ground truth in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,10 +124,7 @@ class WeldLayout:
         return PauliOperator(self.n, xb, zb)
 
     def shared_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=np.uint8)
-        for q in self.shared:
-            mask[q] = 1
-        return mask
+        return _shared_mask(self.n, self.shared)
 
     def permuted(self, perm) -> "WeldLayout":
         relabel = [int(p) for p in perm]
@@ -194,61 +192,66 @@ def _format_row(bits: np.ndarray, kind: str, n: int) -> str:
     return format_operator(op)
 
 
-def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
-    """Does every weld-touching generator have a partner across the weld?
-
-    Only generators of the weld type matter.  A generator touching the
-    shared qubits is matched when the other side has a generator with
-    the same restriction to the shared qubits.  Returns (True, None) or
-    (False, witness) with the first unmatched generator named.
-    """
-    kind = _norm_type(weld_type)
-    mask = layout.shared_mask()
-    rows1 = _weld_rows(set1.gens if isinstance(set1, CssCode) else set1, kind)
-    rows2 = _weld_rows(set2.gens if isinstance(set2, CssCode) else set2, kind)
-    seen1 = {(row & mask).tobytes() for row in rows1 if (row & mask).any()}
-    seen2 = {(row & mask).tobytes() for row in rows2 if (row & mask).any()}
-    for side, rows, other in ((1, rows1, seen2), (2, rows2, seen1)):
-        for i, row in enumerate(rows):
-            on_weld = row & mask
-            if not on_weld.any():
-                continue
-            if on_weld.tobytes() not in other:
-                witness = {
-                    "side": side,
-                    "index": i,
-                    "generator": _format_row(row, kind, layout.n),
-                    "shared_restriction": _format_row(on_weld, kind, layout.n),
-                }
-                return False, witness
-    return True, None
-
-
-def check_weld_independence(gens, shared, weld_type: str):
-    """Can weld-touching generators multiply to something trivial on the weld?
-
-    Passes when every product of weld-touching weld-type generators
-    that acts trivially on the shared qubits is the identity outright,
-    implemented as a rank comparison of the shared-qubit restrictions
-    against the full rows.  On failure the witness lists a generator
-    subset whose product avoids the weld without vanishing; its support
-    is shrunk greedily, best effort.
-    """
-    kind = _norm_type(weld_type)
-    if isinstance(gens, CssCode):
-        gens = gens.gens
-    n = gens.n
+def _shared_mask(n: int, shared) -> np.ndarray:
     mask = np.zeros(n, dtype=np.uint8)
     for q in shared:
+        if not 0 <= int(q) < n:
+            raise ValidationError(f"shared qubit {q} is outside the {n}-qubit register")
         mask[int(q)] = 1
-    rows = _weld_rows(gens, kind)
-    touching = [i for i, row in enumerate(rows) if (row & mask).any()]
-    if not touching:
-        return True, None
-    full = rows[touching]
-    on_weld = full & mask
+    return mask
+
+
+class _Split(NamedTuple):
+    """One side's weld-type rows, restricted to the shared qubits once.
+
+    first maps the restriction of each weld-touching row, as bytes, to
+    the first row that has it.
+    """
+
+    rows: np.ndarray
+    on_weld: np.ndarray
+    touching: list[int]
+    untouched: list[int]
+    first: dict[bytes, int]
+
+
+def _split(rows: np.ndarray, mask: np.ndarray) -> _Split:
+    on_weld = rows & mask
+    touching: list[int] = []
+    untouched: list[int] = []
+    first: dict[bytes, int] = {}
+    for i, hit in enumerate(on_weld.any(axis=1).tolist()):
+        if hit:
+            touching.append(i)
+            first.setdefault(on_weld[i].tobytes(), i)
+        else:
+            untouched.append(i)
+    return _Split(rows, on_weld, touching, untouched, first)
+
+
+def _unmatched(split1: _Split, split2: _Split, kind: str, n: int):
+    """Witness naming the first weld-touching row without a partner, or None."""
+    for side, split, other in ((1, split1, split2), (2, split2, split1)):
+        # first is in row order, so the first missing key is the lowest row
+        for key, i in split.first.items():
+            if key not in other.first:
+                return {
+                    "side": side,
+                    "index": i,
+                    "generator": _format_row(split.rows[i], kind, n),
+                    "shared_restriction": _format_row(split.on_weld[i], kind, n),
+                }
+    return None
+
+
+def _dependent(split: _Split, kind: str, n: int):
+    """Witness for touching rows whose product avoids the weld, or None."""
+    if not split.touching:
+        return None
+    full = split.rows[split.touching]
+    on_weld = split.on_weld[split.touching]
     if gf2.rank(on_weld) == gf2.rank(full):
-        return True, None
+        return None
     # every dependency of the full rows also kills the restrictions, so
     # rank deficit means some coefficient vector kills only the latter
     kernel_full = gf2.null_space(full.T)
@@ -268,45 +271,46 @@ def check_weld_independence(gens, shared, weld_type: str):
                 improved = True
     chosen = np.nonzero(coeff)[0]
     product = np.bitwise_xor.reduce(full[chosen], axis=0)
-    witness = {
-        "subset": tuple(int(touching[j]) for j in chosen),
+    return {
+        "subset": tuple(split.touching[j] for j in chosen),
         "product": _format_row(product, kind, n),
     }
-    return False, witness
 
 
-def _untouched(rows: np.ndarray, mask: np.ndarray) -> list[int]:
-    return [i for i, row in enumerate(rows) if not (row & mask).any()]
+def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
+    """Does every weld-touching generator have a partner across the weld?
 
-
-def _match_pairs(rows1, rows2, mask) -> list[tuple[int, int]]:
-    """Deterministic pairing of weld-touching rows by shared restriction.
-
-    Each side is sorted by restriction pattern then by full pattern and
-    paired in order.  A count mismatch within one restriction value
-    (a repeated row, say) pairs the extras against the other side's
-    first entry.  check_well_matched has already seen every restriction
-    on both sides.
+    Only generators of the weld type matter.  A generator touching the
+    shared qubits is matched when the other side has a generator with
+    the same restriction to the shared qubits.  Returns (True, None) or
+    (False, witness) with the first unmatched generator named.
     """
+    kind = _norm_type(weld_type)
+    mask = layout.shared_mask()
+    split1, split2 = (
+        _split(_weld_rows(s.gens if isinstance(s, CssCode) else s, kind), mask)
+        for s in (set1, set2)
+    )
+    witness = _unmatched(split1, split2, kind, layout.n)
+    return witness is None, witness
 
-    def grouped(rows):
-        groups: dict[bytes, list[int]] = {}
-        for i, row in enumerate(rows):
-            if (row & mask).any():
-                groups.setdefault((row & mask).tobytes(), []).append(i)
-        for bucket in groups.values():
-            bucket.sort(key=lambda i: rows[i].tobytes())
-        return groups
 
-    side1, side2 = grouped(rows1), grouped(rows2)
-    pairs: list[tuple[int, int]] = []
-    for key in sorted(side1):
-        a, b = side1[key], side2[key]
-        common = min(len(a), len(b))
-        pairs.extend((a[i], b[i]) for i in range(common))
-        pairs.extend((a[i], b[0]) for i in range(common, len(a)))
-        pairs.extend((a[0], b[i]) for i in range(common, len(b)))
-    return pairs
+def check_weld_independence(gens, shared, weld_type: str):
+    """Can weld-touching generators multiply to something trivial on the weld?
+
+    Passes when every product of weld-touching weld-type generators
+    that acts trivially on the shared qubits is the identity outright,
+    implemented as a rank comparison of the shared-qubit restrictions
+    against the full rows.  On failure the witness lists a generator
+    subset whose product avoids the weld without vanishing; its support
+    is shrunk greedily, best effort.
+    """
+    kind = _norm_type(weld_type)
+    if isinstance(gens, CssCode):
+        gens = gens.gens
+    split = _split(_weld_rows(gens, kind), _shared_mask(gens.n, shared))
+    witness = _dependent(split, kind, gens.n)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -365,19 +369,16 @@ def _assemble(
     set1: GeneratingSet,
     set2: GeneratingSet,
     kind: str,
+    split1: _Split,
+    split2: _Split,
     pairs: list[tuple[int, int]],
 ) -> tuple[GeneratingSet, WeldTrace]:
     """Build the output blocks and the trace from a chosen pairing."""
     n = layout.n
-    mask = layout.shared_mask()
-    if kind == "z":
-        weld1, weld2 = set1.z_rows, set2.z_rows
-        keep1, keep2 = set1.x_rows, set2.x_rows
-    else:
-        weld1, weld2 = set1.x_rows, set2.x_rows
-        keep1, keep2 = set1.z_rows, set2.z_rows
-    un1, un2 = _untouched(weld1, mask), _untouched(weld2, mask)
-    welded_list = [weld1[i] ^ weld2[j] ^ (weld1[i] & mask) for i, j in pairs]
+    weld1, weld2 = split1.rows, split2.rows
+    keep1, keep2 = (s.x_rows if kind == "z" else s.z_rows for s in (set1, set2))
+    un1, un2 = split1.untouched, split2.untouched
+    welded_list = [weld1[i] ^ weld2[j] ^ split1.on_weld[i] for i, j in pairs]
     welded = np.array(welded_list, dtype=np.uint8).reshape(-1, n)
     keep_rows = np.vstack([keep1, keep2])
     weld_rows = np.vstack([weld1[un1], weld2[un2], welded])
@@ -427,7 +428,7 @@ def _assemble(
         entries.append(
             TraceEntry(
                 "welded", kind, row, weld_op(bits),
-                weld_op(weld1[i]), weld_op(weld2[j]), weld_op(weld1[i] & mask),
+                weld_op(weld1[i]), weld_op(weld2[j]), weld_op(split1.on_weld[i]),
             )
         )
         row += 1
@@ -459,31 +460,36 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     the check name and a witness.  The output generating set holds
     every opposite-type generator of both codes, every weld-type
     generator that avoids the shared qubits, and one combined generator
-    per matched pair of weld-touching generators.  A trace mapping
-    output generators to their per-side parts is attached.
+    per restriction to the shared qubits, joining the first generator
+    with that restriction on each side.  A trace mapping output
+    generators to their per-side parts is attached.
     """
     kind = _norm_type(weld_type)
     _require_stabilizer_inputs(code1, code2)
     layout, set1, set2 = contract(code1, code2, ident)
-    ok, witness = check_well_matched(set1, set2, layout, kind)
-    if not ok:
+    mask = layout.shared_mask()
+    split1 = _split(_weld_rows(set1, kind), mask)
+    split2 = _split(_weld_rows(set2, kind), mask)
+    witness = _unmatched(split1, split2, kind, layout.n)
+    if witness is not None:
         raise WeldError(
             "well_matched", witness, f"unmatched weld-touching generator: {witness}"
         )
-    for side, contracted in ((1, set1), (2, set2)):
-        ok, witness = check_weld_independence(contracted, layout.shared, kind)
-        if not ok:
+    for side, split in ((1, split1), (2, split2)):
+        witness = _dependent(split, kind, layout.n)
+        if witness is not None:
             raise WeldError(
                 "weld_independence",
                 witness,
                 f"code {side} generators multiply to identity on the weld: {witness}",
             )
-    pairs = _match_pairs(
-        _weld_rows(set1, kind), _weld_rows(set2, kind), layout.shared_mask()
-    )
+    # With both checks passed, two rows of one side share a restriction
+    # only if they are equal (their product would avoid the weld), so a
+    # repeated row is welded once, with its first copy.
+    pairs = [(split1.first[key], split2.first[key]) for key in sorted(split1.first)]
     # No output check: a welded row a ^ b ^ (a & mask) overlaps each adopted
     # row of either side evenly, as a or b does, since b & mask == a & mask.
-    gens, trace = _assemble(layout, set1, set2, kind, pairs)
+    gens, trace = _assemble(layout, set1, set2, kind, split1, split2, pairs)
     return CssCode(gens, (), None, trace)
 
 
@@ -549,6 +555,10 @@ def anticommuting_entries(code_or_trace, probe: PauliOperator) -> tuple[int, ...
         trace = code_or_trace
     else:
         trace = welded_operator_trace(code_or_trace)
+    if probe.n != trace.n:
+        raise ValidationError(
+            f"probe acts on {probe.n} qubits, but the welded code has {trace.n}"
+        )
     return tuple(
         i for i, entry in enumerate(trace.entries) if not commutes(entry.op, probe)
     )

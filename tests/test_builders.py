@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from weldkit.builders import (
+    FlatRegionGraph,
+    QubitPatch,
     SolidSpec,
     SurfaceSpec,
     WeldGraph,
@@ -131,6 +135,49 @@ def test_region_metadata_structure():
         for patch in graph.boundaries:
             assert not seen.intersection(patch.qubits)
             seen.update(patch.qubits)
+
+
+def region_digest(code) -> str:
+    h = hashlib.sha256()
+    for kind, graph in sorted(code.region_metadata.items()):
+        patches = [
+            [(p.label, p.qubits) for p in group]
+            for group in (graph.regions, graph.boundaries)
+        ]
+        record = (kind, graph.particle_type, graph.n, patches, graph.incidence)
+        h.update(repr(record).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: build_welded_solid(star(3), SolidSpec(1, 1, 2)), "7264a376be0396fd"),
+        (
+            lambda: build_welded_solid(grid2d(2, 2), SolidSpec(1, 1, 2)),
+            "7e4582bce0f910a1",
+        ),
+        (
+            lambda: build_welded_surface(star(3), "rough", SurfaceSpec(2, 2)),
+            "efacddc6846103ca",
+        ),
+        (
+            lambda: build_welded_surface(path(3), "smooth", SurfaceSpec(2, 2)),
+            "f87fb044661c30f8",
+        ),
+        (lambda: build_solid(SolidSpec(2, 2, 3)), "4de6c26007ad76bd"),
+    ],
+    ids=["solid-star3", "solid-grid2x2", "rough-surface", "smooth-surface", "solid"],
+)
+def test_region_metadata_is_pinned(build, digest):
+    # labels, qubit sets, their order and the incidence, all of both types
+    assert region_digest(build()) == digest
+
+
+def test_region_graph_rejects_negative_qubits():
+    patch = QubitPatch("a", (-1, 0))
+    with pytest.raises(ValidationError, match="out of range"):
+        FlatRegionGraph("x", 2, (patch,), (QubitPatch("b", (0,)),), ((0,),))
 
 
 def test_region_metadata_missing_raises():

@@ -22,11 +22,13 @@ from weldkit.css import (
     validate,
 )
 from weldkit.errors import MetadataError, ValidationError, WeldError
-from weldkit.pauli import PauliOperator, multiply, parse_operator
-from weldkit.verify import random_weld_case
+from weldkit.pauli import PauliOperator, format_operator, multiply, parse_operator
+from weldkit.verify import _spoiled_cases, random_weld_case
 from weldkit.welding import (
     QubitIdentification,
     anticommuting_entries,
+    check_weld_independence,
+    check_well_matched,
     contract,
     parse_identification,
     trace_successor,
@@ -34,6 +36,90 @@ from weldkit.welding import (
     weld_oracle,
     welded_operator_trace,
 )
+
+
+# Reference pairing: each side's weld-touching rows grouped by their
+# restriction to the shared qubits, each group sorted by full row and
+# paired in order, extras against the other side's first row.
+def reference_check_well_matched(set1, set2, layout, kind):
+    mask = layout.shared_mask()
+    rows1 = set1.z_rows if kind == "z" else set1.x_rows
+    rows2 = set2.z_rows if kind == "z" else set2.x_rows
+    seen1 = {(row & mask).tobytes() for row in rows1 if (row & mask).any()}
+    seen2 = {(row & mask).tobytes() for row in rows2 if (row & mask).any()}
+    for side, rows, other in ((1, rows1, seen2), (2, rows2, seen1)):
+        for i, row in enumerate(rows):
+            on_weld = row & mask
+            if on_weld.any() and on_weld.tobytes() not in other:
+                witness = {
+                    "side": side,
+                    "index": i,
+                    "generator": format_operator(typed_op(row, kind)),
+                    "shared_restriction": format_operator(typed_op(on_weld, kind)),
+                }
+                return False, witness
+    return True, None
+
+
+def reference_match_pairs(rows1, rows2, mask):
+    def grouped(rows):
+        groups = {}
+        for i, row in enumerate(rows):
+            if (row & mask).any():
+                groups.setdefault((row & mask).tobytes(), []).append(i)
+        for bucket in groups.values():
+            bucket.sort(key=lambda i: rows[i].tobytes())
+        return groups
+
+    side1, side2 = grouped(rows1), grouped(rows2)
+    pairs = []
+    for key in sorted(side1):
+        a, b = side1[key], side2[key]
+        common = min(len(a), len(b))
+        pairs.extend((a[i], b[i]) for i in range(common))
+        pairs.extend((a[i], b[0]) for i in range(common, len(a)))
+        pairs.extend((a[0], b[i]) for i in range(common, len(b)))
+    return pairs
+
+
+def typed_op(bits, kind):
+    zero = np.zeros(bits.size, dtype=np.uint8)
+    if kind == "x":
+        return PauliOperator(bits.size, bits, zero)
+    return PauliOperator(bits.size, zero, bits)
+
+
+def op_bytes(op):
+    return op.x_bits.tobytes() + op.z_bits.tobytes()
+
+
+def reference_entries(code1, code2, ident, kind):
+    """Trace entries, as bytes, that the reference pairing gives."""
+    layout, set1, set2 = contract(code1, code2, ident)
+    mask = layout.shared_mask()
+    assert reference_check_well_matched(set1, set2, layout, kind) == (True, None)
+    other = "x" if kind == "z" else "z"
+    rows = {"x": (set1.x_rows, set2.x_rows), "z": (set1.z_rows, set2.z_rows)}
+    none = bytes(2 * layout.n)
+    entries = []
+    for label, block in (("adopted", other), ("untouched", kind)):
+        row = 0
+        for side, block_rows in enumerate(rows[block], start=1):
+            for bits in block_rows:
+                if label == "untouched" and (bits & mask).any():
+                    continue
+                op = op_bytes(typed_op(bits, block))
+                parts = (op, none) if side == 1 else (none, op)
+                entries.append((label, block, row, op, *parts, none))
+                row += 1
+    weld1, weld2 = rows[kind]
+    for i, j in reference_match_pairs(weld1, weld2, mask):
+        a, b = weld1[i], weld2[j]
+        parts = (a ^ b ^ (a & mask), a, b, a & mask)
+        ops = (op_bytes(typed_op(p, kind)) for p in parts)
+        entries.append(("welded", kind, row, *ops))
+        row += 1
+    return entries
 
 
 def golden_weld():
@@ -88,7 +174,7 @@ def test_repeated_weld_row_pairs_with_the_first_partner():
     merged = weld(doubled, base, [(1, 0)], "z")
     assert groups_equal(merged, weld_oracle(doubled, base, [(1, 0)], "z"))
     welded = [entry.op for entry in welded_operator_trace(merged).welded()]
-    assert welded == [parse_operator("ZZZ")] * 2
+    assert welded == [parse_operator("ZZZ")]
 
 
 def test_anticommuting_entries_single_out_the_weld():
@@ -98,6 +184,11 @@ def test_anticommuting_entries_single_out_the_weld():
     trace = welded_operator_trace(merged)
     assert len(hits) == 1
     assert trace.entries[hits[0]].kind == "welded"
+
+
+def test_anticommuting_entries_rejects_a_probe_on_the_wrong_register():
+    with pytest.raises(ValidationError, match="2 qubits.*has 3"):
+        anticommuting_entries(golden_weld(), parse_operator("XI"))
 
 
 def test_trace_requires_a_welded_code():
@@ -114,6 +205,50 @@ def test_weld_matches_kernel_oracle_on_random_cases():
             assert groups_equal(merged, weld_oracle(code1, code2, ident, weld_type))
             assert encoded_qubits(merged) == 0
             assert validate(merged) is None
+
+
+def test_weld_reproduces_the_reference_pairing():
+    rng = np.random.default_rng(5)
+    for rounds, max_side in ((100, 12), (100, 24)):
+        for _ in range(rounds):
+            code1, code2, ident, weld_type = random_weld_case(rng, max_side=max_side)
+            merged = weld(code1, code2, ident, weld_type)
+            want = reference_entries(code1, code2, ident, weld_type)
+            got = [
+                (e.kind, e.block, e.row)
+                + tuple(op_bytes(op) for op in (e.op, e.part1, e.part2, e.shared_part))
+                for e in welded_operator_trace(merged).entries
+            ]
+            assert got == want
+            for block, rows in (("x", merged.x_rows), ("z", merged.z_rows)):
+                assert [op_bytes(typed_op(r, block)) for r in rows] == [
+                    e[3] for e in want if e[1] == block
+                ]
+
+
+def test_public_checks_return_the_witnesses_weld_raises():
+    for (code1, code2, ident, kind), check in _spoiled_cases(np.random.default_rng(3)):
+        if check == "self_weld":
+            continue
+        with pytest.raises(WeldError) as exc:
+            weld(code1, code2, ident, kind)
+        assert exc.value.check == check
+        layout, set1, set2 = contract(code1, code2, ident)
+        if check == "well_matched":
+            got = check_well_matched(set1, set2, layout, kind)
+            assert got == reference_check_well_matched(set1, set2, layout, kind)
+        else:
+            sides = (set1, set2)
+            results = (check_weld_independence(s, layout.shared, kind) for s in sides)
+            got = next(result for result in results if not result[0])
+        assert got == (False, exc.value.witness)
+
+
+def test_weld_independence_range_checks_shared_qubits():
+    gens = build_two_qubit().gens
+    for shared in ((-1,), (2,)):
+        with pytest.raises(ValidationError, match="shared qubit .* 2-qubit register"):
+            check_weld_independence(gens, shared, "z")
 
 
 def test_weld_is_symmetric_up_to_relabeling():
