@@ -619,12 +619,6 @@ def _widen_once(acc: CssCode, tracked: PauliOperator, width: int):
     return permute_qubits(raw, perm), permute_operator(merged, perm)
 
 
-def _widen_once_flat(acc: CssCode, tracked: PauliOperator, width: int):
-    """Height-1 widening: X-weld a two-qubit piece onto the right end."""
-    raw = weld(acc, build_two_qubit(), [(width, 0)], "x")
-    return raw, trace_successor(welded_operator_trace(raw), 1, tracked)
-
-
 def _build_row(width: int) -> tuple[CssCode, PauliOperator]:
     """2-row patch of the requested width with the X string folded."""
     acc, tracked = _five_folded()
@@ -654,16 +648,6 @@ def _rough_row_piece(width: int) -> CssCode:
     return fold_logical(promoted, 0, "z")
 
 
-def _stack_once(acc: CssCode, tracked: PauliOperator, rows_done: int, width: int):
-    """Z-weld a fresh 2-row patch under the accumulated patch."""
-    piece = _rough_row_piece(width)
-    lay = _SurfaceLayout(SurfaceSpec(width, rows_done))
-    ident = [(lay.v(rows_done - 1, c), c) for c in range(width + 1)]
-    raw = weld(acc, piece, ident, "z")
-    merged = trace_successor(welded_operator_trace(raw), 1, tracked)
-    return raw, merged
-
-
 def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
     """Assemble build_surface(spec) from two-qubit pieces alone.
 
@@ -673,31 +657,35 @@ def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
     on the canonical layout.
     """
     lay = _SurfaceLayout(spec)
-    top = PauliOperator.from_support(lay.n, x=lay.top_row())
-    left = PauliOperator.from_support(lay.n, z=lay.left_col())
     if spec.height == 1:
-        if spec.width == 1:
-            code = promote_to_logical(build_two_qubit(), "x", 0, left)
-        else:
-            acc = build_two_qubit()
-            tracked = PauliOperator.from_support(2, x=(0, 1))
-            for w in range(1, spec.width):
-                acc, tracked = _widen_once_flat(acc, tracked, w)
-            code = promote_to_logical(
-                acc, "x", _row_index(acc.x_rows, tracked.x_bits), left
-            )
+        asm = _weld_along_graph(
+            path(spec.width + 1),
+            lambda edge: build_two_qubit(),
+            ((0,), (1,)),
+            PauliOperator.from_support(2, x=(0, 1)),
+            "x",
+        )
+        left = PauliOperator.from_support(lay.n, z=lay.left_col())
+        code = promote_to_logical(
+            asm.code, "x", _row_index(asm.code.x_rows, asm.merged.x_bits), left
+        )
     elif spec.height == 2:
         acc, tracked = _build_row(spec.width)
         code = _promote_top_string(acc, spec.width, tracked)
     else:
-        acc = _rough_row_piece(spec.width)
-        tracked = PauliOperator.from_support(
-            acc.n, z=_SurfaceLayout(SurfaceSpec(spec.width, 2)).left_col()
+        # height - 1 two-row pieces, each sharing its top row with the
+        # bottom row of the piece above
+        row = _SurfaceLayout(SurfaceSpec(spec.width, 2))
+        asm = _weld_along_graph(
+            path(spec.height),
+            lambda edge: _rough_row_piece(spec.width),
+            (row.top_row(), row.bottom_row()),
+            PauliOperator.from_support(row.n, z=row.left_col()),
+            "z",
         )
-        for rows_done in range(2, spec.height):
-            acc, tracked = _stack_once(acc, tracked, rows_done, spec.width)
+        top = PauliOperator.from_support(lay.n, x=lay.top_row())
         code = promote_to_logical(
-            acc, "z", _row_index(acc.z_rows, tracked.z_bits), top
+            asm.code, "z", _row_index(asm.code.z_rows, asm.merged.z_bits), top
         )
     code = replace(code, region_metadata=_surface_region_metadata(spec))
     validate_or_raise(code)
@@ -1041,8 +1029,7 @@ def build_welded_surface(
             )
 
         def make_piece(edge) -> CssCode:
-            piece = build_surface(spec, include_string_logicals=False)
-            return replace(piece, region_metadata=None)
+            return build_surface(spec, include_string_logicals=False)
 
         ends = (lay.top_row(), lay.bottom_row())
         tracked = PauliOperator.from_support(lay.n, z=lay.left_col())
@@ -1052,8 +1039,7 @@ def build_welded_surface(
     else:
 
         def make_piece(edge) -> CssCode:
-            piece = fold_logical(build_surface(spec), 0, "x")
-            return replace(piece, region_metadata=None)
+            return fold_logical(build_surface(spec), 0, "x")
 
         ends = (lay.left_col(), lay.right_col())
         tracked = PauliOperator.from_support(lay.n, x=lay.top_row())
@@ -1116,7 +1102,7 @@ def _repick_solid_layer(code: CssCode, lay: _SolidLayout, z: int) -> CssCode:
                 row ^= z_rows[lay.face_x_row(xp, y, z)]
                 row ^= z_rows[lay.face_x_row(xp, y + 1, z)]
     gens = GeneratingSet(code.n, code.x_rows, z_rows)
-    return CssCode(gens, code.logicals, code.region_metadata, code.weld_trace)
+    return CssCode(gens, code.logicals, code.region_metadata)
 
 
 def _phantom_welded_faces(
@@ -1181,8 +1167,7 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
             piece = _repick_solid_layer(piece, lay, 0)
         if degree[edge[1]] >= 2:
             piece = _repick_solid_layer(piece, lay, spec.dz - 1)
-        piece = fold_logical(piece, 0, "z")
-        return replace(piece, region_metadata=None)
+        return fold_logical(piece, 0, "z")
 
     ends = (lay.layer(0), lay.layer(spec.dz - 1))
     tracked = PauliOperator.from_support(lay.n, z=lay.column(0, 0))
@@ -1197,7 +1182,7 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
         gens = GeneratingSet(
             code.n, code.x_rows, np.vstack([code.z_rows] + [b[None, :] for b in phantoms])
         )
-        code = CssCode(gens, code.logicals, code.region_metadata, code.weld_trace)
+        code = CssCode(gens, code.logicals, code.region_metadata)
 
     first_embed = asm.piece_embeddings[0][1]
     membrane = PauliOperator.from_support(code.n, x=first_embed[list(lay.layer(0))])
@@ -1233,8 +1218,7 @@ def build_solid_by_welding(spec: SolidSpec) -> CssCode:
     strip_lay = _SurfaceLayout(strip_spec)
 
     def make_piece(edge) -> CssCode:
-        piece = fold_logical(build_surface(strip_spec), 0, "x")
-        return replace(piece, region_metadata=None)
+        return fold_logical(build_surface(strip_spec), 0, "x")
 
     ends = (strip_lay.left_col(), strip_lay.right_col())
     tracked = PauliOperator.from_support(strip_lay.n, x=strip_lay.top_row())

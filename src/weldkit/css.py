@@ -151,7 +151,12 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
             )
     if code is None:
         return None
-    for ci, cls in enumerate(code.logicals):
+    return _logical_violation(gens, code.logicals)
+
+
+def _logical_violation(gens: GeneratingSet, logicals) -> CssViolation | None:
+    """The first fault among the logical classes against gens, or None."""
+    for ci, cls in enumerate(logicals):
         if not cls.x_rep.is_x_type or not cls.z_rep.is_z_type:
             return CssViolation(f"logical class {ci} representatives are not pure")
         if int(cls.x_rep.x_bits @ cls.z_rep.z_bits) % 2 == 0:
@@ -161,7 +166,7 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
         if (gens.x_rows @ cls.z_rep.z_bits % 2).any():
             return CssViolation(f"logical z rep of class {ci} anticommutes with a generator")
         # a stabilizer rep fails above: its overlap with a commuting partner is even
-        for cj, other in enumerate(code.logicals):
+        for cj, other in enumerate(logicals):
             if cj == ci:
                 continue
             if int(cls.x_rep.x_bits @ other.z_rep.z_bits) % 2:
@@ -228,7 +233,8 @@ def promote_to_logical(
     The generator must be independent of the rest, otherwise its removal
     would not change the group and nothing new would be encoded.  The
     anticommuting representative of the opposite type is solved for when
-    not supplied.
+    not supplied.  Either way the classes are then checked as validate
+    checks them.  The weld trace is dropped, since the rows change.
     """
     n = code.n
     if kind == "x":
@@ -247,22 +253,25 @@ def promote_to_logical(
         raise ValidationError(
             f"{kind} generator {index} is dependent, removing it does not change the group"
         )
-    draft = CssCode(gens, code.logicals, code.region_metadata, code.weld_trace)
+    draft = CssCode(gens, code.logicals, code.region_metadata)
     if partner is None:
         partner = anticommuting_partner(draft, rep)
-    else:
-        _check_partner(draft, rep, partner)
     cls = LogicalClass(x_rep=rep, z_rep=partner) if kind == "x" else LogicalClass(
         x_rep=partner, z_rep=rep
     )
-    return replace(draft, logicals=code.logicals + (cls,))
+    logicals = code.logicals + (cls,)
+    violation = _logical_violation(gens, logicals)
+    if violation is not None:
+        raise ValidationError(violation.message)
+    return replace(draft, logicals=logicals)
 
 
 def fold_logical(code: CssCode, class_index: int, kind: str) -> CssCode:
     """Inverse of promotion: push one representative back into the generators.
 
     The class is dropped entirely; its other representative stops being a
-    logical operator once its partner joins the group.
+    logical operator once its partner joins the group.  The weld trace is
+    dropped, since the rows change.
     """
     if not 0 <= class_index < len(code.logicals):
         raise ValidationError(f"logical class {class_index} out of range")
@@ -278,24 +287,7 @@ def fold_logical(code: CssCode, class_index: int, kind: str) -> CssCode:
         )
     else:
         raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
-    return CssCode(gens, logicals, code.region_metadata, code.weld_trace)
-
-
-def _check_partner(code: CssCode, rep: PauliOperator, partner: PauliOperator):
-    if rep.is_x_type:
-        if not partner.is_z_type:
-            raise ValidationError("partner of an x rep must be pure z")
-        if int(rep.x_bits @ partner.z_bits) % 2 == 0:
-            raise ValidationError("supplied partner commutes with the representative")
-        if ((code.x_rows @ partner.z_bits) % 2).any():
-            raise ValidationError("supplied partner anticommutes with an x generator")
-    else:
-        if not partner.is_x_type:
-            raise ValidationError("partner of a z rep must be pure x")
-        if int(rep.z_bits @ partner.x_bits) % 2 == 0:
-            raise ValidationError("supplied partner commutes with the representative")
-        if ((code.z_rows @ partner.x_bits) % 2).any():
-            raise ValidationError("supplied partner anticommutes with a z generator")
+    return CssCode(gens, logicals, code.region_metadata)
 
 
 def anticommuting_partner(code: CssCode, logical_rep: PauliOperator) -> PauliOperator:
@@ -326,15 +318,7 @@ def anticommuting_partner(code: CssCode, logical_rep: PauliOperator) -> PauliOpe
     v = gf2.solve(constraints, targets)
     if v is None:
         raise ValidationError("no anticommuting partner exists, the input is not logical")
-    kernel = gf2.null_space(constraints)
-    improved = True
-    while improved:
-        improved = False
-        for row in kernel:
-            candidate = v ^ row
-            if int(candidate.sum()) < int(v.sum()):
-                v = candidate
-                improved = True
+    v = gf2.reduce_weight(v, gf2.null_space(constraints))
     if logical_rep.is_x_type:
         return PauliOperator(n, np.zeros(n, np.uint8), v)
     return PauliOperator(n, v, np.zeros(n, np.uint8))
@@ -395,27 +379,21 @@ def permute_qubits(code: CssCode, perm) -> CssCode:
     """Relabel qubits: old index q becomes perm[q].
 
     Generators, their order, and logical representatives all follow the
-    relabeling.  A weld trace follows too when it knows how; builder
-    region metadata is dropped because its qubit sets are positional.
+    relabeling.  Builder region metadata and the weld trace are dropped,
+    because their qubit sets are positional.
     """
     perm = list(int(p) for p in perm)
     n = code.n
     if sorted(perm) != list(range(n)):
         raise ValidationError("perm must be a permutation of all qubit indices")
-    inv = np.empty(n, dtype=np.int64)
-    for old, new in enumerate(perm):
-        inv[new] = old
+    inv = np.argsort(perm)
     gens = GeneratingSet(n, code.x_rows[:, inv], code.z_rows[:, inv])
 
     def move(op: PauliOperator) -> PauliOperator:
         return PauliOperator(n, op.x_bits[inv], op.z_bits[inv])
 
     logicals = tuple(LogicalClass(move(c.x_rep), move(c.z_rep)) for c in code.logicals)
-    trace = code.weld_trace
-    if trace is not None:
-        permuted = getattr(trace, "permuted", None)
-        trace = permuted(perm) if permuted is not None else None
-    return CssCode(gens, logicals, None, trace)
+    return CssCode(gens, logicals)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +436,8 @@ def from_text(text: str) -> CssCode:
         k = int(fields.get("k", "0"))
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad header {header!r}") from exc
+    if n < 0:
+        raise ValidationError(f"bad header {header!r}: n must not be negative")
     xs, zs, lxs, lzs = [], [], [], []
     buckets = {"X": xs, "Z": zs, "LX": lxs, "LZ": lzs}
     for tag, body in tagged:

@@ -308,6 +308,10 @@ def verify_bound(
         raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
     if not code.logicals:
         raise ValidationError("code encodes nothing, there is no logical to bound")
+    if not 0 <= class_index < len(code.logicals):
+        raise ValidationError(
+            f"logical class {class_index} out of range, the code has {len(code.logicals)}"
+        )
     logical = code.logicals[class_index]
     rep = logical.z_rep if kind == "z" else logical.x_rep
     graph = flat_region_graph(code, "x" if kind == "z" else "z")

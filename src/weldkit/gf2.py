@@ -136,6 +136,25 @@ def express_in_rows(mat, vec) -> np.ndarray | None:
     return solve(a.T, as_vector(vec, a.shape[1]))
 
 
+def reduce_weight(vec, mat) -> np.ndarray:
+    """vec plus a greedy choice of rows of mat, never heavier than vec.
+
+    Each pass over the rows, in order, adds every row that lowers the
+    weight, until a pass adds none; the result need not be of least weight.
+    """
+    v = as_vector(vec)
+    rows = as_matrix(mat, v.size)
+    improved = True
+    while improved:
+        improved = False
+        for row in rows:
+            candidate = v ^ row
+            if int(candidate.sum()) < int(v.sum()):
+                v = candidate
+                improved = True
+    return v
+
+
 def null_space(mat) -> np.ndarray:
     """Rows form a basis of the right kernel {x : mat @ x == 0 (mod 2)}."""
     a = as_matrix(mat)

@@ -137,9 +137,7 @@ def permute_operator(p: PauliOperator, perm) -> PauliOperator:
     perm = [int(q) for q in perm]
     if sorted(perm) != list(range(p.n)):
         raise ValidationError("perm must be a permutation of all qubit indices")
-    inv = np.empty(p.n, dtype=np.int64)
-    for old, new in enumerate(perm):
-        inv[new] = old
+    inv = np.argsort(perm)
     return PauliOperator(p.n, p.x_bits[inv], p.z_bits[inv])
 
 

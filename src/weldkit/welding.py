@@ -126,15 +126,6 @@ class WeldLayout:
     def shared_mask(self) -> np.ndarray:
         return _shared_mask(self.n, self.shared)
 
-    def permuted(self, perm) -> "WeldLayout":
-        relabel = [int(p) for p in perm]
-        return WeldLayout(
-            self.n,
-            tuple(relabel[q] for q in self.embed1),
-            tuple(relabel[q] for q in self.embed2),
-            tuple(relabel[q] for q in self.shared),
-        )
-
 
 def contract(
     code1, code2, ident
@@ -261,14 +252,7 @@ def _dependent(split: _Split, kind: str, n: int):
         if not gf2.in_row_space(kernel_full, cand):
             coeff = gf2.reduce_vector(kernel_full, cand)
             break
-    improved = True
-    while improved:
-        improved = False
-        for row in kernel_full:
-            trial = coeff ^ row
-            if int(trial.sum()) < int(coeff.sum()):
-                coeff = trial
-                improved = True
+    coeff = gf2.reduce_weight(coeff, kernel_full)
     chosen = np.nonzero(coeff)[0]
     product = np.bitwise_xor.reduce(full[chosen], axis=0)
     return {
@@ -344,24 +328,6 @@ class WeldTrace:
 
     def welded(self) -> tuple[TraceEntry, ...]:
         return tuple(e for e in self.entries if e.kind == "welded")
-
-    def permuted(self, perm) -> "WeldTrace":
-        relabel = [int(p) for p in perm]
-        inv = np.empty(len(relabel), dtype=np.int64)
-        for old, new in enumerate(relabel):
-            inv[new] = old
-
-        def move(op: PauliOperator) -> PauliOperator:
-            return PauliOperator(op.n, op.x_bits[inv], op.z_bits[inv])
-
-        entries = tuple(
-            TraceEntry(
-                e.kind, e.block, e.row,
-                move(e.op), move(e.part1), move(e.part2), move(e.shared_part),
-            )
-            for e in self.entries
-        )
-        return WeldTrace(self.weld_type, self.layout.permuted(relabel), entries)
 
 
 def _assemble(
@@ -515,10 +481,10 @@ def weld_oracle(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCod
 
 
 def welded_operator_trace(code: CssCode) -> WeldTrace:
-    """The decomposition record attached by weld, or an error."""
+    """The decomposition record weld attached to its output, or an error."""
     trace = code.weld_trace
     if not isinstance(trace, WeldTrace):
-        raise MetadataError("this code was not produced by weld, so no trace is attached")
+        raise MetadataError("this code is not a direct weld output, so no trace is attached")
     return trace
 
 

@@ -149,6 +149,85 @@ def region_digest(code) -> str:
     return h.hexdigest()[:16]
 
 
+def code_digest(code) -> str:
+    h = hashlib.sha256()
+    h.update(repr((code.n, code.x_rows.shape, code.z_rows.shape)).encode())
+    h.update(code.x_rows.tobytes())
+    h.update(code.z_rows.tobytes())
+    for cls in code.logicals:
+        for op in (cls.x_rep, cls.z_rep):
+            h.update(op.x_bits.tobytes())
+            h.update(op.z_bits.tobytes())
+    if code.region_metadata:
+        h.update(region_digest(code).encode())
+    return h.hexdigest()[:16]
+
+
+# Rows in order, logicals and region metadata of the welded routes, pinned
+# so that a change to the assembly loop shows as a changed output.
+@pytest.mark.parametrize(
+    "size, digest",
+    [
+        ((1, 1), "43b35b10fd3b3a81"),
+        ((1, 2), "9767b1664ccccfeb"),
+        ((1, 3), "5e8e2de4ff6d52ce"),
+        ((1, 4), "e34869d7c9bb0d14"),
+        ((2, 1), "63c3036bb404bdf6"),
+        ((2, 2), "1038436776736192"),
+        ((2, 3), "00ab0069267c0b57"),
+        ((2, 4), "e41d344ce5911cd3"),
+        ((3, 1), "9c920ea0d7405e81"),
+        ((3, 2), "36f8563f8fb2e3a4"),
+        ((3, 3), "60eb38486b4ed844"),
+        ((3, 4), "dfcc1577c858b628"),
+    ],
+)
+def test_surface_by_welding_is_pinned(size, digest):
+    assert code_digest(build_surface_by_welding(SurfaceSpec(*size))) == digest
+
+
+def test_surface_welding_chain_is_pinned():
+    want = [
+        ("two-qubit", "4fbe237cf78f3919"),
+        ("three-qubit", "ef90ce9a3d1436e1"),
+        ("five-qubit", "9767b1664ccccfeb"),
+        ("seven-qubit", "38028a2e3cb693bb"),
+        ("eight-qubit", "1038436776736192"),
+        ("thirteen-qubit", "00ab0069267c0b57"),
+    ]
+    assert [(label, code_digest(code)) for label, code in surface_welding_chain()] == want
+
+
+@pytest.mark.parametrize(
+    "size, digest",
+    [
+        ((1, 1, 1), "7f33add2bcc2bb0e"),
+        ((1, 1, 2), "bd80e71dd4f4570d"),
+        ((2, 1, 2), "e77c2512653ffb4d"),
+        ((2, 2, 3), "8343257b008bdec4"),
+    ],
+)
+def test_solid_by_welding_is_pinned(size, digest):
+    assert code_digest(build_solid_by_welding(SolidSpec(*size))) == digest
+
+
+def test_horizontal_plaquettes_are_redundant():
+    plain = build_solid(SolidSpec(2, 2, 3))
+    full = build_solid(SolidSpec(2, 2, 3, horizontal_plaquettes=True))
+    assert full.z_rows.shape[0] > plain.z_rows.shape[0]
+    assert validate(full) is None
+    assert groups_equal(full, plain)
+    # Z particles cannot cross a sheet silently any more, so no flat-Z graph
+    assert flat_region_graph(full, "x") == flat_region_graph(plain, "x")
+    with pytest.raises(MetadataError):
+        flat_region_graph(full, "z")
+    spec = SolidSpec(1, 1, 2, horizontal_plaquettes=True)
+    with pytest.raises(ValidationError, match="half-plaquette"):
+        build_welded_solid(path(3), spec)
+    with pytest.raises(ValidationError, match="half-plaquettes"):
+        build_solid_by_welding(spec)
+
+
 @pytest.mark.parametrize(
     "build, digest",
     [

@@ -99,6 +99,20 @@ def test_bound_needs_builder_metadata(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", ["1", "3", "-1"])
+def test_bound_rejects_a_logical_index_out_of_range(index, capsys):
+    argv = ["bound", "--family", "welded-solid", "--kind", "z", "--logical", index]
+    assert main(argv) == 1
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_build_solid_with_horizontal_plaquettes(tmp_path):
+    out = tmp_path / "solid.txt"
+    argv = ["build", "--family", "solid", "--horizontal-plaquettes", "--out", str(out)]
+    assert main(argv) == 0
+    assert groups_equal(loads(out.read_text()), build_solid(SolidSpec(1, 1, 2)))
+
+
 def test_barrier_state_cap_exit_code(capsys):
     rc = main([
         "barrier", "--family", "solid", "--kind", "z", "--max-states", "4",

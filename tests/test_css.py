@@ -180,6 +180,16 @@ def test_promote_accepts_explicit_partner_only_if_valid():
         promote_to_logical(code, "z", 0, commuting)
 
 
+def test_promote_checks_a_supplied_partner_against_the_other_classes():
+    code = CssCode(GeneratingSet(2, [[1, 0], [0, 1]], []))
+    once = promote_to_logical(code, "x", 0, parse_operator("ZI"))
+    # ZZ anticommutes with IX, but also with XI, the first class's x rep
+    with pytest.raises(ValidationError, match="logical classes 0 and 1 overlap"):
+        promote_to_logical(once, "x", 0, parse_operator("ZZ"))
+    twice = promote_to_logical(once, "x", 0, parse_operator("IZ"))
+    assert validate(twice) is None
+
+
 def test_anticommuting_partner_properties():
     code = build_surface(SurfaceSpec(2, 2))
     rep = code.logicals[0].z_rep
@@ -243,3 +253,5 @@ def test_from_text_rejects_malformed():
         from_text("n=2 k=0\nX: XX\nQ: ZZ\n")
     with pytest.raises(ValidationError):
         from_text("n=2 k=0\nX: XXX\n")
+    with pytest.raises(ValidationError, match="negative"):
+        from_text("n=-1 k=0\n")

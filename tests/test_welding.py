@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,23 @@ def test_anticommuting_entries_rejects_a_probe_on_the_wrong_register():
 def test_trace_requires_a_welded_code():
     with pytest.raises(MetadataError):
         welded_operator_trace(build_two_qubit())
+
+
+def test_only_a_direct_weld_output_carries_a_trace():
+    # a trace names the rows weld produced; a function that rewrites the
+    # rows drops it rather than keep a stale one
+    merged = golden_weld()
+    promoted = css.promote_to_logical(merged, "x", 0)
+    rewritten = [
+        permute_qubits(merged, (2, 0, 1)),
+        promoted,
+        css.fold_logical(replace(promoted, weld_trace=merged.weld_trace), 0, "x"),
+        build_welded_solid(star(3), SolidSpec(1, 1, 2)),
+    ]
+    for code in rewritten:
+        assert code.weld_trace is None
+        with pytest.raises(MetadataError):
+            welded_operator_trace(code)
 
 
 def test_weld_matches_kernel_oracle_on_random_cases():
