@@ -167,6 +167,7 @@ def _barrier_json(result) -> dict:
         "barrier": result.barrier,
         "witness": [[q, kind] for q, kind in result.witness.steps],
         "states_explored": result.states_explored,
+        "states_stored": result.states_stored,
     }
 
 
@@ -246,6 +247,7 @@ def cmd_barrier(args) -> int:
         f"barrier: {result.barrier}\n"
         f"method: {result.method}\n"
         f"states explored: {result.states_explored}\n"
+        f"states stored: {result.states_stored}\n"
         f"witness: {steps}\n",
     )
     return 0

@@ -132,7 +132,8 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
     Standard CSS form is structural here (the two blocks are stored
     separately), so the only thing that can go wrong inside a generating
     set is an X generator overlapping a Z generator on an odd number of
-    qubits.  For a full code the logical representatives are checked too.
+    qubits.  For a full code the logical representatives are checked too;
+    one on another register raises ValidationError.
     """
     code = gens if isinstance(gens, CssCode) else None
     if code is not None:
@@ -155,7 +156,18 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
 
 
 def _logical_violation(gens: GeneratingSet, logicals) -> CssViolation | None:
-    """The first fault among the logical classes against gens, or None."""
+    """The first fault among the logical classes against gens, or None.
+
+    A representative on another register is malformed input rather than
+    a fault of the group, so it raises like a misshapen generator block.
+    """
+    for ci, cls in enumerate(logicals):
+        for kind, rep in (("x", cls.x_rep), ("z", cls.z_rep)):
+            if rep.n != gens.n:
+                raise ValidationError(
+                    f"logical {kind} rep of class {ci} acts on {rep.n} qubits, "
+                    f"the code has {gens.n}"
+                )
     for ci, cls in enumerate(logicals):
         if not cls.x_rep.is_x_type or not cls.z_rep.is_z_type:
             return CssViolation(f"logical class {ci} representatives are not pure")

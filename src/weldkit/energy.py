@@ -74,6 +74,7 @@ class BarrierResult:
     barrier: int
     witness: PauliWalk
     states_explored: int
+    states_stored: int  # states holding a best key when the search returned
 
 
 @dataclass(frozen=True)
@@ -135,44 +136,52 @@ def _bottleneck_search(masks, flips, target, steps, method):
     one to the length, so it lands in a strictly larger key and a bucket
     never grows while it drains; states therefore pop in (peak, length,
     push order), the order of a heap with a tie-breaking counter.
+
+    Only states the current peak level can reach are stored.  A state
+    popped at level P relaxes its moves of cost at most P; its dearer
+    moves wait in one heap under their smallest cost and the state's pop
+    index.  When level P drains, the least waiting cost P' opens the
+    next level: its states rescan in pop order, apply just their moves
+    of cost P' and wait again under their next dearer cost.  Every such
+    candidate was known before level P' opened, in parent pop order and
+    then move order, so each state keeps the same earliest push of its
+    smallest key as if every move had been pushed at once.
     """
     if target == 0:
-        return BarrierResult(method, 0, PauliWalk(()), 1)
+        return BarrierResult(method, 0, PauliWalk(()), 1, 1)
     moves = tuple(enumerate(zip(masks, flips)))
     # states lie in the span of the flips, at most 2^k of them for k
     # bits set across all flips; a stored walk is simple, so every length
     # pushed is at most 2^k and fits in k + 1 low bits
-    span = 0
+    span = bits = 0
     for flip in flips:
         span |= flip
+    for mask in masks:
+        bits |= mask
     shift = span.bit_count() + 1
     length_mask = (1 << shift) - 1
+    # no cost reaches this, so a relax that returns it left nothing waiting
+    ceiling = bits.bit_count() + 1
     # state -> (key, previous state, move)
     best = {0: (0, 0, -1)}
     buckets = {0: [(0, 0)]}
     keys = [0]
-    explored = 0
-    while keys:
-        key = heapq.heappop(keys)
-        peak = key >> shift
-        step = (key & length_mask) + 1
-        for state, syn in buckets.pop(key):
-            if key > best[state][0]:
-                continue
-            explored += 1
-            if state == target:
-                trail = []
-                while state:
-                    _, state, j = best[state]
-                    trail.append(steps[j])
-                return BarrierResult(
-                    method, peak, PauliWalk(tuple(reversed(trail))), explored
-                )
-            for j, (mask, flip) in moves:
-                nsyn = syn ^ mask
+    # (smallest cost above the level it was left at, pop index, state, syndrome)
+    waiting = []
+
+    def relax(state, syn, low, level):
+        # apply the moves costing low..level, one step past the state's
+        # stored walk; return the least dearer cost
+        nkey = (level << shift) | ((best[state][0] & length_mask) + 1)
+        above = ceiling
+        for j, (mask, flip) in moves:
+            nsyn = syn ^ mask
+            cost = nsyn.bit_count()
+            if cost > level:
+                if cost < above:
+                    above = cost
+            elif cost >= low:
                 nstate = state ^ flip
-                cost = nsyn.bit_count()
-                nkey = key + 1 if cost <= peak else (cost << shift) | step
                 old = best.get(nstate)
                 if old is None or nkey < old[0]:
                     best[nstate] = (nkey, state, j)
@@ -182,7 +191,37 @@ def _bottleneck_search(masks, flips, target, steps, method):
                         heapq.heappush(keys, nkey)
                     else:
                         bucket.append((nstate, nsyn))
-    raise AssertionError("flip space is connected, target must be reachable")
+        return above
+
+    explored = 0
+    while True:
+        while keys:
+            key = heapq.heappop(keys)
+            peak = key >> shift
+            for state, syn in buckets.pop(key):
+                if key > best[state][0]:
+                    continue
+                explored += 1
+                if state == target:
+                    trail = []
+                    while state:
+                        _, state, j = best[state]
+                        trail.append(steps[j])
+                    walk = PauliWalk(tuple(reversed(trail)))
+                    return BarrierResult(method, peak, walk, explored, len(best))
+                above = relax(state, syn, 0, peak)
+                if above < ceiling:
+                    heapq.heappush(waiting, (above, explored, state, syn))
+        if not waiting:
+            raise AssertionError("flip space is connected, target must be reachable")
+        peak = waiting[0][0]
+        while waiting and waiting[0][0] == peak:
+            _, index, state, syn = waiting[0]
+            above = relax(state, syn, peak, peak)
+            if above < ceiling:
+                heapq.heapreplace(waiting, (above, index, state, syn))
+            else:
+                heapq.heappop(waiting)
 
 
 def exact_barrier(

@@ -63,6 +63,17 @@ def test_barrier_json_fields(tmp_path):
     assert all(kind == "x" for _, kind in data["witness"])
 
 
+def test_barrier_reports_stored_states(tmp_path, capsys):
+    argv = ["barrier", "--family", "solid", "--dx", "1", "--dy", "1", "--dz", "2", "--kind", "x"]
+    out = tmp_path / "result.json"
+    assert main(argv + ["--json", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["states_explored"] <= data["states_stored"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert f"states stored: {data['states_stored']}\n" in text
+
+
 def test_bound_on_welded_solid_star(tmp_path):
     out = tmp_path / "report.json"
     rc = main([

@@ -110,6 +110,17 @@ def test_stabilizer_rep_is_reported_as_commuting():
         assert violation.message == "logical class 0 representatives commute"
 
 
+def test_logical_rep_on_another_register_is_a_validation_error():
+    code = CssCode(GeneratingSet(2, [[1, 0], [0, 1]], []))
+    with pytest.raises(ValidationError, match="acts on 3 qubits, the code has 2"):
+        promote_to_logical(code, "x", 0, parse_operator("ZII"))
+    surface = build_surface(SurfaceSpec(2, 2))
+    cls = surface.logicals[0]
+    wide = PauliOperator.from_support(surface.n + 1, x=(0,))
+    with pytest.raises(ValidationError, match=f"acts on {surface.n + 1} qubits"):
+        validate(replace(surface, logicals=(LogicalClass(wide, cls.z_rep),)))
+
+
 def test_encoded_qubits_counts_rank_deficit():
     assert encoded_qubits(CssCode(steane_like_block())) == 1
     assert encoded_qubits(build_two_qubit()) == 0

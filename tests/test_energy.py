@@ -25,8 +25,10 @@ from weldkit.builders import (
 )
 from weldkit.css import permute_qubits
 from weldkit.energy import (
+    DEFAULT_STATE_CAP,
     BarrierResult,
     PauliWalk,
+    _bottleneck_search,
     barrier_exponents,
     barrier_unchanged_by_rough_welds,
     exact_barrier,
@@ -453,3 +455,123 @@ def test_parity_bound_equals_the_spin_flip_barrier_at_certify_scale():
             bound = parity_lower_bound(region, rep).barrier
             mask = sum(1 << j for j in spins)
             assert bound == spin_flip_barrier(len(graph.vertices), edges, mask), target
+
+
+# ---------------------------------------------------------------------------
+# the engine itself on arbitrary move tables
+
+
+def _reference_moves(masks, flips, target):
+    # every move of every pop pushed at once into one heap of
+    # (peak, length, push counter); a witness step is a move index
+    if target == 0:
+        return 0, (), 1
+    tick = count()
+    best = {0: (0, 0)}
+    parent = {}
+    heap = [(0, 0, next(tick), 0, 0)]
+    explored = 0
+    while heap:
+        bott, steps, _, state, syn = heapq.heappop(heap)
+        if (bott, steps) > best[state]:
+            continue
+        explored += 1
+        if state == target:
+            trail = []
+            while state:
+                state, j = parent[state]
+                trail.append((j, "x"))
+            return bott, tuple(reversed(trail)), explored
+        for j, (mask, flip) in enumerate(zip(masks, flips)):
+            nsyn = syn ^ mask
+            nstate = state ^ flip
+            key = (max(bott, nsyn.bit_count()), steps + 1)
+            if nstate not in best or key < best[nstate]:
+                best[nstate] = key
+                parent[nstate] = (state, j)
+                heapq.heappush(heap, (key[0], key[1], next(tick), nstate, nsyn))
+    raise AssertionError("unreachable target")
+
+
+def _random_move_table(rng):
+    bits = rng.randrange(1, 11)
+    width = rng.randrange(2, 7)
+    # unit masks and flips pile up along a walk, so the peak can pass
+    # every single move's cost
+    sparse = rng.random() < 0.5
+    masks, flips = [], []
+    for _ in range(rng.randrange(1, 11)):
+        roll = rng.random()
+        if roll < 0.15:
+            masks.append(0)
+        elif roll < 0.25 and masks:
+            masks.append(rng.choice(masks))
+        elif sparse:
+            masks.append(1 << rng.randrange(8))
+        else:
+            masks.append(rng.getrandbits(bits))
+        roll = rng.random()
+        if roll < 0.15 and flips:
+            flips.append(rng.choice(flips))  # the same flip again
+        elif roll < 0.35 and len(flips) >= 2:
+            first, second = rng.sample(flips, 2)
+            flips.append(first ^ second)  # a flip the others already span
+        elif roll < 0.4:
+            flips.append(0)
+        elif sparse:
+            flips.append(1 << rng.randrange(width))
+        else:
+            flips.append(rng.randrange(1, 1 << width))
+    target, tries = 0, 5 if rng.random() < 0.9 else 0
+    while tries and not target:
+        tries -= 1
+        for flip in flips:
+            if rng.random() < 0.5:
+                target ^= flip
+    return masks, flips, target
+
+
+def test_engine_matches_a_heap_over_random_move_tables():
+    rng = random.Random(8)
+    seen = dict.fromkeys(("repeat", "zero mask", "dependent", "target 0", "climb"), 0)
+    for _ in range(3000):
+        masks, flips, target = _random_move_table(rng)
+        steps = [(j, "x") for j in range(len(masks))]
+        result = _bottleneck_search(masks, flips, target, steps, "exact")
+        want = _reference_moves(masks, flips, target)
+        assert _outcome(result) == want, (masks, flips, target)
+        assert result.states_explored <= result.states_stored
+        seen["repeat"] += len(set(flips)) < len(flips)
+        seen["zero mask"] += 0 in masks
+        seen["dependent"] += any(
+            (a ^ b) in flips for i, a in enumerate(flips) for b in flips[:i] if a and b and a != b
+        )
+        seen["target 0"] += target == 0
+        seen["climb"] += want[0] > max(mask.bit_count() for mask in masks)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_stored_states_stay_near_the_explored_ones():
+    solid = build_solid(SolidSpec(3, 3, 2))
+    result = exact_barrier(solid, solid.logicals[0].x_rep, "x", cap=1 << 64)
+    assert (result.barrier, result.states_explored) == (5, 11709)
+    assert result.states_stored <= 3 * result.states_explored
+    graph = grid2d(4, 5)
+    region = region_graph_from_weld_graph(graph, "x")
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    target = _CERTIFY_TARGETS[(4, 5)][2]
+    rep = PauliOperator.from_support(region.n, z=sorted(index[v] for v in target))
+    bound = parity_lower_bound(region, rep)
+    assert (bound.barrier, bound.states_explored) == (8, 3043)
+    assert bound.states_stored <= 3 * bound.states_explored
+    assert _bottleneck_search([1], [1], 0, [(0, "x")], "exact").states_stored == 1
+
+
+def test_engine_matches_the_reference_past_the_default_cap():
+    code = build_solid(SolidSpec(2, 2, 3))
+    rep = code.logicals[0].x_rep
+    with pytest.raises(FeasibilityError):
+        exact_barrier(code, rep, "x")
+    result = exact_barrier(code, rep, "x", cap=1 << 64)
+    assert _outcome(result) == _reference_exact(code, rep, "x")
+    assert result.states_stored <= 3 * result.states_explored < DEFAULT_STATE_CAP
