@@ -280,6 +280,11 @@ class FlatRegionGraph:
         )
         if len(self.incidence) != len(self.regions):
             raise ValidationError("incidence must list boundaries per region")
+        for row in self.incidence:
+            if row and not 0 <= row[0] <= row[-1] < len(self.boundaries):
+                raise ValidationError(
+                    f"boundary index out of range in incidence row {row}"
+                )
         for patch in self.regions + self.boundaries:
             if patch.qubits and not 0 <= patch.qubits[0] <= patch.qubits[-1] < self.n:
                 raise ValidationError(f"{patch.label}: qubit index out of range")
@@ -342,6 +347,17 @@ def region_graph_from_weld_graph(
     )
 
 
+def _one_region(kind: str, n: int, label: str, sides) -> FlatRegionGraph:
+    """One region over the whole register, between two (label, qubits) sides."""
+    return FlatRegionGraph(
+        kind,
+        n,
+        (QubitPatch(label, tuple(range(n))),),
+        tuple(QubitPatch(side_label, qubits) for side_label, qubits in sides),
+        ((0, 1),),
+    )
+
+
 # ---------------------------------------------------------------------------
 # small builders
 
@@ -380,383 +396,29 @@ def build_repetition(length: int) -> CssCode:
 
 
 # ---------------------------------------------------------------------------
-# surface codes
+# the lattice
 
 
-class _SurfaceLayout:
-    """Index bookkeeping for a surface patch.
-
-    Vertical edge qubits sit under each vertex row; horizontal edge
-    qubits interleave between vertical rows.  Row r of verticals starts
-    at r * (2 * width + 1).
-    """
-
-    def __init__(self, spec: SurfaceSpec):
-        self.width = spec.width
-        self.height = spec.height
-        self.stride = 2 * spec.width + 1
-        self.n = spec.height * self.stride - spec.width
-
-    def v(self, r: int, c: int) -> int:
-        return r * self.stride + c
-
-    def h(self, r: int, c: int) -> int:
-        return r * self.stride - self.width + c
-
-    def top_row(self) -> tuple[int, ...]:
-        return tuple(self.v(0, c) for c in range(self.width + 1))
-
-    def bottom_row(self) -> tuple[int, ...]:
-        return tuple(self.v(self.height - 1, c) for c in range(self.width + 1))
-
-    def left_col(self) -> tuple[int, ...]:
-        return tuple(self.v(r, 0) for r in range(self.height))
-
-    def right_col(self) -> tuple[int, ...]:
-        return tuple(self.v(r, self.width) for r in range(self.height))
-
-    def star_support(self, r: int, c: int) -> list[int]:
-        support = [self.v(r - 1, c), self.v(r, c)]
-        if c > 0:
-            support.append(self.h(r, c - 1))
-        if c < self.width:
-            support.append(self.h(r, c))
-        return support
-
-    def face_support(self, r: int, c: int) -> list[int]:
-        support = [self.v(r, c), self.v(r, c + 1)]
-        if r >= 1:
-            support.append(self.h(r, c))
-        if r + 1 <= self.height - 1:
-            support.append(self.h(r + 1, c))
-        return support
-
-    def star_supports(self) -> list[list[int]]:
-        return [
-            self.star_support(r, c)
-            for r in range(1, self.height)
-            for c in range(self.width + 1)
-        ]
-
-    def face_supports(self) -> list[list[int]]:
-        return [
-            self.face_support(r, c)
-            for r in range(self.height)
-            for c in range(self.width)
-        ]
-
-
-def _surface_region_metadata(spec: SurfaceSpec) -> dict:
-    lay = _SurfaceLayout(spec)
-    whole = QubitPatch("surface", tuple(range(lay.n)))
-    meta = {
-        "z": FlatRegionGraph(
-            "z",
-            lay.n,
-            (whole,),
-            (
-                QubitPatch("smooth left", lay.left_col()),
-                QubitPatch("smooth right", lay.right_col()),
-            ),
-            ((0, 1),),
-        )
-    }
-    if spec.height >= 2:
-        # A one-row patch has a single vertical layer, so the two rough
-        # boundaries coincide and carry no X-particle bookkeeping.
-        meta["x"] = FlatRegionGraph(
-            "x",
-            lay.n,
-            (whole,),
-            (
-                QubitPatch("rough top", lay.top_row()),
-                QubitPatch("rough bottom", lay.bottom_row()),
-            ),
-            ((0, 1),),
-        )
-    return meta
-
-
-def build_surface(spec: SurfaceSpec, include_string_logicals: bool = True) -> CssCode:
-    """Surface patch with rough top/bottom and smooth sides.
-
-    With include_string_logicals the top-row X string and the left-column
-    Z string are promoted as the single logical class (k=1).  Without it
-    the Z string is folded into the generators instead (k=0), the form a
-    rough weld consumes; fold the X string via fold_logical when an
-    X-weldable piece is needed.
-    """
-    lay = _SurfaceLayout(spec)
-    x_rows = _rows(lay.n, lay.star_supports())
-    z_rows = _rows(lay.n, lay.face_supports())
-    x_string = PauliOperator.from_support(lay.n, x=lay.top_row())
-    z_string = PauliOperator.from_support(lay.n, z=lay.left_col())
-    meta = _surface_region_metadata(spec)
-    if include_string_logicals:
-        code = CssCode(
-            GeneratingSet(lay.n, x_rows, z_rows),
-            (LogicalClass(x_rep=x_string, z_rep=z_string),),
-            meta,
-        )
-    else:
-        folded = np.vstack([z_rows, z_string.z_bits[None, :]])
-        code = CssCode(GeneratingSet(lay.n, x_rows, folded), (), meta)
-    validate_or_raise(code)
-    return code
-
-
-# ---------------------------------------------------------------------------
-# the surface welding chain
-
-
-_FIVE_PERM = (0, 2, 1, 3, 4)
-
-
-def _rep3() -> CssCode:
-    """Three-qubit piece from welding two two-qubit pieces at one qubit."""
-    a = build_two_qubit()
-    b = build_two_qubit()
-    return weld(a, b, [(1, 0)], "z")
-
-
-def _rep3_repicked() -> CssCode:
-    """Regenerate the three-qubit piece as {XXI, XIX, ZZZ}.
-
-    The replacement second generator keeps qubit 0 in both X rows, so a
-    later X-weld at qubit 1 touches exactly one generator per side.
-    """
-    code = _rep3()
-    x_rows = code.x_rows.copy()
-    x_rows[1] ^= x_rows[0]
-    return CssCode(GeneratingSet(code.n, x_rows, code.z_rows))
-
-
-def _five_folded() -> tuple[CssCode, PauliOperator]:
-    """Five-qubit patch, X string folded, from two three-qubit pieces."""
-    raw = weld(_rep3_repicked(), _rep3_repicked(), [(1, 1)], "x")
-    tracked = trace_successor(
-        welded_operator_trace(raw), 1, PauliOperator.from_support(3, x=(0, 2))
-    )
-    code = permute_qubits(raw, _FIVE_PERM)
-    tracked = permute_operator(tracked, _FIVE_PERM)
-    if tracked != PauliOperator.from_support(5, x=(0, 1)):
-        raise AssertionError("five-qubit chain lost its X string")
-    return code, tracked
-
-
-def _widen_perm(width: int) -> list[int]:
-    """Relabeling that restores canonical order after one widening weld."""
-    old_lay = _SurfaceLayout(SurfaceSpec(width, 2))
-    new_lay = _SurfaceLayout(SurfaceSpec(width + 1, 2))
-    perm = [0] * (old_lay.n + 3)
-    for r in range(2):
-        for c in range(width + 1):
-            perm[old_lay.v(r, c)] = new_lay.v(r, c)
-    for c in range(width):
-        perm[old_lay.h(1, c)] = new_lay.h(1, c)
-    # appended piece qubits: top vertical, rung, bottom vertical
-    perm[old_lay.n + 0] = new_lay.v(0, width + 1)
-    perm[old_lay.n + 1] = new_lay.h(1, width)
-    perm[old_lay.n + 2] = new_lay.v(1, width + 1)
-    return perm
-
-
-def _row_index(rows: np.ndarray, bits: np.ndarray) -> int:
-    hits = np.nonzero((rows == bits[None, :]).all(axis=1))[0]
-    if len(hits) == 0:
-        raise ValidationError("tracked operator is no longer a generator row")
-    return int(hits[0])
-
-
-def _repick_x_rows(code: CssCode, new_rows: np.ndarray) -> CssCode:
-    """Swap in an equivalent X generating list, verified over GF(2)."""
-    if not gf2.row_spaces_equal(code.x_rows, new_rows):
-        raise AssertionError("re-picked X rows generate a different group")
-    return CssCode(GeneratingSet(code.n, new_rows, code.z_rows))
-
-
-def _five_weld_ready() -> CssCode:
-    """The five-qubit patch re-picked so only its strings touch a side.
-
-    Replacing the star with the product of all three X rows moves its
-    support off the left column, which a widening weld needs: the two
-    touching generators per side are then the top and bottom strings,
-    independent on the weld.
-    """
-    code, _ = _five_folded()
-    x = code.x_rows.copy()
-    star = _row_index(x, PauliOperator.from_support(5, x=(0, 2, 3)).x_bits)
-    top = _row_index(x, PauliOperator.from_support(5, x=(0, 1)).x_bits)
-    bottom = _row_index(x, PauliOperator.from_support(5, x=(3, 4)).x_bits)
-    x[star] = x[star] ^ x[top] ^ x[bottom]
-    return _repick_x_rows(code, x)
-
-
-def _widening_form(code: CssCode, width: int, tracked: PauliOperator) -> CssCode:
-    """Re-pick a 2-row patch as left stars plus its two strings.
-
-    The stars at columns 0..width-1 avoid the right column, so after
-    this only the top and bottom strings touch a weld on that side.
-    The omitted rightmost star stays in the group as the product of
-    everything else.
-    """
-    lay = _SurfaceLayout(SurfaceSpec(width, 2))
-    bottom = PauliOperator.from_support(code.n, x=lay.bottom_row())
-    stars = _rows(code.n, [lay.star_support(1, c) for c in range(width)])
-    x_new = np.vstack([stars, tracked.x_bits[None, :], bottom.x_bits[None, :]])
-    return _repick_x_rows(code, x_new)
-
-
-def _widen_once(acc: CssCode, tracked: PauliOperator, width: int):
-    """X-weld a fresh five-qubit piece onto the right edge of a 2-row patch."""
-    acc = _widening_form(acc, width, tracked)
-    piece = _five_weld_ready()
-    lay = _SurfaceLayout(SurfaceSpec(width, 2))
-    ident = [(lay.v(0, width), 0), (lay.v(1, width), 3)]
-    raw = weld(acc, piece, ident, "x")
-    merged = trace_successor(welded_operator_trace(raw), 1, tracked)
-    perm = _widen_perm(width)
-    return permute_qubits(raw, perm), permute_operator(merged, perm)
-
-
-def _build_row(width: int) -> tuple[CssCode, PauliOperator]:
-    """2-row patch of the requested width with the X string folded."""
-    acc, tracked = _five_folded()
-    for w in range(1, width):
-        acc, tracked = _widen_once(acc, tracked, w)
-    return acc, tracked
-
-
-def _promote_top_string(code: CssCode, width: int, tracked: PauliOperator) -> CssCode:
-    """Re-pick a 2-row patch as stars plus the tracked string, then promote.
-
-    After the re-pick the remaining generators are exactly the stars,
-    which the left-column partner commutes with.
-    """
-    lay = _SurfaceLayout(SurfaceSpec(width, 2))
-    stars = _rows(code.n, lay.star_supports())
-    x_new = np.vstack([stars, tracked.x_bits[None, :]])
-    code = _repick_x_rows(code, x_new)
-    left = PauliOperator.from_support(code.n, z=lay.left_col())
-    return promote_to_logical(code, "x", code.x_rows.shape[0] - 1, left)
-
-
-def _rough_row_piece(width: int) -> CssCode:
-    """Stackable 2-row patch: stars generated, Z string folded, k = 0."""
-    acc, tracked = _build_row(width)
-    promoted = _promote_top_string(acc, width, tracked)
-    return fold_logical(promoted, 0, "z")
-
-
-def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
-    """Assemble build_surface(spec) from two-qubit pieces alone.
-
-    Two-qubit pieces weld into three-qubit strips, pairs of strips into
-    five-qubit patches, fives widen into a two-row patch, and rows stack
-    by rough welds.  The result matches build_surface(spec) row for row
-    on the canonical layout.
-    """
-    lay = _SurfaceLayout(spec)
-    if spec.height == 1:
-        asm = _weld_along_graph(
-            path(spec.width + 1),
-            lambda edge: build_two_qubit(),
-            ((0,), (1,)),
-            PauliOperator.from_support(2, x=(0, 1)),
-            "x",
-        )
-        left = PauliOperator.from_support(lay.n, z=lay.left_col())
-        code = promote_to_logical(
-            asm.code, "x", _row_index(asm.code.x_rows, asm.merged.x_bits), left
-        )
-    elif spec.height == 2:
-        acc, tracked = _build_row(spec.width)
-        code = _promote_top_string(acc, spec.width, tracked)
-    else:
-        # height - 1 two-row pieces, each sharing its top row with the
-        # bottom row of the piece above
-        row = _SurfaceLayout(SurfaceSpec(spec.width, 2))
-        asm = _weld_along_graph(
-            path(spec.height),
-            lambda edge: _rough_row_piece(spec.width),
-            (row.top_row(), row.bottom_row()),
-            PauliOperator.from_support(row.n, z=row.left_col()),
-            "z",
-        )
-        top = PauliOperator.from_support(lay.n, x=lay.top_row())
-        code = promote_to_logical(
-            asm.code, "z", _row_index(asm.code.z_rows, asm.merged.z_bits), top
-        )
-    code = replace(code, region_metadata=_surface_region_metadata(spec))
-    validate_or_raise(code)
-    return code
-
-
-def _five_for_overlap() -> tuple[CssCode, PauliOperator]:
-    """The five-qubit patch re-picked for a shared-column overlap weld.
-
-    Joining two fives along a whole column plus its rung touches every
-    X generator, so the bottom string is replaced by the product of all
-    three rows: the three restrictions to the shared qubits (one top
-    vertical, one rung, the full column pattern) are then distinct and
-    independent on both sides.
-    """
-    code, tracked = _five_folded()
-    x = code.x_rows.copy()
-    bottom = _row_index(x, PauliOperator.from_support(5, x=(3, 4)).x_bits)
-    top = _row_index(x, PauliOperator.from_support(5, x=(0, 1)).x_bits)
-    star = _row_index(x, PauliOperator.from_support(5, x=(0, 2, 3)).x_bits)
-    x[bottom] = x[bottom] ^ x[top] ^ x[star]
-    return _repick_x_rows(code, x), tracked
-
-
-def _seven_by_welding() -> CssCode:
-    """Two five-qubit patches overlapping on a column and its rung."""
-    a, tracked = _five_for_overlap()
-    b, _ = _five_for_overlap()
-    raw = weld(a, b, [(1, 0), (2, 2), (4, 3)], "x")
-    merged = trace_successor(welded_operator_trace(raw), 1, tracked)
-    partner = PauliOperator.from_support(raw.n, z=(0, 3))
-    return promote_to_logical(
-        raw, "x", _row_index(raw.x_rows, merged.x_bits), partner
-    )
-
-
-def surface_welding_chain() -> tuple[tuple[str, CssCode], ...]:
-    """The small-code ladder, every rung built by welding.
-
-    Returns (label, code) pairs: the two-qubit piece, the three-qubit
-    strip, and the 5-, 7-, 8-, and 13-qubit patches.
-    """
-    return (
-        ("two-qubit", build_two_qubit()),
-        ("three-qubit", _rep3()),
-        ("five-qubit", build_surface_by_welding(SurfaceSpec(1, 2))),
-        ("seven-qubit", _seven_by_welding()),
-        ("eight-qubit", build_surface_by_welding(SurfaceSpec(2, 2))),
-        ("thirteen-qubit", build_surface_by_welding(SurfaceSpec(2, 3))),
-    )
-
-
-# ---------------------------------------------------------------------------
-# solid codes
-
-
-class _SolidLayout:
-    """Index bookkeeping for a solid block.
+class _Lattice:
+    """Index bookkeeping for a solid block of dx by dy by dz cells.
 
     Per vertical level z: the layer of vertical edges, then (below the
     top boundary) the two families of horizontal edges at level z + 1.
     Horizontal edges exist only at interior levels 1..dz-1.
+
+    A surface patch is the slab dy = 0: width dx, height dz.  Its rows
+    are the layers, its top and bottom rows layer(0) and layer(dz - 1),
+    its left and right columns column(0, 0) and column(dx, 0), and its
+    rungs the hx edges; no hy edge exists.
     """
 
-    def __init__(self, spec: SolidSpec):
-        self.dx, self.dy, self.dz = spec.dx, spec.dy, spec.dz
-        self.cols = (spec.dx + 1) * (spec.dy + 1)
-        self.hx_count = spec.dx * (spec.dy + 1)
-        self.hy_count = (spec.dx + 1) * spec.dy
+    def __init__(self, dx: int, dy: int, dz: int):
+        self.dx, self.dy, self.dz = dx, dy, dz
+        self.cols = (dx + 1) * (dy + 1)
+        self.hx_count = dx * (dy + 1)
+        self.hy_count = (dx + 1) * dy
         self.level_stride = self.cols + self.hx_count + self.hy_count
-        self.n = spec.dz * self.cols + (spec.dz - 1) * (self.hx_count + self.hy_count)
+        self.n = dz * self.cols + (dz - 1) * (self.hx_count + self.hy_count)
 
     def vq(self, x: int, y: int, z: int) -> int:
         return z * self.level_stride + y * (self.dx + 1) + x
@@ -854,7 +516,213 @@ class _SolidLayout:
         ]
 
 
-def _sheet_region_graph(lay: _SolidLayout, n: int, lift) -> FlatRegionGraph:
+# ---------------------------------------------------------------------------
+# surface codes
+
+
+def _surface_region_metadata(spec: SurfaceSpec) -> dict:
+    lay = _Lattice(spec.width, 0, spec.height)
+    meta = {
+        "z": _one_region(
+            "z",
+            lay.n,
+            "surface",
+            (
+                ("smooth left", lay.column(0, 0)),
+                ("smooth right", lay.column(spec.width, 0)),
+            ),
+        )
+    }
+    if spec.height >= 2:
+        # A one-row patch has a single vertical layer, so the two rough
+        # boundaries coincide and carry no X-particle bookkeeping.
+        meta["x"] = _one_region(
+            "x",
+            lay.n,
+            "surface",
+            (("rough top", lay.layer(0)), ("rough bottom", lay.layer(spec.height - 1))),
+        )
+    return meta
+
+
+def build_surface(spec: SurfaceSpec, include_string_logicals: bool = True) -> CssCode:
+    """Surface patch with rough top/bottom and smooth sides.
+
+    With include_string_logicals the top-row X string and the left-column
+    Z string are promoted as the single logical class (k=1).  Without it
+    the Z string is folded into the generators instead (k=0), the form a
+    rough weld consumes; fold the X string via fold_logical when an
+    X-weldable piece is needed.
+    """
+    lay = _Lattice(spec.width, 0, spec.height)
+    x_rows = _rows(lay.n, lay.star_supports())
+    z_rows = _rows(lay.n, lay.face_supports())
+    x_string = PauliOperator.from_support(lay.n, x=lay.layer(0))
+    z_string = PauliOperator.from_support(lay.n, z=lay.column(0, 0))
+    meta = _surface_region_metadata(spec)
+    if include_string_logicals:
+        code = CssCode(
+            GeneratingSet(lay.n, x_rows, z_rows),
+            (LogicalClass(x_rep=x_string, z_rep=z_string),),
+            meta,
+        )
+    else:
+        folded = np.vstack([z_rows, z_string.z_bits[None, :]])
+        code = CssCode(GeneratingSet(lay.n, x_rows, folded), (), meta)
+    validate_or_raise(code)
+    return code
+
+
+# ---------------------------------------------------------------------------
+# the surface welding chain
+
+
+_FIVE_PERM = (0, 2, 1, 3, 4)
+
+
+def _rep3() -> CssCode:
+    """Three-qubit piece from welding two two-qubit pieces at one qubit."""
+    a = build_two_qubit()
+    b = build_two_qubit()
+    return weld(a, b, [(1, 0)], "z")
+
+
+def _rep3_repicked() -> CssCode:
+    """Regenerate the three-qubit piece as {XXI, XIX, ZZZ}.
+
+    The replacement second generator keeps qubit 0 in both X rows, so a
+    later X-weld at qubit 1 touches exactly one generator per side.
+    """
+    code = _rep3()
+    x_rows = code.x_rows.copy()
+    x_rows[1] ^= x_rows[0]
+    return CssCode(GeneratingSet(code.n, x_rows, code.z_rows))
+
+
+def _row_index(rows: np.ndarray, bits: np.ndarray) -> int:
+    hits = np.nonzero((rows == bits[None, :]).all(axis=1))[0]
+    if len(hits) == 0:
+        raise ValidationError("tracked operator is no longer a generator row")
+    return int(hits[0])
+
+
+def _repick_x_rows(code: CssCode, new_rows: np.ndarray) -> CssCode:
+    """Swap in an equivalent X generating list, verified over GF(2)."""
+    if not gf2.row_spaces_equal(code.x_rows, new_rows):
+        raise AssertionError("re-picked X rows generate a different group")
+    return CssCode(GeneratingSet(code.n, new_rows, code.z_rows))
+
+
+def _five_two_stars() -> tuple[CssCode, PauliOperator]:
+    """Five-qubit patch, X string folded, generated by its stars and string.
+
+    Two three-qubit pieces weld into the left star and the top and bottom
+    strings; the bottom string is then replaced by the product of all
+    three rows, the right star.  On either side column the two touching
+    rows restrict to the whole column (a star) and its top qubit (the
+    string), so fives weld along a shared column with no re-pick, each
+    weld merging two stars into an interior one.  Joining two fives
+    along a column plus its rung keeps the three restrictions distinct
+    and independent as well.
+    """
+    raw = weld(_rep3_repicked(), _rep3_repicked(), [(1, 1)], "x")
+    tracked = trace_successor(
+        welded_operator_trace(raw), 1, PauliOperator.from_support(3, x=(0, 2))
+    )
+    code = permute_qubits(raw, _FIVE_PERM)
+    tracked = permute_operator(tracked, _FIVE_PERM)
+    if tracked != PauliOperator.from_support(5, x=(0, 1)):
+        raise AssertionError("five-qubit chain lost its X string")
+    x = code.x_rows.copy()
+    bottom = _row_index(x, PauliOperator.from_support(5, x=(3, 4)).x_bits)
+    top = _row_index(x, tracked.x_bits)
+    star = _row_index(x, PauliOperator.from_support(5, x=(0, 2, 3)).x_bits)
+    x[bottom] = x[bottom] ^ x[top] ^ x[star]
+    return _repick_x_rows(code, x), tracked
+
+
+def _row_patch(width: int, height: int) -> CssCode:
+    """build_surface(SurfaceSpec(width, height)) by X welds, height 1 or 2.
+
+    One piece per column pair, welded side by side: two-qubit pieces for
+    one row, five-qubit pieces for two.  The stars and the merged top
+    string are then re-picked as the X generating list, so the remaining
+    generators are exactly the stars, which the left-column partner
+    commutes with.
+    """
+    lay = _Lattice(width, 0, height)
+    piece = build_two_qubit if height == 1 else lambda: _five_two_stars()[0]
+    code, merged = _weld_strips(lay, lambda edge: piece())
+    x_new = np.vstack([_rows(code.n, lay.star_supports()), merged.x_bits[None, :]])
+    code = _repick_x_rows(code, x_new)
+    left = PauliOperator.from_support(code.n, z=lay.column(0, 0))
+    return promote_to_logical(code, "x", code.x_rows.shape[0] - 1, left)
+
+
+def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
+    """Assemble build_surface(spec) from two-qubit pieces alone.
+
+    Two-qubit pieces weld into three-qubit strips, pairs of strips into
+    five-qubit patches, fives weld side by side into a two-row patch,
+    and rows stack by rough welds.  One-row patches are two-qubit pieces
+    welded in a line.  The result matches build_surface(spec) row for
+    row on the canonical layout.
+    """
+    if spec.height <= 2:
+        code = _row_patch(spec.width, spec.height)
+    else:
+        # height - 1 two-row pieces, each sharing its top row with the
+        # bottom row of the piece above; a piece folds its Z string (k = 0)
+        row = _Lattice(spec.width, 0, 2)
+        asm = _weld_along_graph(
+            path(spec.height),
+            lambda edge: fold_logical(_row_patch(spec.width, 2), 0, "z"),
+            (row.layer(0), row.layer(1)),
+            PauliOperator.from_support(row.n, z=row.column(0, 0)),
+            "z",
+        )
+        top = PauliOperator.from_support(asm.code.n, x=row.layer(0))
+        code = promote_to_logical(
+            asm.code, "z", _row_index(asm.code.z_rows, asm.merged.z_bits), top
+        )
+    code = replace(code, region_metadata=_surface_region_metadata(spec))
+    validate_or_raise(code)
+    return code
+
+
+def _seven_by_welding() -> CssCode:
+    """Two five-qubit patches overlapping on a column and its rung."""
+    a, tracked = _five_two_stars()
+    b, _ = _five_two_stars()
+    raw = weld(a, b, [(1, 0), (2, 2), (4, 3)], "x")
+    merged = trace_successor(welded_operator_trace(raw), 1, tracked)
+    partner = PauliOperator.from_support(raw.n, z=(0, 3))
+    return promote_to_logical(
+        raw, "x", _row_index(raw.x_rows, merged.x_bits), partner
+    )
+
+
+def surface_welding_chain() -> tuple[tuple[str, CssCode], ...]:
+    """The small-code ladder, every rung built by welding.
+
+    Returns (label, code) pairs: the two-qubit piece, the three-qubit
+    strip, and the 5-, 7-, 8-, and 13-qubit patches.
+    """
+    return (
+        ("two-qubit", build_two_qubit()),
+        ("three-qubit", _rep3()),
+        ("five-qubit", build_surface_by_welding(SurfaceSpec(1, 2))),
+        ("seven-qubit", _seven_by_welding()),
+        ("eight-qubit", build_surface_by_welding(SurfaceSpec(2, 2))),
+        ("thirteen-qubit", build_surface_by_welding(SurfaceSpec(2, 3))),
+    )
+
+
+# ---------------------------------------------------------------------------
+# solid codes
+
+
+def _sheet_region_graph(lay: _Lattice, n: int, lift) -> FlatRegionGraph:
     """Flat-Z graph of a solid: sheets between neighbouring columns.
 
     lift maps a support on one solid's register to the qubits it covers
@@ -883,19 +751,14 @@ def _sheet_region_graph(lay: _SolidLayout, n: int, lift) -> FlatRegionGraph:
 
 
 def _solid_region_metadata(spec: SolidSpec) -> dict:
-    lay = _SolidLayout(spec)
+    lay = _Lattice(spec.dx, spec.dy, spec.dz)
     meta = {}
     if spec.dz >= 2:
-        whole = QubitPatch("solid", tuple(range(lay.n)))
-        meta["x"] = FlatRegionGraph(
+        meta["x"] = _one_region(
             "x",
             lay.n,
-            (whole,),
-            (
-                QubitPatch("rough top", lay.layer(0)),
-                QubitPatch("rough bottom", lay.layer(spec.dz - 1)),
-            ),
-            ((0, 1),),
+            "solid",
+            (("rough top", lay.layer(0)), ("rough bottom", lay.layer(spec.dz - 1))),
         )
     if not spec.horizontal_plaquettes:
         # With horizontal plaquettes generated, Z particles can no longer
@@ -913,7 +776,7 @@ def build_solid(spec: SolidSpec) -> CssCode:
     only when flagged; they are in the group either way, as products of
     four half-plaquettes.
     """
-    lay = _SolidLayout(spec)
+    lay = _Lattice(spec.dx, spec.dy, spec.dz)
     x_rows = _rows(lay.n, lay.star_supports())
     faces = lay.face_supports()
     if spec.horizontal_plaquettes:
@@ -990,6 +853,35 @@ def _lift(asm: _Assembly, support) -> set[int]:
     return {int(embed[q]) for _, embed in asm.piece_embeddings for q in support}
 
 
+def _weld_strips(lay: _Lattice, make_piece) -> tuple[CssCode, PauliOperator]:
+    """Width-1 strips X-welded side by side into lay's canonical layout.
+
+    make_piece(edge) returns a _Lattice(1, 0, lay.dz) strip with its top
+    string folded.  One strip per edge of the column grid joins the two
+    columns of its edge, its rungs becoming hx edges along x and hy edges
+    along y; returns the code and the merged top layer string.
+    """
+    strip = _Lattice(1, 0, lay.dz)
+    asm = _weld_along_graph(
+        grid2d(lay.dx + 1, lay.dy + 1),
+        make_piece,
+        (strip.column(0, 0), strip.column(1, 0)),
+        PauliOperator.from_support(strip.n, x=strip.layer(0)),
+        "x",
+    )
+    perm = np.full(asm.code.n, -1, dtype=np.int64)
+    for ((xu, yu), (xv, yv)), embed in asm.piece_embeddings:
+        rung = lay.hx if xv == xu + 1 else lay.hy
+        for z in range(lay.dz):
+            perm[embed[strip.vq(0, 0, z)]] = lay.vq(xu, yu, z)
+            perm[embed[strip.vq(1, 0, z)]] = lay.vq(xv, yv, z)
+        for z in range(1, lay.dz):
+            perm[embed[strip.hx(0, 0, z)]] = rung(xu, yu, z)
+    if sorted(perm.tolist()) != list(range(asm.code.n)):
+        raise AssertionError("strip welding did not cover the lattice exactly once")
+    return permute_qubits(asm.code, perm), permute_operator(asm.merged, perm)
+
+
 def _piece_region_graph(
     graph: WeldGraph, asm: _Assembly, particle_type: str, label: str
 ) -> FlatRegionGraph:
@@ -1021,7 +913,9 @@ def build_welded_surface(
     btype = str(boundary_type).lower()
     if btype not in ("rough", "smooth"):
         raise ValidationError("boundary_type must be 'rough' or 'smooth'")
-    lay = _SurfaceLayout(spec)
+    lay = _Lattice(spec.width, 0, spec.height)
+    top, bottom = lay.layer(0), lay.layer(spec.height - 1)
+    left, right = lay.column(0, 0), lay.column(spec.width, 0)
     if btype == "rough":
         if spec.height < 2:
             raise ValidationError(
@@ -1031,21 +925,19 @@ def build_welded_surface(
         def make_piece(edge) -> CssCode:
             return build_surface(spec, include_string_logicals=False)
 
-        ends = (lay.top_row(), lay.bottom_row())
-        tracked = PauliOperator.from_support(lay.n, z=lay.left_col())
+        ends = (top, bottom)
+        tracked = PauliOperator.from_support(lay.n, z=left)
         weld_type = "z"
-        free_sides = (lay.left_col(), lay.right_col())
-        free_labels = ("smooth left side", "smooth right side")
+        free_sides = (("smooth left side", left), ("smooth right side", right))
     else:
 
         def make_piece(edge) -> CssCode:
             return fold_logical(build_surface(spec), 0, "x")
 
-        ends = (lay.left_col(), lay.right_col())
-        tracked = PauliOperator.from_support(lay.n, x=lay.top_row())
+        ends = (left, right)
+        tracked = PauliOperator.from_support(lay.n, x=top)
         weld_type = "x"
-        free_sides = (lay.top_row(), lay.bottom_row())
-        free_labels = ("rough top side", "rough bottom side")
+        free_sides = (("rough top side", top), ("rough bottom side", bottom))
 
     asm = _weld_along_graph(graph, make_piece, ends, tracked, weld_type)
     code, merged = asm.code, asm.merged
@@ -1069,22 +961,18 @@ def build_welded_surface(
     if btype == "rough" or spec.height >= 2:
         # A smooth assembly of one-row pieces has a single rough side,
         # which leaves the welded particle type nothing to move between.
-        meta[weld_type] = FlatRegionGraph(
+        meta[weld_type] = _one_region(
             weld_type,
             code.n,
-            (QubitPatch("assembly", tuple(range(code.n))),),
-            tuple(
-                QubitPatch(label, _lift(asm, side))
-                for label, side in zip(free_labels, free_sides)
-            ),
-            ((0, 1),),
+            "assembly",
+            [(label, _lift(asm, side)) for label, side in free_sides],
         )
     code = replace(code, region_metadata=meta)
     validate_or_raise(code)
     return code
 
 
-def _repick_solid_layer(code: CssCode, lay: _SolidLayout, z: int) -> CssCode:
+def _repick_solid_layer(code: CssCode, lay: _Lattice, z: int) -> CssCode:
     """Make the boundary-layer half-plaquettes independent on the weld.
 
     The half-plaquettes at one rough layer restrict to the edges of the
@@ -1106,7 +994,7 @@ def _repick_solid_layer(code: CssCode, lay: _SolidLayout, z: int) -> CssCode:
 
 
 def _phantom_welded_faces(
-    graph: WeldGraph, asm: _Assembly, lay: _SolidLayout, spec: SolidSpec
+    graph: WeldGraph, asm: _Assembly, lay: _Lattice, spec: SolidSpec
 ) -> list[np.ndarray]:
     """Reconstruct the welded non-comb plaquettes dropped by re-picking.
 
@@ -1158,7 +1046,7 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
         raise ValidationError(
             "welding needs dz >= 2 so the two rough layers are distinct"
         )
-    lay = _SolidLayout(spec)
+    lay = _Lattice(spec.dx, spec.dy, spec.dz)
     degree = {v: graph.degree(v) for v in graph.vertices}
 
     def make_piece(edge) -> CssCode:
@@ -1215,33 +1103,10 @@ def build_solid_by_welding(spec: SolidSpec) -> CssCode:
             "horizontal_plaquettes=False"
         )
     strip_spec = SurfaceSpec(1, spec.dz)
-    strip_lay = _SurfaceLayout(strip_spec)
-
-    def make_piece(edge) -> CssCode:
-        return fold_logical(build_surface(strip_spec), 0, "x")
-
-    ends = (strip_lay.left_col(), strip_lay.right_col())
-    tracked = PauliOperator.from_support(strip_lay.n, x=strip_lay.top_row())
-    graph = grid2d(spec.dx + 1, spec.dy + 1)
-    asm = _weld_along_graph(graph, make_piece, ends, tracked, "x")
-
-    # Relabel the strip register onto the canonical solid layout.
-    lay = _SolidLayout(spec)
-    perm = np.full(asm.code.n, -1, dtype=np.int64)
-    for (posu, posv), embed in asm.piece_embeddings:
-        axis = "x" if posv[0] == posu[0] + 1 else "y"
-        for r in range(spec.dz):
-            perm[embed[strip_lay.v(r, 0)]] = lay.vq(posu[0], posu[1], r)
-            perm[embed[strip_lay.v(r, 1)]] = lay.vq(posv[0], posv[1], r)
-        for r in range(1, spec.dz):
-            if axis == "x":
-                perm[embed[strip_lay.h(r, 0)]] = lay.hx(posu[0], posu[1], r)
-            else:
-                perm[embed[strip_lay.h(r, 0)]] = lay.hy(posu[0], posu[1], r)
-    if sorted(perm.tolist()) != list(range(asm.code.n)):
-        raise AssertionError("strip welding did not cover the solid exactly once")
-    code = permute_qubits(asm.code, perm)
-    membrane = permute_operator(asm.merged, perm)
+    lay = _Lattice(spec.dx, spec.dy, spec.dz)
+    code, membrane = _weld_strips(
+        lay, lambda edge: fold_logical(build_surface(strip_spec), 0, "x")
+    )
     partner = PauliOperator.from_support(code.n, z=lay.column(0, 0))
     code = promote_to_logical(
         code, "x", _row_index(code.x_rows, membrane.x_bits), partner

@@ -37,37 +37,6 @@ class GeneratingSet:
                     f"{name} generators have {rows.shape[1]} columns, expected {self.n}"
                 )
 
-    @staticmethod
-    def empty(n: int) -> "GeneratingSet":
-        return GeneratingSet(n, np.zeros((0, n), np.uint8), np.zeros((0, n), np.uint8))
-
-    @staticmethod
-    def from_operators(n: int, ops) -> "GeneratingSet":
-        """Split a list of pure-type operators into the two blocks.
-
-        Operators mixing X and Z factors are rejected: they have no place
-        in standard CSS form.  Identity operators land in neither block.
-        """
-        xs, zs = [], []
-        for op in ops:
-            if op.n != n:
-                raise ValidationError(f"operator on {op.n} qubits in a {n}-qubit set")
-            if op.is_identity:
-                continue
-            if op.is_x_type:
-                xs.append(op.x_bits)
-            elif op.is_z_type:
-                zs.append(op.z_bits)
-            else:
-                raise ValidationError(
-                    f"operator {format_operator(op)} mixes X and Z factors"
-                )
-        return GeneratingSet(
-            n,
-            np.array(xs, dtype=np.uint8) if xs else np.zeros((0, n), np.uint8),
-            np.array(zs, dtype=np.uint8) if zs else np.zeros((0, n), np.uint8),
-        )
-
     def x_ops(self) -> list[PauliOperator]:
         zero = np.zeros(self.n, dtype=np.uint8)
         return [PauliOperator(self.n, row, zero) for row in self.x_rows]
@@ -312,6 +281,10 @@ def anticommuting_partner(code: CssCode, logical_rep: PauliOperator) -> PauliOpe
     is best effort, not guaranteed.
     """
     n = code.n
+    if logical_rep.n != n:
+        raise ValidationError(
+            f"representative acts on {logical_rep.n} qubits, the code has {n}"
+        )
     if logical_rep.is_x_type and not logical_rep.is_identity:
         same_rows = [code.x_rows]
         same_bits = logical_rep.x_bits

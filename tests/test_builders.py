@@ -180,6 +180,14 @@ def code_digest(code) -> str:
         ((3, 2), "36f8563f8fb2e3a4"),
         ((3, 3), "60eb38486b4ed844"),
         ((3, 4), "dfcc1577c858b628"),
+        ((4, 1), "81bf7df0daf96eca"),
+        ((4, 2), "783490baa2ea6744"),
+        ((4, 3), "ad29c57e421ba4d0"),
+        ((4, 4), "6b18fb96dafb940a"),
+        ((5, 1), "c953176745eecdd7"),
+        ((5, 2), "c78a227af1af2467"),
+        ((5, 3), "f28fd7c88e8a0db7"),
+        ((5, 4), "05f84537ae4eb7e6"),
     ],
 )
 def test_surface_by_welding_is_pinned(size, digest):
@@ -209,6 +217,39 @@ def test_surface_welding_chain_is_pinned():
 )
 def test_solid_by_welding_is_pinned(size, digest):
     assert code_digest(build_solid_by_welding(SolidSpec(*size))) == digest
+
+
+# The direct builders, pinned the same way: their index bookkeeping is
+# shared with the welded routes, so a change to it shows here first.
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: build_surface(SurfaceSpec(1, 1)), "43b35b10fd3b3a81"),
+        (lambda: build_surface(SurfaceSpec(1, 1), False), "ebd484891a2a4112"),
+        (lambda: build_surface(SurfaceSpec(3, 1)), "9c920ea0d7405e81"),
+        (lambda: build_surface(SurfaceSpec(3, 1), False), "b4bad8965a275800"),
+        (lambda: build_surface(SurfaceSpec(1, 3)), "2b2c4b479759151a"),
+        (lambda: build_surface(SurfaceSpec(1, 3), False), "d58819c1caaf5ace"),
+        (lambda: build_surface(SurfaceSpec(4, 3)), "f8fc44e31c2aa5c0"),
+        (lambda: build_surface(SurfaceSpec(4, 3), False), "5e16fcd9cd5f1355"),
+        (lambda: build_solid(SolidSpec(1, 1, 1)), "56d004b773484fcc"),
+        (lambda: build_solid(SolidSpec(1, 1, 1, True)), "318a2a34488b134c"),
+        (lambda: build_solid(SolidSpec(2, 3, 1)), "d14ff34b6c234fcc"),
+        (lambda: build_solid(SolidSpec(2, 3, 1, True)), "2b54f4f3a9972d3a"),
+        (lambda: build_solid(SolidSpec(3, 2, 2)), "71bfe5354a244bd1"),
+        (lambda: build_solid(SolidSpec(3, 2, 2, True)), "71a6629c5b0e6ef9"),
+        (lambda: build_solid(SolidSpec(2, 2, 3)), "7d34707978cc8fdf"),
+        (lambda: build_solid(SolidSpec(2, 2, 3, True)), "7de88a9ce39bf1bb"),
+    ],
+    ids=[
+        "surface-1x1", "surface-1x1-folded", "surface-3x1", "surface-3x1-folded",
+        "surface-1x3", "surface-1x3-folded", "surface-4x3", "surface-4x3-folded",
+        "solid-1x1x1", "solid-1x1x1-plaq", "solid-2x3x1", "solid-2x3x1-plaq",
+        "solid-3x2x2", "solid-3x2x2-plaq", "solid-2x2x3", "solid-2x2x3-plaq",
+    ],
+)
+def test_direct_builders_are_pinned(build, digest):
+    assert code_digest(build()) == digest
 
 
 def test_horizontal_plaquettes_are_redundant():
@@ -257,6 +298,19 @@ def test_region_graph_rejects_negative_qubits():
     patch = QubitPatch("a", (-1, 0))
     with pytest.raises(ValidationError, match="out of range"):
         FlatRegionGraph("x", 2, (patch,), (QubitPatch("b", (0,)),), ((0,),))
+
+
+def test_region_graph_rejects_incidence_outside_the_boundaries():
+    # boundary 2 touches no region; index 7 must not stand in for it
+    boundaries = tuple(QubitPatch(f"b{q}", (q,)) for q in range(3))
+    regions = (QubitPatch("r0", (0, 3)), QubitPatch("r1", (1, 4)))
+    with pytest.raises(ValidationError, match="boundary index"):
+        FlatRegionGraph("x", 5, regions, boundaries, ((0, 7), (1,)))
+    # every listed boundary is real, but index 9 names none
+    boundaries = tuple(QubitPatch(f"b{q}", (q,)) for q in range(2))
+    regions = (QubitPatch("r0", (0, 1)), QubitPatch("r1", (1,)))
+    with pytest.raises(ValidationError, match="boundary index"):
+        FlatRegionGraph("x", 2, regions, boundaries, ((0, 1), (1, 9)))
 
 
 def test_region_metadata_missing_raises():

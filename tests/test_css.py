@@ -210,6 +210,16 @@ def test_anticommuting_partner_properties():
     assert not ((code.z_rows @ partner.x_bits) % 2).any()
 
 
+def test_anticommuting_partner_rejects_another_register():
+    code = build_surface(SurfaceSpec(2, 2))
+    for n in (code.n + 1, code.n - 1):
+        rep = PauliOperator.from_support(n, z=(0,))
+        with pytest.raises(
+            ValidationError, match=f"acts on {n} qubits, the code has {code.n}"
+        ):
+            anticommuting_partner(code, rep)
+
+
 def test_distance_of_known_codes():
     rep = build_repetition(3)
     dx, dz = distance(rep)
