@@ -220,22 +220,23 @@ def parse_weld_graph(text: str) -> WeldGraph:
 def _ordered_edges(graph: WeldGraph) -> list[tuple]:
     """Edges reordered so each one touches a previously seen vertex.
 
-    The first edge seeds the visited set.  A graph that cannot be ordered
-    this way is disconnected and cannot be welded into a single code.
+    The first edge seeds the visited set.  A disconnected graph, one with
+    a vertex that no edge touches included, cannot be welded into a
+    single code.
     """
     if not graph.edges:
         raise ValidationError("weld graph has no edges, nothing to build")
+    if not graph.is_connected():
+        raise ValidationError("weld graph must be connected")
     remaining = list(graph.edges)
     ordered = [remaining.pop(0)]
     visited = set(ordered[0])
     while remaining:
-        for pos, (u, v) in enumerate(remaining):
-            if u in visited or v in visited:
-                ordered.append(remaining.pop(pos))
-                visited.update((u, v))
-                break
-        else:
-            raise ValidationError("weld graph must be connected")
+        pos = next(
+            i for i, (u, v) in enumerate(remaining) if u in visited or v in visited
+        )
+        ordered.append(remaining.pop(pos))
+        visited.update(ordered[-1])
     return ordered
 
 
@@ -516,6 +517,40 @@ class _Lattice:
         ]
 
 
+def _lattice_gens(lay: _Lattice, fold: str = "", horizontal: bool = False) -> GeneratingSet:
+    """Stars and half-plaquettes of lay, plus horizontal plaquettes if asked.
+
+    fold="x" appends the top X string layer(0) as the last X row and
+    fold="z" the left Z string column(0, 0) as the last Z row: the k=0
+    form a weld consumes.
+    """
+    stars = lay.star_supports()
+    faces = lay.face_supports()
+    if horizontal:
+        faces += lay.horizontal_plaquettes()
+    if fold == "x":
+        stars.append(lay.layer(0))
+    elif fold == "z":
+        faces.append(lay.column(0, 0))
+    return GeneratingSet(lay.n, _rows(lay.n, stars), _rows(lay.n, faces))
+
+
+def _lattice_code(lay: _Lattice, meta: dict, horizontal: bool = False) -> CssCode:
+    """The lattice code with its (top X string, left Z string) class."""
+    code = CssCode(
+        _lattice_gens(lay, horizontal=horizontal),
+        (
+            LogicalClass(
+                x_rep=PauliOperator.from_support(lay.n, x=lay.layer(0)),
+                z_rep=PauliOperator.from_support(lay.n, z=lay.column(0, 0)),
+            ),
+        ),
+        meta,
+    )
+    validate_or_raise(code)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # surface codes
 
@@ -545,32 +580,15 @@ def _surface_region_metadata(spec: SurfaceSpec) -> dict:
     return meta
 
 
-def build_surface(spec: SurfaceSpec, include_string_logicals: bool = True) -> CssCode:
+def build_surface(spec: SurfaceSpec) -> CssCode:
     """Surface patch with rough top/bottom and smooth sides.
 
-    With include_string_logicals the top-row X string and the left-column
-    Z string are promoted as the single logical class (k=1).  Without it
-    the Z string is folded into the generators instead (k=0), the form a
-    rough weld consumes; fold the X string via fold_logical when an
-    X-weldable piece is needed.
+    The top-row X string and the left-column Z string are its single
+    logical class (k=1).  fold_logical(code, 0, kind) pushes one of them
+    into the generators, the k=0 form a weld of that type consumes.
     """
     lay = _Lattice(spec.width, 0, spec.height)
-    x_rows = _rows(lay.n, lay.star_supports())
-    z_rows = _rows(lay.n, lay.face_supports())
-    x_string = PauliOperator.from_support(lay.n, x=lay.layer(0))
-    z_string = PauliOperator.from_support(lay.n, z=lay.column(0, 0))
-    meta = _surface_region_metadata(spec)
-    if include_string_logicals:
-        code = CssCode(
-            GeneratingSet(lay.n, x_rows, z_rows),
-            (LogicalClass(x_rep=x_string, z_rep=z_string),),
-            meta,
-        )
-    else:
-        folded = np.vstack([z_rows, z_string.z_bits[None, :]])
-        code = CssCode(GeneratingSet(lay.n, x_rows, folded), (), meta)
-    validate_or_raise(code)
-    return code
+    return _lattice_code(lay, _surface_region_metadata(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +617,12 @@ def _rep3_repicked() -> CssCode:
     return CssCode(GeneratingSet(code.n, x_rows, code.z_rows))
 
 
-def _row_index(rows: np.ndarray, bits: np.ndarray) -> int:
+def _row_index(rows: np.ndarray, support) -> int:
+    """Index of the first row supported on exactly the given qubits."""
+    bits = _rows(rows.shape[1], [support])[0]
     hits = np.nonzero((rows == bits[None, :]).all(axis=1))[0]
     if len(hits) == 0:
-        raise ValidationError("tracked operator is no longer a generator row")
+        raise ValidationError("no generator row has the expected support")
     return int(hits[0])
 
 
@@ -625,7 +645,8 @@ def _five_two_stars() -> tuple[CssCode, PauliOperator]:
     along a column plus its rung keeps the three restrictions distinct
     and independent as well.
     """
-    raw = weld(_rep3_repicked(), _rep3_repicked(), [(1, 1)], "x")
+    half = _rep3_repicked()
+    raw = weld(half, replace(half), [(1, 1)], "x")
     tracked = trace_successor(
         welded_operator_trace(raw), 1, PauliOperator.from_support(3, x=(0, 2))
     )
@@ -634,9 +655,9 @@ def _five_two_stars() -> tuple[CssCode, PauliOperator]:
     if tracked != PauliOperator.from_support(5, x=(0, 1)):
         raise AssertionError("five-qubit chain lost its X string")
     x = code.x_rows.copy()
-    bottom = _row_index(x, PauliOperator.from_support(5, x=(3, 4)).x_bits)
-    top = _row_index(x, tracked.x_bits)
-    star = _row_index(x, PauliOperator.from_support(5, x=(0, 2, 3)).x_bits)
+    bottom = _row_index(x, (3, 4))
+    top = _row_index(x, (0, 1))
+    star = _row_index(x, (0, 2, 3))
     x[bottom] = x[bottom] ^ x[top] ^ x[star]
     return _repick_x_rows(code, x), tracked
 
@@ -644,17 +665,17 @@ def _five_two_stars() -> tuple[CssCode, PauliOperator]:
 def _row_patch(width: int, height: int) -> CssCode:
     """build_surface(SurfaceSpec(width, height)) by X welds, height 1 or 2.
 
-    One piece per column pair, welded side by side: two-qubit pieces for
-    one row, five-qubit pieces for two.  The stars and the merged top
+    One piece, built once, is copied per column pair and the copies are
+    welded side by side: a two-qubit piece for one row, a five-qubit
+    piece for two.  The stars and the merged top
     string are then re-picked as the X generating list, so the remaining
     generators are exactly the stars, which the left-column partner
     commutes with.
     """
     lay = _Lattice(width, 0, height)
-    piece = build_two_qubit if height == 1 else lambda: _five_two_stars()[0]
-    code, merged = _weld_strips(lay, lambda edge: piece())
-    x_new = np.vstack([_rows(code.n, lay.star_supports()), merged.x_bits[None, :]])
-    code = _repick_x_rows(code, x_new)
+    piece = build_two_qubit() if height == 1 else _five_two_stars()[0]
+    code = _weld_strips(lay, lambda edge: replace(piece))
+    code = _repick_x_rows(code, _lattice_gens(lay, "x").x_rows)
     left = PauliOperator.from_support(code.n, z=lay.column(0, 0))
     return promote_to_logical(code, "x", code.x_rows.shape[0] - 1, left)
 
@@ -674,17 +695,16 @@ def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
         # height - 1 two-row pieces, each sharing its top row with the
         # bottom row of the piece above; a piece folds its Z string (k = 0)
         row = _Lattice(spec.width, 0, 2)
+        piece = fold_logical(_row_patch(spec.width, 2), 0, "z")
         asm = _weld_along_graph(
             path(spec.height),
-            lambda edge: fold_logical(_row_patch(spec.width, 2), 0, "z"),
+            lambda edge: replace(piece),
             (row.layer(0), row.layer(1)),
-            PauliOperator.from_support(row.n, z=row.column(0, 0)),
             "z",
         )
         top = PauliOperator.from_support(asm.code.n, x=row.layer(0))
-        code = promote_to_logical(
-            asm.code, "z", _row_index(asm.code.z_rows, asm.merged.z_bits), top
-        )
+        left = _lift(asm, row.column(0, 0))
+        code = promote_to_logical(asm.code, "z", _row_index(asm.code.z_rows, left), top)
     code = replace(code, region_metadata=_surface_region_metadata(spec))
     validate_or_raise(code)
     return code
@@ -692,13 +712,12 @@ def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
 
 def _seven_by_welding() -> CssCode:
     """Two five-qubit patches overlapping on a column and its rung."""
-    a, tracked = _five_two_stars()
-    b, _ = _five_two_stars()
-    raw = weld(a, b, [(1, 0), (2, 2), (4, 3)], "x")
+    five, tracked = _five_two_stars()
+    raw = weld(five, replace(five), [(1, 0), (2, 2), (4, 3)], "x")
     merged = trace_successor(welded_operator_trace(raw), 1, tracked)
     partner = PauliOperator.from_support(raw.n, z=(0, 3))
     return promote_to_logical(
-        raw, "x", _row_index(raw.x_rows, merged.x_bits), partner
+        raw, "x", _row_index(raw.x_rows, merged.x_support()), partner
     )
 
 
@@ -777,23 +796,7 @@ def build_solid(spec: SolidSpec) -> CssCode:
     four half-plaquettes.
     """
     lay = _Lattice(spec.dx, spec.dy, spec.dz)
-    x_rows = _rows(lay.n, lay.star_supports())
-    faces = lay.face_supports()
-    if spec.horizontal_plaquettes:
-        faces = faces + lay.horizontal_plaquettes()
-    z_rows = _rows(lay.n, faces)
-    code = CssCode(
-        GeneratingSet(lay.n, x_rows, z_rows),
-        (
-            LogicalClass(
-                x_rep=PauliOperator.from_support(lay.n, x=lay.layer(0)),
-                z_rep=PauliOperator.from_support(lay.n, z=lay.column(0, 0)),
-            ),
-        ),
-        _solid_region_metadata(spec),
-    )
-    validate_or_raise(code)
-    return code
+    return _lattice_code(lay, _solid_region_metadata(spec), spec.horizontal_plaquettes)
 
 
 # ---------------------------------------------------------------------------
@@ -805,47 +808,45 @@ class _Assembly:
     """Accumulator for piece-by-piece welding along a graph."""
 
     code: CssCode
-    merged: PauliOperator
     vertex_qubits: dict
     piece_embeddings: list
 
 
 def _weld_along_graph(
-    graph: WeldGraph,
-    make_piece,
-    piece_ends,
-    tracked_value: PauliOperator,
-    weld_type: str,
+    graph: WeldGraph, make_piece, piece_ends, weld_type: str
 ) -> _Assembly:
     """Weld one fresh piece per edge, joining boundaries at shared vertices.
 
     make_piece(edge) returns a k=0 piece whose folded string shows up at
     both of its boundaries; piece_ends gives the two ordered boundary
-    qubit tuples (first vertex, second vertex).  The folded strings merge
-    into a single tracked generator across every weld.
+    qubit tuples (first vertex, second vertex).
+
+    The folded strings merge into one generator row, the union of every
+    piece's string: _lift(asm, string support).  Once both weld checks
+    pass, no other row of either side restricts to the weld as the
+    string does, since two rows with one restriction multiply to an
+    operator that avoids the weld, which the independence check rejects
+    unless the rows are equal.  So each weld joins the two strings into
+    their union, and the row is found by its support afterwards.
     """
     edges = _ordered_edges(graph)
     first = edges[0]
     code = make_piece(first)
     vertex_qubits = {first[0]: tuple(piece_ends[0]), first[1]: tuple(piece_ends[1])}
     embeddings = [(first, np.arange(code.n))]
-    merged = tracked_value
     for edge in edges[1:]:
         piece = make_piece(edge)
         pairs = []
         for vertex, end in zip(edge, piece_ends):
             if vertex in vertex_qubits:
                 pairs.extend(zip(vertex_qubits[vertex], end))
-        raw = weld(code, piece, pairs, weld_type)
-        trace = welded_operator_trace(raw)
-        merged = trace_successor(trace, 1, merged)
-        embed = trace.layout.embed2
+        code = weld(code, piece, pairs, weld_type)
+        embed = welded_operator_trace(code).layout.embed2
         for vertex, end in zip(edge, piece_ends):
             if vertex not in vertex_qubits:
                 vertex_qubits[vertex] = tuple(int(embed[q]) for q in end)
         embeddings.append((edge, embed))
-        code = raw
-    return _Assembly(code, merged, vertex_qubits, embeddings)
+    return _Assembly(code, vertex_qubits, embeddings)
 
 
 def _lift(asm: _Assembly, support) -> set[int]:
@@ -853,20 +854,19 @@ def _lift(asm: _Assembly, support) -> set[int]:
     return {int(embed[q]) for _, embed in asm.piece_embeddings for q in support}
 
 
-def _weld_strips(lay: _Lattice, make_piece) -> tuple[CssCode, PauliOperator]:
+def _weld_strips(lay: _Lattice, make_piece) -> CssCode:
     """Width-1 strips X-welded side by side into lay's canonical layout.
 
     make_piece(edge) returns a _Lattice(1, 0, lay.dz) strip with its top
     string folded.  One strip per edge of the column grid joins the two
     columns of its edge, its rungs becoming hx edges along x and hy edges
-    along y; returns the code and the merged top layer string.
+    along y; the merged top string is the row on lay.layer(0).
     """
     strip = _Lattice(1, 0, lay.dz)
     asm = _weld_along_graph(
         grid2d(lay.dx + 1, lay.dy + 1),
         make_piece,
         (strip.column(0, 0), strip.column(1, 0)),
-        PauliOperator.from_support(strip.n, x=strip.layer(0)),
         "x",
     )
     perm = np.full(asm.code.n, -1, dtype=np.int64)
@@ -879,7 +879,7 @@ def _weld_strips(lay: _Lattice, make_piece) -> tuple[CssCode, PauliOperator]:
             perm[embed[strip.hx(0, 0, z)]] = rung(xu, yu, z)
     if sorted(perm.tolist()) != list(range(asm.code.n)):
         raise AssertionError("strip welding did not cover the lattice exactly once")
-    return permute_qubits(asm.code, perm), permute_operator(asm.merged, perm)
+    return permute_qubits(asm.code, perm)
 
 
 def _piece_region_graph(
@@ -921,35 +921,26 @@ def build_welded_surface(
             raise ValidationError(
                 "rough welding needs height >= 2 so the two rough rows differ"
             )
-
-        def make_piece(edge) -> CssCode:
-            return build_surface(spec, include_string_logicals=False)
-
-        ends = (top, bottom)
-        tracked = PauliOperator.from_support(lay.n, z=left)
-        weld_type = "z"
+        weld_type, ends, string = "z", (top, bottom), left
         free_sides = (("smooth left side", left), ("smooth right side", right))
     else:
-
-        def make_piece(edge) -> CssCode:
-            return fold_logical(build_surface(spec), 0, "x")
-
-        ends = (left, right)
-        tracked = PauliOperator.from_support(lay.n, x=top)
-        weld_type = "x"
+        weld_type, ends, string = "x", (left, right), top
         free_sides = (("rough top side", top), ("rough bottom side", bottom))
 
-    asm = _weld_along_graph(graph, make_piece, ends, tracked, weld_type)
-    code, merged = asm.code, asm.merged
+    asm = _weld_along_graph(
+        graph, lambda edge: CssCode(_lattice_gens(lay, weld_type)), ends, weld_type
+    )
+    code = asm.code
 
-    first_vertex = asm.piece_embeddings[0][0][0]
+    first_boundary = asm.vertex_qubits[asm.piece_embeddings[0][0][0]]
     if btype == "rough":
-        partner = PauliOperator.from_support(code.n, x=asm.vertex_qubits[first_vertex])
-        kind, rows, bits = "z", code.z_rows, merged.z_bits
+        partner = PauliOperator.from_support(code.n, x=first_boundary)
+        rows = code.z_rows
     else:
-        partner = PauliOperator.from_support(code.n, z=asm.vertex_qubits[first_vertex])
-        kind, rows, bits = "x", code.x_rows, merged.x_bits
-    code = promote_to_logical(code, kind, _row_index(rows, bits), partner)
+        partner = PauliOperator.from_support(code.n, z=first_boundary)
+        rows = code.x_rows
+    index = _row_index(rows, _lift(asm, string))
+    code = promote_to_logical(code, weld_type, index, partner)
 
     # Particles of the type opposite the weld split at the vertex
     # boundaries, one region per piece.  Welded-type particles cross
@@ -989,8 +980,7 @@ def _repick_solid_layer(code: CssCode, lay: _Lattice, z: int) -> CssCode:
             for xp in range(x):
                 row ^= z_rows[lay.face_x_row(xp, y, z)]
                 row ^= z_rows[lay.face_x_row(xp, y + 1, z)]
-    gens = GeneratingSet(code.n, code.x_rows, z_rows)
-    return CssCode(gens, code.logicals, code.region_metadata)
+    return CssCode(GeneratingSet(code.n, code.x_rows, z_rows))
 
 
 def _phantom_welded_faces(
@@ -1050,16 +1040,16 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     degree = {v: graph.degree(v) for v in graph.vertices}
 
     def make_piece(edge) -> CssCode:
-        piece = build_solid(spec)
+        # the folded string is the last row, which the re-picks never touch
+        piece = CssCode(_lattice_gens(lay, "z"))
         if degree[edge[0]] >= 2:
             piece = _repick_solid_layer(piece, lay, 0)
         if degree[edge[1]] >= 2:
             piece = _repick_solid_layer(piece, lay, spec.dz - 1)
-        return fold_logical(piece, 0, "z")
+        return piece
 
     ends = (lay.layer(0), lay.layer(spec.dz - 1))
-    tracked = PauliOperator.from_support(lay.n, z=lay.column(0, 0))
-    asm = _weld_along_graph(graph, make_piece, ends, tracked, "z")
+    asm = _weld_along_graph(graph, make_piece, ends, "z")
 
     code = asm.code
     phantoms = _phantom_welded_faces(graph, asm, lay, spec)
@@ -1067,16 +1057,13 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
         basis = gf2._echelon(gf2._pack(code.z_rows))
         if any(gf2._residual(basis, v) for v in gf2._pack(phantoms)):
             raise AssertionError("reconstructed plaquette left the group")
-        gens = GeneratingSet(
-            code.n, code.x_rows, np.vstack([code.z_rows] + [b[None, :] for b in phantoms])
-        )
-        code = CssCode(gens, code.logicals, code.region_metadata)
+        z_rows = np.vstack([code.z_rows] + [b[None, :] for b in phantoms])
+        code = CssCode(GeneratingSet(code.n, code.x_rows, z_rows))
 
     first_embed = asm.piece_embeddings[0][1]
     membrane = PauliOperator.from_support(code.n, x=first_embed[list(lay.layer(0))])
-    code = promote_to_logical(
-        code, "z", _row_index(code.z_rows, asm.merged.z_bits), membrane
-    )
+    string = _lift(asm, lay.column(0, 0))
+    code = promote_to_logical(code, "z", _row_index(code.z_rows, string), membrane)
 
     # Flat-Z columns and sheets of every piece fuse across the welds into
     # one column and one sheet each.
@@ -1102,15 +1089,11 @@ def build_solid_by_welding(spec: SolidSpec) -> CssCode:
             "the strip construction generates half-plaquettes only; use "
             "horizontal_plaquettes=False"
         )
-    strip_spec = SurfaceSpec(1, spec.dz)
     lay = _Lattice(spec.dx, spec.dy, spec.dz)
-    code, membrane = _weld_strips(
-        lay, lambda edge: fold_logical(build_surface(strip_spec), 0, "x")
-    )
+    strip = _Lattice(1, 0, spec.dz)
+    code = _weld_strips(lay, lambda edge: CssCode(_lattice_gens(strip, "x")))
     partner = PauliOperator.from_support(code.n, z=lay.column(0, 0))
-    code = promote_to_logical(
-        code, "x", _row_index(code.x_rows, membrane.x_bits), partner
-    )
+    code = promote_to_logical(code, "x", _row_index(code.x_rows, lay.layer(0)), partner)
     code = replace(code, region_metadata=_solid_region_metadata(spec))
     validate_or_raise(code)
     return code

@@ -26,7 +26,7 @@ from weldkit.builders import (
     star,
     surface_welding_chain,
 )
-from weldkit.css import encoded_qubits, groups_equal, syndrome, validate
+from weldkit.css import encoded_qubits, fold_logical, groups_equal, syndrome, validate
 from weldkit.errors import MetadataError, ValidationError
 from weldkit.pauli import PauliOperator
 
@@ -225,13 +225,13 @@ def test_solid_by_welding_is_pinned(size, digest):
     "build, digest",
     [
         (lambda: build_surface(SurfaceSpec(1, 1)), "43b35b10fd3b3a81"),
-        (lambda: build_surface(SurfaceSpec(1, 1), False), "ebd484891a2a4112"),
+        (lambda: fold_logical(build_surface(SurfaceSpec(1, 1)), 0, "z"), "ebd484891a2a4112"),
         (lambda: build_surface(SurfaceSpec(3, 1)), "9c920ea0d7405e81"),
-        (lambda: build_surface(SurfaceSpec(3, 1), False), "b4bad8965a275800"),
+        (lambda: fold_logical(build_surface(SurfaceSpec(3, 1)), 0, "z"), "b4bad8965a275800"),
         (lambda: build_surface(SurfaceSpec(1, 3)), "2b2c4b479759151a"),
-        (lambda: build_surface(SurfaceSpec(1, 3), False), "d58819c1caaf5ace"),
+        (lambda: fold_logical(build_surface(SurfaceSpec(1, 3)), 0, "z"), "d58819c1caaf5ace"),
         (lambda: build_surface(SurfaceSpec(4, 3)), "f8fc44e31c2aa5c0"),
-        (lambda: build_surface(SurfaceSpec(4, 3), False), "5e16fcd9cd5f1355"),
+        (lambda: fold_logical(build_surface(SurfaceSpec(4, 3)), 0, "z"), "5e16fcd9cd5f1355"),
         (lambda: build_solid(SolidSpec(1, 1, 1)), "56d004b773484fcc"),
         (lambda: build_solid(SolidSpec(1, 1, 1, True)), "318a2a34488b134c"),
         (lambda: build_solid(SolidSpec(2, 3, 1)), "d14ff34b6c234fcc"),
@@ -292,6 +292,126 @@ def test_horizontal_plaquettes_are_redundant():
 def test_region_metadata_is_pinned(build, digest):
     # labels, qubit sets, their order and the incidence, all of both types
     assert region_digest(build()) == digest
+
+
+# Rows in order, logicals and region metadata of the welded assemblies.
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: build_welded_solid(star(3), SolidSpec(1, 1, 2)), "cea77beef35b3bcb"),
+        (lambda: build_welded_solid(star(3), SolidSpec(2, 2, 2)), "f5ff719a5745f7d0"),
+        (lambda: build_welded_solid(grid2d(2, 2), SolidSpec(1, 1, 2)), "6099c099fb87cb25"),
+        (lambda: build_welded_solid(grid2d(2, 2), SolidSpec(2, 2, 2)), "b6ce6ced7db15e29"),
+        (lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2)), "8b2778871c11c08c"),
+        (lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(2, 2, 2)), "ea29614151c06b4c"),
+        (lambda: build_welded_surface(path(3), "rough", SurfaceSpec(2, 2)), "37440f63c85887e1"),
+        (lambda: build_welded_surface(path(3), "rough", SurfaceSpec(3, 3)), "539359d86297fcfa"),
+        (lambda: build_welded_surface(path(3), "smooth", SurfaceSpec(2, 2)), "abc040a5eb58020c"),
+        (lambda: build_welded_surface(path(3), "smooth", SurfaceSpec(3, 3)), "bff625e249bcddbd"),
+        (lambda: build_welded_surface(star(3), "rough", SurfaceSpec(2, 2)), "e1582e4fe7c4b395"),
+        (lambda: build_welded_surface(star(3), "rough", SurfaceSpec(3, 3)), "3876e742ed513dc8"),
+        (lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2)), "3556ff311dc586e6"),
+        (lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(3, 3)), "43e2cdca885c194c"),
+        (
+            lambda: build_welded_surface(grid2d(3, 3), "rough", SurfaceSpec(2, 2)),
+            "9340035782cb4310",
+        ),
+        (
+            lambda: build_welded_surface(grid2d(3, 3), "rough", SurfaceSpec(3, 3)),
+            "e979a0de21b342d7",
+        ),
+        (
+            lambda: build_welded_surface(grid2d(3, 3), "smooth", SurfaceSpec(2, 2)),
+            "c0adb52079f14ed5",
+        ),
+        (
+            lambda: build_welded_surface(grid2d(3, 3), "smooth", SurfaceSpec(3, 3)),
+            "3fc1da8fd4dcf8bd",
+        ),
+        (lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 1)), "3ca95d313cc722ce"),
+    ],
+    ids=[
+        "solid-star3-1x1x2", "solid-star3-2x2x2", "solid-grid2x2-1x1x2",
+        "solid-grid2x2-2x2x2", "solid-cubic2-1x1x2", "solid-cubic2-2x2x2",
+        "rough-path3-2x2", "rough-path3-3x3", "smooth-path3-2x2", "smooth-path3-3x3",
+        "rough-star3-2x2", "rough-star3-3x3", "smooth-star3-2x2", "smooth-star3-3x3",
+        "rough-grid3x3-2x2", "rough-grid3x3-3x3", "smooth-grid3x3-2x2",
+        "smooth-grid3x3-3x3", "smooth-star3-2x1",
+    ],
+)
+def test_welded_builds_are_pinned(build, digest):
+    assert code_digest(build()) == digest
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name so each call appends to the returned list."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2)),
+        lambda: build_welded_surface(grid2d(3, 3), "rough", SurfaceSpec(2, 2)),
+        lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2)),
+    ],
+    ids=["solid", "rough-surface", "smooth-surface"],
+)
+def test_welded_builds_validate_each_code_once(monkeypatch, build):
+    # weld validates both of its inputs, and the builder validates its
+    # final code; a piece is validated by nothing else
+    import weldkit.builders as builders
+    import weldkit.css as css
+
+    welds = _count_calls(monkeypatch, builders, "weld")
+    validations = _count_calls(monkeypatch, css, "validate")
+    build()
+    assert welds
+    assert len(validations) == 2 * len(welds) + 1
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        # two welds make the five-qubit piece, once per build; then one
+        # weld per further column and one per further stacked row
+        (lambda: build_surface_by_welding(SurfaceSpec(5, 4)), 2 + 4 + 2),
+        (lambda: build_surface_by_welding(SurfaceSpec(3, 2)), 2 + 2),
+        # three-qubit, five-, seven-, eight- and thirteen-qubit rungs
+        (lambda: surface_welding_chain(), 1 + 2 + (2 + 1) + (2 + 1) + (2 + 1 + 1)),
+    ],
+    ids=["surface-5x4", "surface-3x2", "chain"],
+)
+def test_repeated_pieces_are_built_once(monkeypatch, build, count):
+    import weldkit.builders as builders
+
+    welds = _count_calls(monkeypatch, builders, "weld")
+    build()
+    assert len(welds) == count
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda graph: build_welded_solid(graph, SolidSpec(1, 1, 2)),
+        lambda graph: build_welded_surface(graph, "rough", SurfaceSpec(2, 2)),
+        lambda graph: build_welded_surface(graph, "smooth", SurfaceSpec(2, 2)),
+    ],
+    ids=["solid", "rough-surface", "smooth-surface"],
+)
+def test_isolated_vertex_is_rejected(build):
+    # vertex 2 is touched by no edge, so no piece can carry its boundary
+    graph = WeldGraph((0, 1, 2), ((0, 1),))
+    with pytest.raises(ValidationError, match="connected"):
+        build(graph)
 
 
 def test_region_graph_rejects_negative_qubits():

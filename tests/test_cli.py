@@ -196,3 +196,13 @@ def test_graph_file_input(tmp_path):
     ])
     assert rc == 0
     assert loads(out.read_text()).n == 13
+
+
+def test_graph_file_with_an_isolated_vertex_is_a_clean_error(tmp_path, capsys):
+    graph = write(tmp_path / "graph.txt", "v a\nv b\nv c\ne a b\n")
+    rc = main([
+        "build", "--family", "welded-solid", "--graph", graph,
+        "--out", str(tmp_path / "code.txt"),
+    ])
+    assert rc == 1
+    assert "error: weld graph must be connected" in capsys.readouterr().err
