@@ -29,8 +29,8 @@ from .css import (
     validate_or_raise,
 )
 from .errors import MetadataError, ValidationError
-from .pauli import PauliOperator, permute_operator
-from .welding import trace_successor, weld, welded_operator_trace
+from .pauli import PauliOperator
+from .welding import _require_weldable, _weld_core, weld
 
 __all__ = [
     "SurfaceSpec",
@@ -633,7 +633,7 @@ def _repick_x_rows(code: CssCode, new_rows: np.ndarray) -> CssCode:
     return CssCode(GeneratingSet(code.n, new_rows, code.z_rows))
 
 
-def _five_two_stars() -> tuple[CssCode, PauliOperator]:
+def _five_two_stars() -> CssCode:
     """Five-qubit patch, X string folded, generated by its stars and string.
 
     Two three-qubit pieces weld into the left star and the top and bottom
@@ -646,20 +646,13 @@ def _five_two_stars() -> tuple[CssCode, PauliOperator]:
     and independent as well.
     """
     half = _rep3_repicked()
-    raw = weld(half, replace(half), [(1, 1)], "x")
-    tracked = trace_successor(
-        welded_operator_trace(raw), 1, PauliOperator.from_support(3, x=(0, 2))
-    )
-    code = permute_qubits(raw, _FIVE_PERM)
-    tracked = permute_operator(tracked, _FIVE_PERM)
-    if tracked != PauliOperator.from_support(5, x=(0, 1)):
-        raise AssertionError("five-qubit chain lost its X string")
+    code = permute_qubits(weld(half, replace(half), [(1, 1)], "x"), _FIVE_PERM)
     x = code.x_rows.copy()
     bottom = _row_index(x, (3, 4))
     top = _row_index(x, (0, 1))
     star = _row_index(x, (0, 2, 3))
     x[bottom] = x[bottom] ^ x[top] ^ x[star]
-    return _repick_x_rows(code, x), tracked
+    return _repick_x_rows(code, x)
 
 
 def _row_patch(width: int, height: int) -> CssCode:
@@ -673,8 +666,8 @@ def _row_patch(width: int, height: int) -> CssCode:
     commutes with.
     """
     lay = _Lattice(width, 0, height)
-    piece = build_two_qubit() if height == 1 else _five_two_stars()[0]
-    code = _weld_strips(lay, lambda edge: replace(piece))
+    piece = build_two_qubit() if height == 1 else _five_two_stars()
+    code = _weld_strips(lay, lambda edge: piece)
     code = _repick_x_rows(code, _lattice_gens(lay, "x").x_rows)
     left = PauliOperator.from_support(code.n, z=lay.column(0, 0))
     return promote_to_logical(code, "x", code.x_rows.shape[0] - 1, left)
@@ -698,7 +691,7 @@ def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
         piece = fold_logical(_row_patch(spec.width, 2), 0, "z")
         asm = _weld_along_graph(
             path(spec.height),
-            lambda edge: replace(piece),
+            lambda edge: piece,
             (row.layer(0), row.layer(1)),
             "z",
         )
@@ -712,13 +705,11 @@ def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
 
 def _seven_by_welding() -> CssCode:
     """Two five-qubit patches overlapping on a column and its rung."""
-    five, tracked = _five_two_stars()
+    five = _five_two_stars()
     raw = weld(five, replace(five), [(1, 0), (2, 2), (4, 3)], "x")
-    merged = trace_successor(welded_operator_trace(raw), 1, tracked)
     partner = PauliOperator.from_support(raw.n, z=(0, 3))
-    return promote_to_logical(
-        raw, "x", _row_index(raw.x_rows, merged.x_support()), partner
-    )
+    # the two top strings (0, 1) merge at qubit 1 into (0, 1, 5)
+    return promote_to_logical(raw, "x", _row_index(raw.x_rows, (0, 1, 5)), partner)
 
 
 def surface_welding_chain() -> tuple[tuple[str, CssCode], ...]:
@@ -815,11 +806,16 @@ class _Assembly:
 def _weld_along_graph(
     graph: WeldGraph, make_piece, piece_ends, weld_type: str
 ) -> _Assembly:
-    """Weld one fresh piece per edge, joining boundaries at shared vertices.
+    """Weld one piece per edge, joining boundaries at shared vertices.
 
     make_piece(edge) returns a k=0 piece whose folded string shows up at
     both of its boundaries; piece_ends gives the two ordered boundary
-    qubit tuples (first vertex, second vertex).
+    qubit tuples (first vertex, second vertex); one piece object may
+    serve several edges.  The assembly is held in int rows from the first
+    piece (welded onto nothing) on, and unpacked once.  Each piece is
+    validated and ranked once and the assembly never: weld equals
+    weld_oracle, whose output is the full commutant of the adopted
+    block, so k=0 inputs give a valid k=0 output.
 
     The folded strings merge into one generator row, the union of every
     piece's string: _lift(asm, string support).  Once both weld checks
@@ -829,24 +825,25 @@ def _weld_along_graph(
     unless the rows are equal.  So each weld joins the two strings into
     their union, and the row is found by its support afterwards.
     """
-    edges = _ordered_edges(graph)
-    first = edges[0]
-    code = make_piece(first)
-    vertex_qubits = {first[0]: tuple(piece_ends[0]), first[1]: tuple(piece_ends[1])}
-    embeddings = [(first, np.arange(code.n))]
-    for edge in edges[1:]:
+    rows = {"x": [], "z": []}
+    n = 0
+    vertex_qubits: dict = {}
+    embeddings = []
+    for edge in _ordered_edges(graph):
         piece = make_piece(edge)
         pairs = []
         for vertex, end in zip(edge, piece_ends):
             if vertex in vertex_qubits:
                 pairs.extend(zip(vertex_qubits[vertex], end))
-        code = weld(code, piece, pairs, weld_type)
-        embed = welded_operator_trace(code).layout.embed2
+        _require_weldable(piece, "piece")
+        layout = _weld_core(rows, n, piece.gens, pairs, weld_type)[0]
+        n, embed = layout.n, layout.embed2
         for vertex, end in zip(edge, piece_ends):
             if vertex not in vertex_qubits:
-                vertex_qubits[vertex] = tuple(int(embed[q]) for q in end)
+                vertex_qubits[vertex] = tuple(embed[q] for q in end)
         embeddings.append((edge, embed))
-    return _Assembly(code, vertex_qubits, embeddings)
+    gens = GeneratingSet(n, gf2._unpack(rows["x"], n), gf2._unpack(rows["z"], n))
+    return _Assembly(CssCode(gens), vertex_qubits, embeddings)
 
 
 def _lift(asm: _Assembly, support) -> set[int]:
@@ -1061,7 +1058,7 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
         code = CssCode(GeneratingSet(code.n, code.x_rows, z_rows))
 
     first_embed = asm.piece_embeddings[0][1]
-    membrane = PauliOperator.from_support(code.n, x=first_embed[list(lay.layer(0))])
+    membrane = PauliOperator.from_support(code.n, x=[first_embed[q] for q in lay.layer(0)])
     string = _lift(asm, lay.column(0, 0))
     code = promote_to_logical(code, "z", _row_index(code.z_rows, string), membrane)
 

@@ -13,6 +13,8 @@ ground truth in tests.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,15 +36,19 @@ def _norm_type(weld_type: str) -> str:
 class QubitIdentification:
     """Pairs (qubit of code 1, qubit of code 2) to contract.
 
-    Components are distinct within each side, so a qubit is glued at
-    most once.  Range checks happen at contraction time, when both
-    register sizes are known.
+    Components are integers, never truncated from floats or parsed from
+    strings, and distinct within each side, so a qubit is glued at most
+    once.  Range checks happen at contraction time, when both register
+    sizes are known.
     """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        norm = tuple((int(a), int(b)) for a, b in self.pairs)
+        try:
+            norm = tuple((operator.index(a), operator.index(b)) for a, b in self.pairs)
+        except TypeError:
+            raise ValidationError(f"identified qubits must be integers: {self.pairs!r}") from None
         object.__setattr__(self, "pairs", norm)
         firsts = [a for a, _ in norm]
         seconds = [b for _, b in norm]
@@ -118,13 +124,36 @@ class WeldLayout:
         out[:, emb] = rows
         return out
 
+    def embed_gens(self, gens: GeneratingSet, side: int) -> GeneratingSet:
+        return GeneratingSet(
+            self.n, self.embed_rows(gens.x_rows, side), self.embed_rows(gens.z_rows, side)
+        )
+
     def embed_operator(self, op: PauliOperator, side: int) -> PauliOperator:
         xb = self.embed_rows(op.x_bits.reshape(1, -1), side)[0]
         zb = self.embed_rows(op.z_bits.reshape(1, -1), side)[0]
         return PauliOperator(self.n, xb, zb)
 
     def shared_mask(self) -> np.ndarray:
-        return _shared_mask(self.n, self.shared)
+        return gf2._unpack([_shared_mask(self.n, self.shared)], self.n)[0]
+
+
+def _layout(n1: int, n2: int, ident) -> WeldLayout:
+    pair_map: dict[int, int] = {}
+    for a, b in as_identification(ident):
+        if not 0 <= a < n1:
+            raise ValidationError(
+                f"identification names qubit {a} of code 1, which has {n1} qubits"
+            )
+        if not 0 <= b < n2:
+            raise ValidationError(
+                f"identification names qubit {b} of code 2, which has {n2} qubits"
+            )
+        pair_map[b] = a
+    n = n1 + n2 - len(pair_map)
+    fresh = iter(range(n1, n))
+    embed2 = tuple(pair_map[j] if j in pair_map else next(fresh) for j in range(n2))
+    return WeldLayout(n, tuple(range(n1)), embed2, tuple(pair_map.values()))
 
 
 def contract(
@@ -135,89 +164,58 @@ def contract(
     Returns the layout plus both generating sets re-expressed on the
     contracted register; each group is unchanged up to relabeling.
     """
-    ident = as_identification(ident)
     gens1 = code1.gens if isinstance(code1, CssCode) else code1
     gens2 = code2.gens if isinstance(code2, CssCode) else code2
-    n1, n2 = gens1.n, gens2.n
-    pair_map: dict[int, int] = {}
-    for a, b in ident:
-        if not 0 <= a < n1:
-            raise ValidationError(
-                f"identification names qubit {a} of code 1, which has {n1} qubits"
-            )
-        if not 0 <= b < n2:
-            raise ValidationError(
-                f"identification names qubit {b} of code 2, which has {n2} qubits"
-            )
-        pair_map[b] = a
-    embed2 = []
-    fresh = n1
-    for j in range(n2):
-        if j in pair_map:
-            embed2.append(pair_map[j])
-        else:
-            embed2.append(fresh)
-            fresh += 1
-    layout = WeldLayout(
-        n1 + n2 - len(ident),
-        tuple(range(n1)),
-        tuple(embed2),
-        tuple(a for a, _ in ident),
-    )
-    set1 = GeneratingSet(
-        layout.n, layout.embed_rows(gens1.x_rows, 1), layout.embed_rows(gens1.z_rows, 1)
-    )
-    set2 = GeneratingSet(
-        layout.n, layout.embed_rows(gens2.x_rows, 2), layout.embed_rows(gens2.z_rows, 2)
-    )
-    return layout, set1, set2
+    layout = _layout(gens1.n, gens2.n, ident)
+    return layout, layout.embed_gens(gens1, 1), layout.embed_gens(gens2, 2)
 
 
-def _weld_rows(gens: GeneratingSet, kind: str) -> np.ndarray:
+def _typed_rows(gens: GeneratingSet, kind: str) -> np.ndarray:
     return gens.z_rows if kind == "z" else gens.x_rows
 
 
-def _format_row(bits: np.ndarray, kind: str, n: int) -> str:
+def _format_row(row: int, kind: str, n: int) -> str:
+    bits = gf2._unpack([row], n)[0]
     zero = np.zeros(n, dtype=np.uint8)
     op = PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
     return format_operator(op)
 
 
-def _shared_mask(n: int, shared) -> np.ndarray:
-    mask = np.zeros(n, dtype=np.uint8)
+def _shared_mask(n: int, shared) -> int:
+    """The shared qubits as an int row, bit q = qubit q."""
+    mask = 0
     for q in shared:
         if not 0 <= int(q) < n:
             raise ValidationError(f"shared qubit {q} is outside the {n}-qubit register")
-        mask[int(q)] = 1
+        mask |= 1 << int(q)
     return mask
 
 
 class _Split(NamedTuple):
-    """One side's weld-type rows, restricted to the shared qubits once.
+    """One side's weld-type rows as ints, split by the shared-qubit mask once.
 
-    first maps the restriction of each weld-touching row, as bytes, to
-    the first row that has it.
+    first maps each restriction to the shared qubits to the first row
+    that has it; untouched holds the rows that avoid the shared qubits.
     """
 
-    rows: np.ndarray
-    on_weld: np.ndarray
+    rows: list[int]
     touching: list[int]
     untouched: list[int]
-    first: dict[bytes, int]
+    first: dict[int, int]
 
 
-def _split(rows: np.ndarray, mask: np.ndarray) -> _Split:
-    on_weld = rows & mask
+def _split(rows: list[int], mask: int) -> _Split:
     touching: list[int] = []
     untouched: list[int] = []
-    first: dict[bytes, int] = {}
-    for i, hit in enumerate(on_weld.any(axis=1).tolist()):
+    first: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        hit = row & mask
         if hit:
             touching.append(i)
-            first.setdefault(on_weld[i].tobytes(), i)
+            first.setdefault(hit, i)
         else:
-            untouched.append(i)
-    return _Split(rows, on_weld, touching, untouched, first)
+            untouched.append(row)
+    return _Split(rows, touching, untouched, first)
 
 
 def _unmatched(split1: _Split, split2: _Split, kind: str, n: int):
@@ -230,21 +228,20 @@ def _unmatched(split1: _Split, split2: _Split, kind: str, n: int):
                     "side": side,
                     "index": i,
                     "generator": _format_row(split.rows[i], kind, n),
-                    "shared_restriction": _format_row(split.on_weld[i], kind, n),
+                    "shared_restriction": _format_row(key, kind, n),
                 }
     return None
 
 
-def _dependent(split: _Split, kind: str, n: int):
+def _dependent(split: _Split, mask: int, kind: str, n: int):
     """Witness for touching rows whose product avoids the weld, or None."""
-    if not split.touching:
-        return None
-    full = split.rows[split.touching]
-    on_weld = split.on_weld[split.touching]
-    if gf2.rank(on_weld) == gf2.rank(full):
+    rows = [split.rows[i] for i in split.touching]
+    if len(gf2._echelon([row & mask for row in rows])) == len(gf2._echelon(rows)):
         return None
     # every dependency of the full rows also kills the restrictions, so
     # rank deficit means some coefficient vector kills only the latter
+    full = gf2._unpack(rows, n)
+    on_weld = full & gf2._unpack([mask], n)
     kernel_full = gf2.null_space(full.T)
     kernel_weld = gf2.null_space(on_weld.T)
     coeff = None
@@ -253,8 +250,8 @@ def _dependent(split: _Split, kind: str, n: int):
             coeff = gf2.reduce_vector(kernel_full, cand)
             break
     coeff = gf2.reduce_weight(coeff, kernel_full)
-    chosen = np.nonzero(coeff)[0]
-    product = np.bitwise_xor.reduce(full[chosen], axis=0)
+    chosen = np.flatnonzero(coeff).tolist()
+    product = functools.reduce(operator.xor, (rows[j] for j in chosen))
     return {
         "subset": tuple(split.touching[j] for j in chosen),
         "product": _format_row(product, kind, n),
@@ -267,15 +264,17 @@ def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
     Only generators of the weld type matter.  A generator touching the
     shared qubits is matched when the other side has a generator with
     the same restriction to the shared qubits.  Returns (True, None) or
-    (False, witness) with the first unmatched generator named.
+    (False, witness) with the first unmatched generator named.  Both
+    sets must lie on the layout's register.
     """
     kind = _norm_type(weld_type)
-    mask = layout.shared_mask()
-    split1, split2 = (
-        _split(_weld_rows(s.gens if isinstance(s, CssCode) else s, kind), mask)
-        for s in (set1, set2)
-    )
-    witness = _unmatched(split1, split2, kind, layout.n)
+    mask = _shared_mask(layout.n, layout.shared)
+    sets = [s.gens if isinstance(s, CssCode) else s for s in (set1, set2)]
+    for side, gens in enumerate(sets, start=1):
+        if gens.n != layout.n:
+            raise ValidationError(f"set {side} acts on {gens.n} qubits, the layout has {layout.n}")
+    splits = (_split(gf2._pack(_typed_rows(gens, kind)), mask) for gens in sets)
+    witness = _unmatched(*splits, kind, layout.n)
     return witness is None, witness
 
 
@@ -292,9 +291,59 @@ def check_weld_independence(gens, shared, weld_type: str):
     kind = _norm_type(weld_type)
     if isinstance(gens, CssCode):
         gens = gens.gens
-    split = _split(_weld_rows(gens, kind), _shared_mask(gens.n, shared))
-    witness = _dependent(split, kind, gens.n)
+    mask = _shared_mask(gens.n, shared)
+    split = _split(gf2._pack(_typed_rows(gens, kind)), mask)
+    witness = _dependent(split, mask, kind, gens.n)
     return witness is None, witness
+
+
+def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
+    """Weld gens2 onto an n1-qubit code held as int rows, bit q = qubit q.
+
+    rows maps "x" and "z" to code 1's rows and is updated in place to
+    the output's; returns the layout and the pairs (i, j) of weld-type
+    row indices.  contract keeps code-1 qubits and appends code 2's
+    unshared ones, so only gens2 is relabelled.  Each side's weld-type
+    rows are restricted to the shared qubits once, for both checks and
+    the pairing; a failed check raises WeldError with a witness, and
+    only a witness is unpacked here.  The weld-type output is each side's
+    rows that avoid the weld, in order, then one a ^ b ^ (a & mask) per
+    pair: the first row of each side with one restriction, ordered as
+    the restrictions' 0/1 arrays compare as bytes.
+
+    With both checks passed, two rows of one side share a restriction
+    only if they are equal (their product would avoid the weld), so a
+    repeated row is welded once, with its first copy.  The output needs
+    no check: this weld equals weld_oracle, whose output is the full
+    commutant of the adopted block, so k=0 inputs give a valid k=0 output.
+    """
+    layout = _layout(n1, gens2.n, ident)
+    n = layout.n
+    mask = _shared_mask(n, layout.shared)
+    other = "x" if kind == "z" else "z"
+    set2 = layout.embed_gens(gens2, 2)
+    split1 = _split(rows[kind], mask)
+    split2 = _split(gf2._pack(_typed_rows(set2, kind)), mask)
+    witness = _unmatched(split1, split2, kind, n)
+    if witness is not None:
+        raise WeldError(
+            "well_matched", witness, f"unmatched weld-touching generator: {witness}"
+        )
+    for side, split in ((1, split1), (2, split2)):
+        witness = _dependent(split, mask, kind, n)
+        if witness is not None:
+            raise WeldError(
+                "weld_independence",
+                witness,
+                f"code {side} generators multiply to identity on the weld: {witness}",
+            )
+    # bit q of a restriction is character q of its key
+    keys = sorted(split1.first, key=lambda r: format(r, f"0{n}b")[::-1])
+    pairs = [(split1.first[key], split2.first[key]) for key in keys]
+    welded = [split1.rows[i] ^ split2.rows[j] ^ (split1.rows[i] & mask) for i, j in pairs]
+    rows[kind] = split1.untouched + split2.untouched + welded
+    rows[other] += gf2._pack(_typed_rows(set2, other))
+    return layout, pairs
 
 
 @dataclass(frozen=True)
@@ -330,75 +379,52 @@ class WeldTrace:
         return tuple(e for e in self.entries if e.kind == "welded")
 
 
-def _assemble(
-    layout: WeldLayout,
-    set1: GeneratingSet,
-    set2: GeneratingSet,
-    kind: str,
-    split1: _Split,
-    split2: _Split,
-    pairs: list[tuple[int, int]],
-) -> tuple[GeneratingSet, WeldTrace]:
-    """Build the output blocks and the trace from a chosen pairing."""
+def _trace(layout: WeldLayout, kind: str, set1, set2, pairs) -> WeldTrace:
+    """The dense decomposition of weld's output on set1 and set2, row by row."""
     n = layout.n
-    weld1, weld2 = split1.rows, split2.rows
-    keep1, keep2 = (s.x_rows if kind == "z" else s.z_rows for s in (set1, set2))
-    un1, un2 = split1.untouched, split2.untouched
-    welded_list = [weld1[i] ^ weld2[j] ^ split1.on_weld[i] for i, j in pairs]
-    welded = np.array(welded_list, dtype=np.uint8).reshape(-1, n)
-    keep_rows = np.vstack([keep1, keep2])
-    weld_rows = np.vstack([weld1[un1], weld2[un2], welded])
-    if kind == "z":
-        gens = GeneratingSet(n, keep_rows, weld_rows)
-    else:
-        gens = GeneratingSet(n, weld_rows, keep_rows)
-
+    mask = layout.shared_mask()
     zero = np.zeros(n, dtype=np.uint8)
     identity = PauliOperator.identity(n)
 
-    def weld_op(bits):
-        return PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
+    def typed(bits, block):
+        return PauliOperator(n, bits, zero) if block == "x" else PauliOperator(n, zero, bits)
 
-    def keep_op(bits):
-        return PauliOperator(n, bits, zero) if kind == "z" else PauliOperator(n, zero, bits)
-
+    other = "x" if kind == "z" else "z"
+    weld1, weld2 = _typed_rows(set1, kind), _typed_rows(set2, kind)
+    # (label, block, side, rows): each of these rows sits alone in its side's slot
+    carried = [
+        ("adopted", other, 1, _typed_rows(set1, other)),
+        ("adopted", other, 2, _typed_rows(set2, other)),
+        ("untouched", kind, 1, weld1[~(weld1 & mask).any(axis=1)]),
+        ("untouched", kind, 2, weld2[~(weld2 & mask).any(axis=1)]),
+    ]
     entries: list[TraceEntry] = []
-    keep_block = "x" if kind == "z" else "z"
-    row = 0
-    for side, block in ((1, keep1), (2, keep2)):
-        for bits in block:
-            op = keep_op(bits)
-            entries.append(
-                TraceEntry(
-                    "adopted", keep_block, row, op,
-                    op if side == 1 else identity,
-                    op if side == 2 else identity,
-                    identity,
-                )
-            )
-            row += 1
-    row = 0
-    for side, rows, idxs in ((1, weld1, un1), (2, weld2, un2)):
-        for i in idxs:
-            op = weld_op(rows[i])
-            entries.append(
-                TraceEntry(
-                    "untouched", kind, row, op,
-                    op if side == 1 else identity,
-                    op if side == 2 else identity,
-                    identity,
-                )
-            )
-            row += 1
-    for (i, j), bits in zip(pairs, welded_list):
+    row = {"x": 0, "z": 0}
+    for label, block, side, rows in carried:
+        for bits in rows:
+            op = typed(bits, block)
+            parts = (op, identity) if side == 1 else (identity, op)
+            entries.append(TraceEntry(label, block, row[block], op, *parts, identity))
+            row[block] += 1
+    for i, j in pairs:
+        a, b, shared = weld1[i], weld2[j], weld1[i] & mask
         entries.append(
             TraceEntry(
-                "welded", kind, row, weld_op(bits),
-                weld_op(weld1[i]), weld_op(weld2[j]), weld_op(split1.on_weld[i]),
+                "welded", kind, row[kind], typed(a ^ b ^ shared, kind),
+                typed(a, kind), typed(b, kind), typed(shared, kind),
             )
         )
-        row += 1
-    return gens, WeldTrace(kind, layout, tuple(entries))
+        row[kind] += 1
+    return WeldTrace(kind, layout, tuple(entries))
+
+
+def _require_weldable(code: CssCode, label: str):
+    validate_or_raise(code)
+    if code.logicals:
+        raise ValidationError(f"{label} carries promoted logicals, fold them back first")
+    k = encoded_qubits(code)
+    if k != 0:
+        raise ValidationError(f"{label} encodes {k} qubits, welding needs zero")
 
 
 def _require_stabilizer_inputs(code1: CssCode, code2: CssCode):
@@ -408,13 +434,8 @@ def _require_stabilizer_inputs(code1: CssCode, code2: CssCode):
             None,
             "cannot weld a code object with itself; build a second copy to weld twins",
         )
-    for label, code in (("code 1", code1), ("code 2", code2)):
-        validate_or_raise(code)
-        if code.logicals:
-            raise ValidationError(f"{label} carries promoted logicals, fold them back first")
-        k = encoded_qubits(code)
-        if k != 0:
-            raise ValidationError(f"{label} encodes {k} qubits, welding needs zero")
+    _require_weldable(code1, "code 1")
+    _require_weldable(code2, "code 2")
 
 
 def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
@@ -432,31 +453,12 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     """
     kind = _norm_type(weld_type)
     _require_stabilizer_inputs(code1, code2)
-    layout, set1, set2 = contract(code1, code2, ident)
-    mask = layout.shared_mask()
-    split1 = _split(_weld_rows(set1, kind), mask)
-    split2 = _split(_weld_rows(set2, kind), mask)
-    witness = _unmatched(split1, split2, kind, layout.n)
-    if witness is not None:
-        raise WeldError(
-            "well_matched", witness, f"unmatched weld-touching generator: {witness}"
-        )
-    for side, split in ((1, split1), (2, split2)):
-        witness = _dependent(split, kind, layout.n)
-        if witness is not None:
-            raise WeldError(
-                "weld_independence",
-                witness,
-                f"code {side} generators multiply to identity on the weld: {witness}",
-            )
-    # With both checks passed, two rows of one side share a restriction
-    # only if they are equal (their product would avoid the weld), so a
-    # repeated row is welded once, with its first copy.
-    pairs = [(split1.first[key], split2.first[key]) for key in sorted(split1.first)]
-    # No output check: a welded row a ^ b ^ (a & mask) overlaps each adopted
-    # row of either side evenly, as a or b does, since b & mask == a & mask.
-    gens, trace = _assemble(layout, set1, set2, kind, split1, split2, pairs)
-    return CssCode(gens, (), None, trace)
+    rows = {"x": gf2._pack(code1.x_rows), "z": gf2._pack(code1.z_rows)}
+    layout, pairs = _weld_core(rows, code1.n, code2.gens, ident, kind)
+    n = layout.n
+    gens = GeneratingSet(n, gf2._unpack(rows["x"], n), gf2._unpack(rows["z"], n))
+    set1, set2 = layout.embed_gens(code1.gens, 1), layout.embed_gens(code2.gens, 2)
+    return CssCode(gens, (), None, _trace(layout, kind, set1, set2, pairs))
 
 
 def weld_oracle(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:

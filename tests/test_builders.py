@@ -1,8 +1,10 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import weldkit.builders as builders
 from weldkit.builders import (
     FlatRegionGraph,
     QubitPatch,
@@ -29,6 +31,7 @@ from weldkit.builders import (
 from weldkit.css import encoded_qubits, fold_logical, groups_equal, syndrome, validate
 from weldkit.errors import MetadataError, ValidationError
 from weldkit.pauli import PauliOperator
+from weldkit.welding import contract, weld_oracle
 
 
 def test_welding_chain_sizes():
@@ -304,6 +307,8 @@ def test_region_metadata_is_pinned(build, digest):
         (lambda: build_welded_solid(grid2d(2, 2), SolidSpec(2, 2, 2)), "b6ce6ced7db15e29"),
         (lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2)), "8b2778871c11c08c"),
         (lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(2, 2, 2)), "ea29614151c06b4c"),
+        (lambda: build_welded_solid(cubic(3, 3, 3), SolidSpec(1, 1, 2)), "c8951835645f4207"),
+        (lambda: build_welded_solid(cubic(4, 4, 4), SolidSpec(1, 1, 2)), "caac66c38de1884d"),
         (lambda: build_welded_surface(path(3), "rough", SurfaceSpec(2, 2)), "37440f63c85887e1"),
         (lambda: build_welded_surface(path(3), "rough", SurfaceSpec(3, 3)), "539359d86297fcfa"),
         (lambda: build_welded_surface(path(3), "smooth", SurfaceSpec(2, 2)), "abc040a5eb58020c"),
@@ -333,6 +338,7 @@ def test_region_metadata_is_pinned(build, digest):
     ids=[
         "solid-star3-1x1x2", "solid-star3-2x2x2", "solid-grid2x2-1x1x2",
         "solid-grid2x2-2x2x2", "solid-cubic2-1x1x2", "solid-cubic2-2x2x2",
+        "solid-cubic3-1x1x2", "solid-cubic4-1x1x2",
         "rough-path3-2x2", "rough-path3-3x3", "smooth-path3-2x2", "smooth-path3-3x3",
         "rough-star3-2x2", "rough-star3-3x3", "smooth-star3-2x2", "smooth-star3-3x3",
         "rough-grid3x3-2x2", "rough-grid3x3-3x3", "smooth-grid3x3-2x2",
@@ -341,6 +347,15 @@ def test_region_metadata_is_pinned(build, digest):
 )
 def test_welded_builds_are_pinned(build, digest):
     assert code_digest(build()) == digest
+
+
+def _count_core_welds(monkeypatch) -> list:
+    """Count calls of the weld core, through weld and from the builders."""
+    import weldkit.welding as welding
+
+    calls = _count_calls(monkeypatch, welding, "_weld_core")
+    monkeypatch.setattr(builders, "_weld_core", welding._weld_core)
+    return calls
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -357,45 +372,118 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, pieces",
     [
-        lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2)),
-        lambda: build_welded_surface(grid2d(3, 3), "rough", SurfaceSpec(2, 2)),
-        lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2)),
+        (lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2)), 12),
+        (lambda: build_welded_surface(grid2d(3, 3), "rough", SurfaceSpec(2, 2)), 12),
+        (lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2)), 3),
     ],
     ids=["solid", "rough-surface", "smooth-surface"],
 )
-def test_welded_builds_validate_each_code_once(monkeypatch, build):
-    # weld validates both of its inputs, and the builder validates its
-    # final code; a piece is validated by nothing else
-    import weldkit.builders as builders
+def test_welded_builds_validate_each_code_once(monkeypatch, build, pieces):
+    # each piece is validated once, as it is welded onto the assembly, and
+    # the builder validates its final code; the assembly itself never is
     import weldkit.css as css
 
-    welds = _count_calls(monkeypatch, builders, "weld")
+    welds = _count_core_welds(monkeypatch)
     validations = _count_calls(monkeypatch, css, "validate")
     build()
-    assert welds
-    assert len(validations) == 2 * len(welds) + 1
+    assert len(welds) == pieces
+    assert len(validations) == pieces + 1
 
 
 @pytest.mark.parametrize(
     "build, count",
     [
         # two welds make the five-qubit piece, once per build; then one
-        # weld per further column and one per further stacked row
-        (lambda: build_surface_by_welding(SurfaceSpec(5, 4)), 2 + 4 + 2),
-        (lambda: build_surface_by_welding(SurfaceSpec(3, 2)), 2 + 2),
+        # weld per column piece and one per stacked row piece, the first
+        # of each welded onto nothing
+        (lambda: build_surface_by_welding(SurfaceSpec(5, 4)), 2 + 5 + 3),
+        (lambda: build_surface_by_welding(SurfaceSpec(3, 2)), 2 + 3),
         # three-qubit, five-, seven-, eight- and thirteen-qubit rungs
-        (lambda: surface_welding_chain(), 1 + 2 + (2 + 1) + (2 + 1) + (2 + 1 + 1)),
+        (lambda: surface_welding_chain(), 1 + (2 + 1) + (2 + 1) + (2 + 2) + (2 + 2 + 2)),
     ],
     ids=["surface-5x4", "surface-3x2", "chain"],
 )
 def test_repeated_pieces_are_built_once(monkeypatch, build, count):
-    import weldkit.builders as builders
-
-    welds = _count_calls(monkeypatch, builders, "weld")
+    welds = _count_core_welds(monkeypatch)
     build()
     assert len(welds) == count
+
+
+def _oracle_along_graph(graph, make_piece, piece_ends, weld_type):
+    """The code _weld_along_graph builds, by weld_oracle one weld at a time."""
+    edges = builders._ordered_edges(graph)
+    # a piece object may serve several edges, and the oracle refuses to
+    # weld one object to itself
+    code = replace(make_piece(edges[0]))
+    vertex_qubits = dict(zip(edges[0], piece_ends))
+    for edge in edges[1:]:
+        piece = make_piece(edge)
+        pairs = [
+            pair
+            for vertex, end in zip(edge, piece_ends)
+            if vertex in vertex_qubits
+            for pair in zip(vertex_qubits[vertex], end)
+        ]
+        embed = contract(code, piece, pairs)[0].embed2
+        code = weld_oracle(code, piece, pairs, weld_type)
+        for vertex, end in zip(edge, piece_ends):
+            vertex_qubits.setdefault(vertex, [embed[q] for q in end])
+    return code
+
+
+def _assert_assemblies_match_the_oracle(monkeypatch, build):
+    real = builders._weld_along_graph
+    calls = []
+
+    def recording(*args):
+        asm = real(*args)
+        calls.append((args, asm.code))
+        return asm
+
+    monkeypatch.setattr(builders, "_weld_along_graph", recording)
+    build()
+    assert calls
+    for args, code in calls:
+        assert groups_equal(code, _oracle_along_graph(*args))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_welded_solid(cubic(3, 3, 3), SolidSpec(1, 1, 2)),
+        lambda: build_welded_surface(cubic(3, 3, 3), "smooth", SurfaceSpec(3, 3)),
+    ],
+    ids=["rough-solid", "smooth-surface"],
+)
+def test_packed_assembly_matches_the_oracle_on_cubic_graph(monkeypatch, build):
+    _assert_assemblies_match_the_oracle(monkeypatch, build)
+
+
+def _random_connected_graph(rng, size):
+    """A random spanning tree on size vertices plus a few random chords."""
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, size)}
+    for _ in range(int(rng.integers(0, size))):
+        u, v = sorted(int(q) for q in rng.choice(size, 2, replace=False))
+        edges.add((u, v))
+    order = rng.permutation(len(edges))
+    edges = sorted(edges)
+    return WeldGraph(tuple(range(size)), tuple(edges[i] for i in order))
+
+
+def test_packed_assembly_matches_the_oracle_on_random_graphs(monkeypatch):
+    rng = np.random.default_rng(17)
+    builds = (
+        lambda graph: build_welded_solid(graph, SolidSpec(1, 1, 2)),
+        lambda graph: build_welded_surface(graph, "rough", SurfaceSpec(2, 2)),
+        lambda graph: build_welded_surface(graph, "smooth", SurfaceSpec(2, 2)),
+    )
+    for _ in range(10):
+        for build in builds:
+            graph = _random_connected_graph(rng, int(rng.integers(2, 7)))
+            with monkeypatch.context() as patch:
+                _assert_assemblies_match_the_oracle(patch, lambda: build(graph))
 
 
 @pytest.mark.parametrize(

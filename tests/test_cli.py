@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +207,13 @@ def test_graph_file_with_an_isolated_vertex_is_a_clean_error(tmp_path, capsys):
     ])
     assert rc == 1
     assert "error: weld graph must be connected" in capsys.readouterr().err
+
+
+def test_sweep_table_matches_the_bench_reference(capsys):
+    # the benchmark's sweep workload checks the same table; its last
+    # column is the cell's seconds, which the reference leaves out
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.json"
+    want = json.loads(reference.read_text())
+    assert main(["sweep", "--max-size", "3", "--max-pieces", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == want

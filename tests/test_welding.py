@@ -384,6 +384,29 @@ def test_contract_range_checks():
         contract(build_two_qubit(), build_two_qubit(), [(0, 5)])
 
 
+def test_check_well_matched_rejects_sets_off_the_layout_register():
+    layout, set1, _ = contract(build_two_qubit(), build_two_qubit(), [(1, 0)])
+    bare = build_two_qubit().gens
+    with pytest.raises(ValidationError, match="set 2 acts on 2 qubits, the layout has 3"):
+        check_well_matched(set1, bare, layout, "z")
+    with pytest.raises(ValidationError, match="set 1 acts on 2 qubits, the layout has 3"):
+        check_well_matched(bare, set1, layout, "z")
+
+
+@pytest.mark.parametrize("pairs", [((1.7, 0),), ((1.0, 0),), ((0, "3"),), (("1", "0"),)])
+def test_identification_rejects_non_integers(pairs):
+    with pytest.raises(ValidationError, match="must be integers"):
+        QubitIdentification(pairs)
+    with pytest.raises(ValidationError, match="must be integers"):
+        weld(build_two_qubit(), build_two_qubit(), pairs, "z")
+
+
+def test_identification_accepts_numpy_integers():
+    ident = QubitIdentification(((np.int64(1), np.uint8(0)),))
+    assert ident.pairs == ((1, 0),)
+    assert all(type(q) is int for q in ident.pairs[0])
+
+
 def test_parse_identification_accepts_comments_and_blanks():
     ident = parse_identification("0 3\n# full line comment\n2 1  # trailing\n\n")
     assert ident.pairs == ((0, 3), (2, 1))
