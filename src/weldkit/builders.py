@@ -14,6 +14,8 @@ which the energy module turns into parity lower bounds.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +32,7 @@ from .css import (
 )
 from .errors import MetadataError, ValidationError
 from .pauli import PauliOperator
-from .welding import _require_weldable, _weld_core, weld
+from .welding import _require_weldable, _weld_core
 
 __all__ = [
     "SurfaceSpec",
@@ -250,9 +252,11 @@ class QubitPatch:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "qubits", tuple(sorted({int(q) for q in self.qubits}))
-        )
+        try:
+            qubits = sorted({operator.index(q) for q in self.qubits})
+        except TypeError:
+            raise ValidationError(f"{self.label}: qubits must be integers") from None
+        object.__setattr__(self, "qubits", tuple(qubits))
 
 
 @dataclass(frozen=True)
@@ -276,9 +280,11 @@ class FlatRegionGraph:
             raise ValidationError("particle_type must be 'x' or 'z'")
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        object.__setattr__(
-            self, "incidence", tuple(tuple(sorted(row)) for row in self.incidence)
-        )
+        try:
+            incidence = tuple(tuple(sorted(map(operator.index, row))) for row in self.incidence)
+        except TypeError:
+            raise ValidationError("incidence rows must hold integer boundary indices") from None
+        object.__setattr__(self, "incidence", incidence)
         if len(self.incidence) != len(self.regions):
             raise ValidationError("incidence must list boundaries per region")
         for row in self.incidence:
@@ -289,27 +295,22 @@ class FlatRegionGraph:
         for patch in self.regions + self.boundaries:
             if patch.qubits and not 0 <= patch.qubits[0] <= patch.qubits[-1] < self.n:
                 raise ValidationError(f"{patch.label}: qubit index out of range")
-        taken: set[int] = set()
-        for patch in self.boundaries:
-            overlap = taken.intersection(patch.qubits)
-            if overlap:
+        owner: dict[int, int] = {}  # qubit -> the boundary holding it
+        for b, patch in enumerate(self.boundaries):
+            if not owner.keys().isdisjoint(patch.qubits):
                 raise ValidationError(
                     f"boundary {patch.label} shares qubits with another boundary"
                 )
-            taken.update(patch.qubits)
-        touched: set[int] = set()
-        for r, (region, row) in enumerate(zip(self.regions, self.incidence)):
-            rq = set(region.qubits)
-            for b, boundary in enumerate(self.boundaries):
-                listed = b in row
-                meets = bool(rq.intersection(boundary.qubits))
-                if listed != meets:
-                    raise ValidationError(
-                        f"incidence of region {region.label} and boundary "
-                        f"{boundary.label} disagrees with their qubit sets"
-                    )
-            touched.update(row)
-        if len(touched) != len(self.boundaries):
+            owner.update(dict.fromkeys(patch.qubits, b))
+        for region, row in zip(self.regions, self.incidence):
+            met = {owner[q] for q in region.qubits if q in owner}
+            wrong = met.symmetric_difference(row)
+            if wrong:
+                raise ValidationError(
+                    f"incidence of region {region.label} and boundary "
+                    f"{self.boundaries[min(wrong)].label} disagrees with their qubit sets"
+                )
+        if len(set().union(*self.incidence)) != len(self.boundaries):
             raise ValidationError("every boundary must touch at least one region")
 
 
@@ -600,21 +601,8 @@ _FIVE_PERM = (0, 2, 1, 3, 4)
 
 def _rep3() -> CssCode:
     """Three-qubit piece from welding two two-qubit pieces at one qubit."""
-    a = build_two_qubit()
-    b = build_two_qubit()
-    return weld(a, b, [(1, 0)], "z")
-
-
-def _rep3_repicked() -> CssCode:
-    """Regenerate the three-qubit piece as {XXI, XIX, ZZZ}.
-
-    The replacement second generator keeps qubit 0 in both X rows, so a
-    later X-weld at qubit 1 touches exactly one generator per side.
-    """
-    code = _rep3()
-    x_rows = code.x_rows.copy()
-    x_rows[1] ^= x_rows[0]
-    return CssCode(GeneratingSet(code.n, x_rows, code.z_rows))
+    piece = build_two_qubit()
+    return _weld_along_graph(path(3), lambda edge: piece, ((0,), (1,)), "z").code
 
 
 def _row_index(rows: np.ndarray, support) -> int:
@@ -636,17 +624,21 @@ def _repick_x_rows(code: CssCode, new_rows: np.ndarray) -> CssCode:
 def _five_two_stars() -> CssCode:
     """Five-qubit patch, X string folded, generated by its stars and string.
 
-    Two three-qubit pieces weld into the left star and the top and bottom
-    strings; the bottom string is then replaced by the product of all
-    three rows, the right star.  On either side column the two touching
-    rows restrict to the whole column (a star) and its top qubit (the
-    string), so fives weld along a shared column with no re-pick, each
-    weld merging two stars into an interior one.  Joining two fives
-    along a column plus its rung keeps the three restrictions distinct
-    and independent as well.
+    Two-qubit pieces Z-welded at both their qubits 0 give the three-qubit
+    half {XXI, XIX, ZZZ}, whose X rows both hold qubit 0, so an X-weld of
+    two halves at qubit 1 touches one generator per side and makes the
+    left star and the top and bottom strings; the bottom string is then
+    replaced by the product of all three rows, the right star.  On
+    either side column the two touching rows restrict to the whole
+    column (a star) and its top qubit (the string), so fives weld along
+    a shared column with no re-pick, each weld merging two stars into an
+    interior one.  Joining two fives along a column plus its rung keeps
+    the three restrictions distinct and independent as well.
     """
-    half = _rep3_repicked()
-    code = permute_qubits(weld(half, replace(half), [(1, 1)], "x"), _FIVE_PERM)
+    two = build_two_qubit()
+    half = _weld_along_graph(path(3), lambda edge: two, ((0,), (0,)), "z").code
+    raw = _weld_along_graph(path(3), lambda edge: half, ((1,), (1,)), "x").code
+    code = permute_qubits(raw, _FIVE_PERM)
     x = code.x_rows.copy()
     bottom = _row_index(x, (3, 4))
     top = _row_index(x, (0, 1))
@@ -658,16 +650,15 @@ def _five_two_stars() -> CssCode:
 def _row_patch(width: int, height: int) -> CssCode:
     """build_surface(SurfaceSpec(width, height)) by X welds, height 1 or 2.
 
-    One piece, built once, is copied per column pair and the copies are
-    welded side by side: a two-qubit piece for one row, a five-qubit
-    piece for two.  The stars and the merged top
-    string are then re-picked as the X generating list, so the remaining
-    generators are exactly the stars, which the left-column partner
-    commutes with.
+    One piece, built once, serves every column pair, welded side by
+    side: a two-qubit piece for one row, a five-qubit piece for two.
+    The stars and the merged top string are then re-picked as the X
+    generating list, so the remaining generators are exactly the stars,
+    which the left-column partner commutes with.
     """
     lay = _Lattice(width, 0, height)
     piece = build_two_qubit() if height == 1 else _five_two_stars()
-    code = _weld_strips(lay, lambda edge: piece)
+    code = _weld_strips(lay, piece)
     code = _repick_x_rows(code, _lattice_gens(lay, "x").x_rows)
     left = PauliOperator.from_support(code.n, z=lay.column(0, 0))
     return promote_to_logical(code, "x", code.x_rows.shape[0] - 1, left)
@@ -706,7 +697,7 @@ def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
 def _seven_by_welding() -> CssCode:
     """Two five-qubit patches overlapping on a column and its rung."""
     five = _five_two_stars()
-    raw = weld(five, replace(five), [(1, 0), (2, 2), (4, 3)], "x")
+    raw = _weld_along_graph(path(3), lambda edge: five, ((0, 2, 3), (1, 2, 4)), "x").code
     partner = PauliOperator.from_support(raw.n, z=(0, 3))
     # the two top strings (0, 1) merge at qubit 1 into (0, 1, 5)
     return promote_to_logical(raw, "x", _row_index(raw.x_rows, (0, 1, 5)), partner)
@@ -812,10 +803,11 @@ def _weld_along_graph(
     both of its boundaries; piece_ends gives the two ordered boundary
     qubit tuples (first vertex, second vertex); one piece object may
     serve several edges.  The assembly is held in int rows from the first
-    piece (welded onto nothing) on, and unpacked once.  Each piece is
-    validated and ranked once and the assembly never: weld equals
-    weld_oracle, whose output is the full commutant of the adopted
-    block, so k=0 inputs give a valid k=0 output.
+    piece (welded onto nothing) on, and unpacked once.  Each distinct
+    piece object is validated and ranked once and the assembly never:
+    weld equals weld_oracle, whose output is the full commutant of the
+    adopted block, so k=0 inputs give a valid k=0 output.  Checked
+    pieces are held until the loop ends, so no id is reused meanwhile.
 
     The folded strings merge into one generator row, the union of every
     piece's string: _lift(asm, string support).  Once both weld checks
@@ -829,13 +821,16 @@ def _weld_along_graph(
     n = 0
     vertex_qubits: dict = {}
     embeddings = []
+    checked: dict = {}
     for edge in _ordered_edges(graph):
         piece = make_piece(edge)
+        if id(piece) not in checked:
+            _require_weldable(piece, "piece")
+            checked[id(piece)] = piece
         pairs = []
         for vertex, end in zip(edge, piece_ends):
             if vertex in vertex_qubits:
                 pairs.extend(zip(vertex_qubits[vertex], end))
-        _require_weldable(piece, "piece")
         layout = _weld_core(rows, n, piece.gens, pairs, weld_type)[0]
         n, embed = layout.n, layout.embed2
         for vertex, end in zip(edge, piece_ends):
@@ -851,18 +846,18 @@ def _lift(asm: _Assembly, support) -> set[int]:
     return {int(embed[q]) for _, embed in asm.piece_embeddings for q in support}
 
 
-def _weld_strips(lay: _Lattice, make_piece) -> CssCode:
+def _weld_strips(lay: _Lattice, piece: CssCode) -> CssCode:
     """Width-1 strips X-welded side by side into lay's canonical layout.
 
-    make_piece(edge) returns a _Lattice(1, 0, lay.dz) strip with its top
-    string folded.  One strip per edge of the column grid joins the two
-    columns of its edge, its rungs becoming hx edges along x and hy edges
-    along y; the merged top string is the row on lay.layer(0).
+    piece is a _Lattice(1, 0, lay.dz) strip with its top string folded.
+    On each edge of the column grid it joins the edge's two columns, its
+    rungs becoming hx edges along x and hy edges along y; the merged top
+    string is the row on lay.layer(0).
     """
     strip = _Lattice(1, 0, lay.dz)
     asm = _weld_along_graph(
         grid2d(lay.dx + 1, lay.dy + 1),
-        make_piece,
+        lambda edge: piece,
         (strip.column(0, 0), strip.column(1, 0)),
         "x",
     )
@@ -888,7 +883,7 @@ def _piece_region_graph(
         QubitPatch(f"boundary {v}", asm.vertex_qubits[v]) for v in graph.vertices
     )
     regions = tuple(
-        QubitPatch(f"{label} {u}-{v}", tuple(int(q) for q in embed))
+        QubitPatch(f"{label} {u}-{v}", embed)
         for (u, v), embed in asm.piece_embeddings
     )
     incidence = tuple((vindex[u], vindex[v]) for (u, v), _ in asm.piece_embeddings)
@@ -924,9 +919,8 @@ def build_welded_surface(
         weld_type, ends, string = "x", (left, right), top
         free_sides = (("rough top side", top), ("rough bottom side", bottom))
 
-    asm = _weld_along_graph(
-        graph, lambda edge: CssCode(_lattice_gens(lay, weld_type)), ends, weld_type
-    )
+    piece = CssCode(_lattice_gens(lay, weld_type))
+    asm = _weld_along_graph(graph, lambda edge: piece, ends, weld_type)
     code = asm.code
 
     first_boundary = asm.vertex_qubits[asm.piece_embeddings[0][0][0]]
@@ -1034,19 +1028,21 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
             "welding needs dz >= 2 so the two rough layers are distinct"
         )
     lay = _Lattice(spec.dx, spec.dy, spec.dz)
-    degree = {v: graph.degree(v) for v in graph.vertices}
+    shared = {v: graph.degree(v) >= 2 for v in graph.vertices}
 
-    def make_piece(edge) -> CssCode:
+    @functools.cache
+    def variant(top: bool, bottom: bool) -> CssCode:
+        # top and bottom say which of its rough layers meet other pieces;
         # the folded string is the last row, which the re-picks never touch
         piece = CssCode(_lattice_gens(lay, "z"))
-        if degree[edge[0]] >= 2:
+        if top:
             piece = _repick_solid_layer(piece, lay, 0)
-        if degree[edge[1]] >= 2:
+        if bottom:
             piece = _repick_solid_layer(piece, lay, spec.dz - 1)
         return piece
 
     ends = (lay.layer(0), lay.layer(spec.dz - 1))
-    asm = _weld_along_graph(graph, make_piece, ends, "z")
+    asm = _weld_along_graph(graph, lambda e: variant(shared[e[0]], shared[e[1]]), ends, "z")
 
     code = asm.code
     phantoms = _phantom_welded_faces(graph, asm, lay, spec)
@@ -1087,8 +1083,7 @@ def build_solid_by_welding(spec: SolidSpec) -> CssCode:
             "horizontal_plaquettes=False"
         )
     lay = _Lattice(spec.dx, spec.dy, spec.dz)
-    strip = _Lattice(1, 0, spec.dz)
-    code = _weld_strips(lay, lambda edge: CssCode(_lattice_gens(strip, "x")))
+    code = _weld_strips(lay, CssCode(_lattice_gens(_Lattice(1, 0, spec.dz), "x")))
     partner = PauliOperator.from_support(code.n, z=lay.column(0, 0))
     code = promote_to_logical(code, "x", _row_index(code.x_rows, lay.layer(0)), partner)
     code = replace(code, region_metadata=_solid_region_metadata(spec))

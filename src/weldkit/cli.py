@@ -61,6 +61,14 @@ FAMILIES = (
 SWEEP_STATE_CAP = 1 << 18
 
 
+def _open(path_arg: str, what: str, mode: str = "r"):
+    """open(path_arg, mode), a failure raised as a ValidationError naming the path."""
+    try:
+        return open(path_arg, mode)
+    except OSError as err:
+        raise ValidationError(f"cannot {what} {path_arg!r}: {err}")
+
+
 def _graph_from_spec(text: str):
     """A weld graph from 'path:n', 'star:n', 'grid:a,b', 'cubic:a,b,c',
     or else a file in the v/e line format."""
@@ -75,11 +83,8 @@ def _graph_from_spec(text: str):
         if len(nums) != arity:
             raise ValidationError(f"graph spec {head!r} takes {arity} size(s)")
         return maker(*nums)
-    try:
-        with open(text) as handle:
-            return parse_weld_graph(handle.read())
-    except OSError as err:
-        raise ValidationError(f"cannot read weld graph {text!r}: {err}")
+    with _open(text, "read weld graph") as handle:
+        return parse_weld_graph(handle.read())
 
 
 def _family_code(args):
@@ -135,10 +140,8 @@ def _add_family_options(parser, required: bool):
 
 def _load_code(path_arg: str):
     try:
-        with open(path_arg) as handle:
+        with _open(path_arg, "read code file") as handle:
             return loads(handle.read())
-    except OSError as err:
-        raise ValidationError(f"cannot read code file {path_arg!r}: {err}")
     except json.JSONDecodeError as err:
         raise ValidationError(f"bad JSON in {path_arg!r}: {err}")
 
@@ -155,7 +158,7 @@ def _code_for_analysis(args):
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
+        with _open(args.out, "write output file", "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -180,11 +183,8 @@ def cmd_build(args) -> int:
 def cmd_weld(args) -> int:
     code1 = _load_code(args.code1)
     code2 = _load_code(args.code2)
-    try:
-        with open(args.ident) as handle:
-            ident = parse_identification(handle.read())
-    except OSError as err:
-        raise ValidationError(f"cannot read identification {args.ident!r}: {err}")
+    with _open(args.ident, "read identification") as handle:
+        ident = parse_identification(handle.read())
     merged = weld(code1, code2, ident, args.type)
     _emit(args, dumps(merged, "json" if args.json else "text"))
     return 0

@@ -12,6 +12,7 @@ dimensions that trade barrier height against qubit count.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,7 +57,10 @@ class PauliWalk:
     steps: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        steps = tuple((int(q), str(kind)) for q, kind in self.steps)
+        try:
+            steps = tuple((operator.index(q), str(kind)) for q, kind in self.steps)
+        except TypeError:
+            raise ValidationError(f"walk qubits must be integers: {self.steps!r}") from None
         for q, kind in steps:
             if q < 0:
                 raise ValidationError(f"negative qubit {q} in walk")

@@ -28,7 +28,7 @@ from weldkit.builders import (
     star,
     surface_welding_chain,
 )
-from weldkit.css import encoded_qubits, fold_logical, groups_equal, syndrome, validate
+from weldkit.css import CssCode, encoded_qubits, fold_logical, groups_equal, syndrome, validate
 from weldkit.errors import MetadataError, ValidationError
 from weldkit.pauli import PauliOperator
 from weldkit.welding import contract, weld_oracle
@@ -372,43 +372,80 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize(
-    "build, pieces",
+    "build, pieces, distinct",
     [
-        (lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2)), 12),
-        (lambda: build_welded_surface(grid2d(3, 3), "rough", SurfaceSpec(2, 2)), 12),
-        (lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2)), 3),
+        # every vertex of cubic(2,2,2) meets three pieces: one end variant
+        (lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2)), 12, 1),
+        # the end pieces of a path meet others at one end, the middle at both
+        (lambda: build_welded_solid(path(4), SolidSpec(1, 1, 2)), 3, 3),
+        (lambda: build_welded_surface(grid2d(3, 3), "rough", SurfaceSpec(2, 2)), 12, 1),
+        (lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2)), 3, 1),
     ],
-    ids=["solid", "rough-surface", "smooth-surface"],
+    ids=["solid", "solid-path4", "rough-surface", "smooth-surface"],
 )
-def test_welded_builds_validate_each_code_once(monkeypatch, build, pieces):
-    # each piece is validated once, as it is welded onto the assembly, and
-    # the builder validates its final code; the assembly itself never is
+def test_welded_builds_validate_each_code_once(monkeypatch, build, pieces, distinct):
+    # each distinct piece object is built and validated once, however many
+    # edges it serves, and the builder validates its final code; the
+    # assembly itself never is
     import weldkit.css as css
 
     welds = _count_core_welds(monkeypatch)
     validations = _count_calls(monkeypatch, css, "validate")
     build()
     assert len(welds) == pieces
-    assert len(validations) == pieces + 1
+    assert len(validations) == distinct + 1
 
 
 @pytest.mark.parametrize(
-    "build, count",
+    "build, count, checks",
     [
-        # two welds make the five-qubit piece, once per build; then one
-        # weld per column piece and one per stacked row piece, the first
-        # of each welded onto nothing
-        (lambda: build_surface_by_welding(SurfaceSpec(5, 4)), 2 + 5 + 3),
-        (lambda: build_surface_by_welding(SurfaceSpec(3, 2)), 2 + 3),
-        # three-qubit, five-, seven-, eight- and thirteen-qubit rungs
-        (lambda: surface_welding_chain(), 1 + (2 + 1) + (2 + 1) + (2 + 2) + (2 + 2 + 2)),
+        # every loop welds its first piece onto nothing: two welds make
+        # the three-qubit half and two more the five-qubit piece, once
+        # per build; then one weld per column piece and one per stacked
+        # row piece.  Validated once each: the two-qubit piece, the half,
+        # the five-qubit piece, the stacked two-row piece, the final code
+        (lambda: build_surface_by_welding(SurfaceSpec(5, 4)), 4 + 5 + 3, 5),
+        (lambda: build_surface_by_welding(SurfaceSpec(3, 2)), 4 + 3, 4),
+        # three-qubit, five-, seven-, eight- and thirteen-qubit rungs; the
+        # seven-qubit rung validates no final code
+        (
+            lambda: surface_welding_chain(),
+            2 + (4 + 1) + (4 + 2) + (4 + 2) + (4 + 2 + 2),
+            1 + 4 + 3 + 4 + 5,
+        ),
     ],
     ids=["surface-5x4", "surface-3x2", "chain"],
 )
-def test_repeated_pieces_are_built_once(monkeypatch, build, count):
+def test_repeated_pieces_are_built_once(monkeypatch, build, count, checks):
+    # a piece object serves every edge of its loop and is validated once
+    import weldkit.css as css
+
     welds = _count_core_welds(monkeypatch)
+    validations = _count_calls(monkeypatch, css, "validate")
     build()
     assert len(welds) == count
+    assert len(validations) == checks
+
+
+def test_fresh_piece_objects_are_each_validated(monkeypatch):
+    # make_piece keeps no reference to its pieces, so a checked piece could
+    # be freed and its id reused by a later, unchecked one
+    import weldkit.css as css
+
+    class Padded(CssCode):
+        # a size no other object in the loop has, so a new piece gets the
+        # memory, and so the id, of the last piece freed
+        __slots__ = tuple(f"pad{i}" for i in range(40))
+
+    # _count_calls keeps the arguments, which would keep the pieces alive
+    validations = []
+    real = css.validate
+    monkeypatch.setattr(css, "validate", lambda code: validations.append(1) or real(code))
+    asm = builders._weld_along_graph(
+        path(9), lambda edge: Padded(build_two_qubit().gens), ((0,), (1,)), "z"
+    )
+    assert asm.code.n == 9
+    assert len(validations) == 8
 
 
 def _oracle_along_graph(graph, make_piece, piece_ends, weld_type):
@@ -519,6 +556,57 @@ def test_region_graph_rejects_incidence_outside_the_boundaries():
     regions = (QubitPatch("r0", (0, 1)), QubitPatch("r1", (1,)))
     with pytest.raises(ValidationError, match="boundary index"):
         FlatRegionGraph("x", 2, regions, boundaries, ((0, 1), (1, 9)))
+
+
+def test_region_graph_rejects_boundaries_that_share_a_qubit():
+    boundaries = (QubitPatch("b0", (0, 1)), QubitPatch("b1", (1, 2)))
+    regions = (QubitPatch("r0", (0, 1, 2)),)
+    with pytest.raises(ValidationError, match="boundary b1 shares qubits"):
+        FlatRegionGraph("x", 3, regions, boundaries, ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "incidence, region, boundary",
+    [
+        # r0 meets b1 and b2 without listing them; the lowest is named
+        (((0,), (2,)), "r0", "b1"),
+        # r1 lists b0, which it does not meet
+        (((0, 1, 2), (0, 2)), "r1", "b0"),
+    ],
+)
+def test_region_graph_rejects_incidence_that_disagrees_with_the_qubits(
+    incidence, region, boundary
+):
+    boundaries = tuple(QubitPatch(f"b{q}", (q,)) for q in range(3))
+    regions = (QubitPatch("r0", (0, 1, 2)), QubitPatch("r1", (2, 3)))
+    message = f"incidence of region {region} and boundary {boundary} disagrees"
+    with pytest.raises(ValidationError, match=message):
+        FlatRegionGraph("x", 4, regions, boundaries, incidence)
+
+
+def test_region_graph_rejects_a_boundary_that_touches_no_region():
+    boundaries = tuple(QubitPatch(f"b{q}", (q,)) for q in range(3))
+    regions = (QubitPatch("r0", (0, 1)),)
+    with pytest.raises(ValidationError, match="every boundary must touch"):
+        FlatRegionGraph("x", 3, regions, boundaries, ((0, 1),))
+
+
+@pytest.mark.parametrize("qubit", [1.7, 1.0, "3", None])
+def test_qubit_patches_take_integer_qubits_only(qubit):
+    with pytest.raises(ValidationError, match="integers"):
+        QubitPatch("a", (0, qubit))
+    assert QubitPatch("a", (np.int64(3), np.uint8(1), 3)).qubits == (1, 3)
+
+
+@pytest.mark.parametrize("index", [1.0, 0.5, "1"])
+def test_region_graph_takes_integer_incidence_only(index):
+    boundaries = tuple(QubitPatch(f"b{q}", (q,)) for q in range(2))
+    regions = (QubitPatch("r0", (0, 1)),)
+    with pytest.raises(ValidationError, match="integer"):
+        FlatRegionGraph("x", 2, regions, boundaries, ((0, index),))
+    graph = FlatRegionGraph("x", 2, regions, boundaries, ((np.int64(1), np.int32(0)),))
+    assert graph.incidence == ((0, 1),)
+    assert all(type(b) is int for b in graph.incidence[0])
 
 
 def test_region_metadata_missing_raises():

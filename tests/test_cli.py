@@ -180,6 +180,15 @@ def test_missing_file_is_a_clean_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_a_clean_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.txt"
+    assert main(["build", "--family", "two-qubit", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output file")
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_bad_graph_spec_is_a_clean_error(capsys):
     rc = main([
         "build", "--family", "welded-surface", "--graph", "blob:3",

@@ -54,6 +54,15 @@ def test_walk_barrier_replays_a_hand_walk():
         PauliWalk(((0, "q"),))
 
 
+@pytest.mark.parametrize("qubit", [1.7, 2.0, "2", None])
+def test_walks_take_integer_qubits_only(qubit):
+    with pytest.raises(ValidationError, match="integers"):
+        PauliWalk(((0, "x"), (qubit, "z")))
+    walk = PauliWalk(((np.int64(1), "x"), (np.uint16(2), "z")))
+    assert walk.steps == ((1, "x"), (2, "z"))
+    assert all(type(q) is int for q, _ in walk.steps)
+
+
 def test_repetition_barriers():
     code = build_repetition(5)
     phase = exact_barrier(code, code.logicals[0].z_rep, "z")

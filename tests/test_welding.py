@@ -14,6 +14,7 @@ from weldkit.builders import (
     build_welded_surface,
     path,
     star,
+    surface_welding_chain,
 )
 from weldkit.css import (
     CssCode,
@@ -200,7 +201,8 @@ def test_trace_requires_a_welded_code():
 
 def test_only_a_direct_weld_output_carries_a_trace():
     # a trace names the rows weld produced; a function that rewrites the
-    # rows drops it rather than keep a stale one
+    # rows drops it rather than keep a stale one, and the builders weld
+    # through their own loop, which makes none
     merged = golden_weld()
     promoted = css.promote_to_logical(merged, "x", 0)
     rewritten = [
@@ -208,6 +210,7 @@ def test_only_a_direct_weld_output_carries_a_trace():
         promoted,
         css.fold_logical(replace(promoted, weld_trace=merged.weld_trace), 0, "x"),
         build_welded_solid(star(3), SolidSpec(1, 1, 2)),
+        *(code for _, code in surface_welding_chain()),
     ]
     for code in rewritten:
         assert code.weld_trace is None
