@@ -112,7 +112,7 @@ class WeldGraph:
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
             raise ValidationError("duplicate vertex labels in weld graph")
-        undirected = set()
+        adjacent: dict = {v: set() for v in self.vertices}
         for edge in self.edges:
             if len(edge) != 2:
                 raise ValidationError(f"edge {edge!r} must have two endpoints")
@@ -121,13 +121,14 @@ class WeldGraph:
                 raise ValidationError(f"self-loop at {u!r} is not weldable")
             if u not in seen or v not in seen:
                 raise ValidationError(f"edge {edge!r} references unknown vertices")
-            key = frozenset((u, v))
-            if key in undirected:
+            if v in adjacent[u]:
                 raise ValidationError(f"duplicate edge {edge!r}")
-            undirected.add(key)
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        object.__setattr__(self, "_adjacent", adjacent)
 
     def degree(self, vertex) -> int:
-        return sum(1 for u, v in self.edges if vertex in (u, v))
+        return len(self._adjacent.get(vertex, ()))
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -135,14 +136,10 @@ class WeldGraph:
         todo = [self.vertices[0]]
         seen = {self.vertices[0]}
         while todo:
-            here = todo.pop()
-            for u, v in self.edges:
-                if here == u and v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-                elif here == v and u not in seen:
-                    seen.add(u)
-                    todo.append(u)
+            for w in self._adjacent[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
         return len(seen) == len(self.vertices)
 
 
@@ -364,12 +361,12 @@ def _one_region(kind: str, n: int, label: str, sides) -> FlatRegionGraph:
 # small builders
 
 
-def _rows(n: int, supports) -> np.ndarray:
-    mat = np.zeros((len(supports), n), dtype=np.uint8)
-    for i, support in enumerate(supports):
-        for q in support:
-            mat[i, q] ^= 1
-    return mat
+def _mask(support) -> int:
+    """A packed row with bit q toggled once per occurrence of q in support."""
+    row = 0
+    for q in support:
+        row ^= 1 << q
+    return row
 
 
 def build_two_qubit() -> CssCode:
@@ -382,8 +379,7 @@ def build_repetition(length: int) -> CssCode:
     """Length-n repetition code: XX on neighbors, logical Z across all."""
     if length < 2:
         raise ValidationError("repetition code needs at least 2 qubits")
-    x_rows = _rows(length, [(i, i + 1) for i in range(length - 1)])
-    gens = GeneratingSet(length, x_rows, np.zeros((0, length), np.uint8))
+    gens = GeneratingSet._packed(length, [3 << i for i in range(length - 1)], ())
     code = CssCode(
         gens,
         (
@@ -533,7 +529,7 @@ def _lattice_gens(lay: _Lattice, fold: str = "", horizontal: bool = False) -> Ge
         stars.append(lay.layer(0))
     elif fold == "z":
         faces.append(lay.column(0, 0))
-    return GeneratingSet(lay.n, _rows(lay.n, stars), _rows(lay.n, faces))
+    return GeneratingSet._packed(lay.n, map(_mask, stars), map(_mask, faces))
 
 
 def _lattice_code(lay: _Lattice, meta: dict, horizontal: bool = False) -> CssCode:
@@ -605,20 +601,19 @@ def _rep3() -> CssCode:
     return _weld_along_graph(path(3), lambda edge: piece, ((0,), (1,)), "z").code
 
 
-def _row_index(rows: np.ndarray, support) -> int:
-    """Index of the first row supported on exactly the given qubits."""
-    bits = _rows(rows.shape[1], [support])[0]
-    hits = np.nonzero((rows == bits[None, :]).all(axis=1))[0]
-    if len(hits) == 0:
-        raise ValidationError("no generator row has the expected support")
-    return int(hits[0])
+def _row_index(rows, support) -> int:
+    """Index of the first packed row supported on exactly the given qubits."""
+    try:
+        return rows.index(_mask(support))
+    except ValueError:
+        raise ValidationError("no generator row has the expected support") from None
 
 
-def _repick_x_rows(code: CssCode, new_rows: np.ndarray) -> CssCode:
+def _repick_x_rows(code: CssCode, new_rows) -> CssCode:
     """Swap in an equivalent X generating list, verified over GF(2)."""
-    if not gf2.row_spaces_equal(code.x_rows, new_rows):
+    if gf2._reduced(code.gens.x_packed) != gf2._reduced(new_rows):
         raise AssertionError("re-picked X rows generate a different group")
-    return CssCode(GeneratingSet(code.n, new_rows, code.z_rows))
+    return CssCode(GeneratingSet._packed(code.n, new_rows, code.gens.z_packed))
 
 
 def _five_two_stars() -> CssCode:
@@ -639,11 +634,11 @@ def _five_two_stars() -> CssCode:
     half = _weld_along_graph(path(3), lambda edge: two, ((0,), (0,)), "z").code
     raw = _weld_along_graph(path(3), lambda edge: half, ((1,), (1,)), "x").code
     code = permute_qubits(raw, _FIVE_PERM)
-    x = code.x_rows.copy()
+    x = list(code.gens.x_packed)
     bottom = _row_index(x, (3, 4))
     top = _row_index(x, (0, 1))
     star = _row_index(x, (0, 2, 3))
-    x[bottom] = x[bottom] ^ x[top] ^ x[star]
+    x[bottom] ^= x[top] ^ x[star]
     return _repick_x_rows(code, x)
 
 
@@ -659,9 +654,9 @@ def _row_patch(width: int, height: int) -> CssCode:
     lay = _Lattice(width, 0, height)
     piece = build_two_qubit() if height == 1 else _five_two_stars()
     code = _weld_strips(lay, piece)
-    code = _repick_x_rows(code, _lattice_gens(lay, "x").x_rows)
+    code = _repick_x_rows(code, _lattice_gens(lay, "x").x_packed)
     left = PauliOperator.from_support(code.n, z=lay.column(0, 0))
-    return promote_to_logical(code, "x", code.x_rows.shape[0] - 1, left)
+    return promote_to_logical(code, "x", len(code.gens.x_packed) - 1, left)
 
 
 def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
@@ -688,7 +683,7 @@ def build_surface_by_welding(spec: SurfaceSpec) -> CssCode:
         )
         top = PauliOperator.from_support(asm.code.n, x=row.layer(0))
         left = _lift(asm, row.column(0, 0))
-        code = promote_to_logical(asm.code, "z", _row_index(asm.code.z_rows, left), top)
+        code = promote_to_logical(asm.code, "z", _row_index(asm.code.gens.z_packed, left), top)
     code = replace(code, region_metadata=_surface_region_metadata(spec))
     validate_or_raise(code)
     return code
@@ -700,7 +695,7 @@ def _seven_by_welding() -> CssCode:
     raw = _weld_along_graph(path(3), lambda edge: five, ((0, 2, 3), (1, 2, 4)), "x").code
     partner = PauliOperator.from_support(raw.n, z=(0, 3))
     # the two top strings (0, 1) merge at qubit 1 into (0, 1, 5)
-    return promote_to_logical(raw, "x", _row_index(raw.x_rows, (0, 1, 5)), partner)
+    return promote_to_logical(raw, "x", _row_index(raw.gens.x_packed, (0, 1, 5)), partner)
 
 
 def surface_welding_chain() -> tuple[tuple[str, CssCode], ...]:
@@ -802,12 +797,12 @@ def _weld_along_graph(
     make_piece(edge) returns a k=0 piece whose folded string shows up at
     both of its boundaries; piece_ends gives the two ordered boundary
     qubit tuples (first vertex, second vertex); one piece object may
-    serve several edges.  The assembly is held in int rows from the first
-    piece (welded onto nothing) on, and unpacked once.  Each distinct
-    piece object is validated and ranked once and the assembly never:
-    weld equals weld_oracle, whose output is the full commutant of the
-    adopted block, so k=0 inputs give a valid k=0 output.  Checked
-    pieces are held until the loop ends, so no id is reused meanwhile.
+    serve several edges.  The assembly stays in packed rows from the
+    first piece (welded onto nothing) on.  Each distinct piece object is
+    validated and ranked once and the assembly never: weld equals
+    weld_oracle, whose output is the full commutant of the adopted
+    block, so k=0 inputs give a valid k=0 output.  Checked pieces are
+    held until the loop ends, so no id is reused meanwhile.
 
     The folded strings merge into one generator row, the union of every
     piece's string: _lift(asm, string support).  Once both weld checks
@@ -837,7 +832,7 @@ def _weld_along_graph(
             if vertex not in vertex_qubits:
                 vertex_qubits[vertex] = tuple(embed[q] for q in end)
         embeddings.append((edge, embed))
-    gens = GeneratingSet(n, gf2._unpack(rows["x"], n), gf2._unpack(rows["z"], n))
+    gens = GeneratingSet._packed(n, rows["x"], rows["z"])
     return _Assembly(CssCode(gens), vertex_qubits, embeddings)
 
 
@@ -926,10 +921,10 @@ def build_welded_surface(
     first_boundary = asm.vertex_qubits[asm.piece_embeddings[0][0][0]]
     if btype == "rough":
         partner = PauliOperator.from_support(code.n, x=first_boundary)
-        rows = code.z_rows
+        rows = code.gens.z_packed
     else:
         partner = PauliOperator.from_support(code.n, z=first_boundary)
-        rows = code.x_rows
+        rows = code.gens.x_packed
     index = _row_index(rows, _lift(asm, string))
     code = promote_to_logical(code, weld_type, index, partner)
 
@@ -963,20 +958,20 @@ def _repick_solid_layer(code: CssCode, lay: _Lattice, z: int) -> CssCode:
     the y edges at x=0) and multiplying each remaining y-edge plaquette
     by its comb cycle clears that plaquette off the layer entirely.
     """
-    z_rows = code.z_rows.copy()
+    z_rows = list(code.gens.z_packed)
     for y in range(lay.dy):
         for x in range(1, lay.dx + 1):
-            row = z_rows[lay.face_y_row(x, y, z)]
-            row ^= z_rows[lay.face_y_row(0, y, z)]
+            row = z_rows[lay.face_y_row(0, y, z)]
             for xp in range(x):
                 row ^= z_rows[lay.face_x_row(xp, y, z)]
                 row ^= z_rows[lay.face_x_row(xp, y + 1, z)]
-    return CssCode(GeneratingSet(code.n, code.x_rows, z_rows))
+            z_rows[lay.face_y_row(x, y, z)] ^= row
+    return CssCode(GeneratingSet._packed(code.n, code.gens.x_packed, z_rows))
 
 
 def _phantom_welded_faces(
     graph: WeldGraph, asm: _Assembly, lay: _Lattice, spec: SolidSpec
-) -> list[np.ndarray]:
+) -> list[int]:
     """Reconstruct the welded non-comb plaquettes dropped by re-picking.
 
     A weld of deg pieces would have produced, for each y-edge of the
@@ -998,14 +993,10 @@ def _phantom_welded_faces(
         layer = asm.vertex_qubits[vertex]
         for y in range(lay.dy):
             for x in range(1, lay.dx + 1):
-                bits = np.zeros(asm.code.n, dtype=np.uint8)
-                for embed, z in pieces:
-                    for q in lay.face_y_support(x, y, z):
-                        bits[int(embed[q])] ^= 1
+                row = _mask(embed[q] for embed, z in pieces for q in lay.face_y_support(x, y, z))
                 if len(pieces) % 2 == 0:
-                    bits[layer[y * (lay.dx + 1) + x]] ^= 1
-                    bits[layer[(y + 1) * (lay.dx + 1) + x]] ^= 1
-                rows.append(bits)
+                    row ^= _mask((layer[y * (lay.dx + 1) + x], layer[(y + 1) * (lay.dx + 1) + x]))
+                rows.append(row)
     return rows
 
 
@@ -1047,16 +1038,16 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     code = asm.code
     phantoms = _phantom_welded_faces(graph, asm, lay, spec)
     if phantoms:
-        basis = gf2._echelon(gf2._pack(code.z_rows))
-        if any(gf2._residual(basis, v) for v in gf2._pack(phantoms)):
+        basis = gf2._echelon(code.gens.z_packed)
+        if any(gf2._residual(basis, v) for v in phantoms):
             raise AssertionError("reconstructed plaquette left the group")
-        z_rows = np.vstack([code.z_rows] + [b[None, :] for b in phantoms])
-        code = CssCode(GeneratingSet(code.n, code.x_rows, z_rows))
+        z_rows = code.gens.z_packed + tuple(phantoms)
+        code = CssCode(GeneratingSet._packed(code.n, code.gens.x_packed, z_rows))
 
     first_embed = asm.piece_embeddings[0][1]
     membrane = PauliOperator.from_support(code.n, x=[first_embed[q] for q in lay.layer(0)])
     string = _lift(asm, lay.column(0, 0))
-    code = promote_to_logical(code, "z", _row_index(code.z_rows, string), membrane)
+    code = promote_to_logical(code, "z", _row_index(code.gens.z_packed, string), membrane)
 
     # Flat-Z columns and sheets of every piece fuse across the welds into
     # one column and one sheet each.
@@ -1085,7 +1076,7 @@ def build_solid_by_welding(spec: SolidSpec) -> CssCode:
     lay = _Lattice(spec.dx, spec.dy, spec.dz)
     code = _weld_strips(lay, CssCode(_lattice_gens(_Lattice(1, 0, spec.dz), "x")))
     partner = PauliOperator.from_support(code.n, z=lay.column(0, 0))
-    code = promote_to_logical(code, "x", _row_index(code.x_rows, lay.layer(0)), partner)
+    code = promote_to_logical(code, "x", _row_index(code.gens.x_packed, lay.layer(0)), partner)
     code = replace(code, region_metadata=_solid_region_metadata(spec))
     validate_or_raise(code)
     return code

@@ -192,13 +192,13 @@ def cmd_weld(args) -> int:
 
 def cmd_info(args) -> int:
     code = _load_code(args.code)
-    x_rank, z_rank = gf2.rank(code.x_rows), gf2.rank(code.z_rows)
+    x_rank, z_rank = len(gf2._echelon(code.gens.x_packed)), len(gf2._echelon(code.gens.z_packed))
     fields = {
         "qubits": code.n,
         "encoded": code.n - x_rank - z_rank,
-        "x_generators": int(code.x_rows.shape[0]),
+        "x_generators": len(code.gens.x_packed),
         "x_rank": x_rank,
-        "z_generators": int(code.z_rows.shape[0]),
+        "z_generators": len(code.gens.z_packed),
         "z_rank": z_rank,
         "logicals": [
             {

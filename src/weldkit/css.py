@@ -1,15 +1,17 @@
 """CSS stabilizer groups as GF(2) row spaces.
 
-A generating set keeps its X-type and Z-type generators in two separate
-bit matrices, one generator per row.  A code is a generating set plus
-any promoted logical classes.  Generator order is preserved everywhere
-and is part of the public identity of syndromes.
+A generating set keeps its X-type and Z-type generators in two blocks
+of packed rows (gf2's one row format), with read-only dense views.  A
+code is a generating set plus any promoted logical classes.  Generator
+order is preserved everywhere and is part of the public identity of
+syndromes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,28 +24,93 @@ from .pauli import PauliOperator, format_operator, parse_operator
 DISTANCE_RANK_CAP = 24
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GeneratingSet:
-    n: int
-    x_rows: np.ndarray
-    z_rows: np.ndarray
+    """X-type and Z-type generators on n qubits, one int per row, bit q = qubit q.
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_rows", gf2.as_matrix(self.x_rows, self.n))
-        object.__setattr__(self, "z_rows", gf2.as_matrix(self.z_rows, self.n))
-        for name, rows in (("x", self.x_rows), ("z", self.z_rows)):
-            if rows.shape[1] != self.n:
-                raise ValidationError(
-                    f"{name} generators have {rows.shape[1]} columns, expected {self.n}"
-                )
+    The constructor packs 0/1 array-likes once.  x_rows and z_rows are
+    (rows, n) uint8 views, made on first read and read-only so they
+    cannot drift from the packed rows.
+    """
+
+    n: int
+    x_packed: tuple[int, ...]
+    z_packed: tuple[int, ...]
+
+    def __init__(self, n: int, x_rows, z_rows):
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValidationError(f"qubit count must be a non-negative integer, got {n!r}")
+        n = int(n)
+        self.__dict__.update(
+            n=n, x_packed=_packed_block("x", x_rows, n), z_packed=_packed_block("z", z_rows, n)
+        )
+
+    @classmethod
+    def _packed(cls, n: int, x_packed, z_packed) -> GeneratingSet:
+        """A set from packed rows, each an int in [0, 1 << n)."""
+        gens = cls.__new__(cls)
+        gens.__dict__.update(n=n, x_packed=tuple(x_packed), z_packed=tuple(z_packed))
+        for row in gens.x_packed + gens.z_packed:
+            if not (isinstance(row, int) and 0 <= row and row.bit_length() <= n):
+                raise ValidationError(f"{row!r} is not a packed row on {n} qubits")
+        return gens
+
+    def __reduce__(self):  # copies and pickles rebuild the views read-only
+        return GeneratingSet._packed, (self.n, self.x_packed, self.z_packed)
+
+    @cached_property
+    def x_rows(self) -> np.ndarray:
+        return _view(self.x_packed, self.n)
+
+    @cached_property
+    def z_rows(self) -> np.ndarray:
+        return _view(self.z_packed, self.n)
+
+    def columns(self, kind: str) -> tuple[int, ...]:
+        """Per-qubit masks of one block, cached: bit i of entry q is bit q of row i."""
+        key = f"_{kind}_columns"
+        if key not in self.__dict__:
+            self.__dict__[key] = tuple(gf2._transpose(getattr(self, f"{kind}_packed"), self.n))
+        return self.__dict__[key]
 
     def x_ops(self) -> list[PauliOperator]:
-        zero = np.zeros(self.n, dtype=np.uint8)
-        return [PauliOperator(self.n, row, zero) for row in self.x_rows]
+        return [_row_operator(self.n, "x", row) for row in self.x_packed]
 
     def z_ops(self) -> list[PauliOperator]:
-        zero = np.zeros(self.n, dtype=np.uint8)
-        return [PauliOperator(self.n, zero, row) for row in self.z_rows]
+        return [_row_operator(self.n, "z", row) for row in self.z_packed]
+
+
+def _packed_block(name: str, rows, n: int) -> tuple[int, ...]:
+    """One generator block given as any 0/1 array-like, packed."""
+    try:
+        a = np.asarray(rows)
+        if not ((a == 0) | (a == 1)).all():
+            raise ValidationError(f"{name} generator entries must be 0 or 1")
+        a = gf2.as_matrix(a, n)
+    except ValueError as err:  # a ragged list or a block that is not 2-d
+        raise ValidationError(f"{name} generators do not form a matrix: {err}") from None
+    if a.shape[1] != n:
+        raise ValidationError(f"{name} generators have {a.shape[1]} columns, expected {n}")
+    return tuple(gf2._pack(a))
+
+
+def _view(rows: tuple[int, ...], n: int) -> np.ndarray:
+    view = gf2._unpack(list(rows), n)
+    view.flags.writeable = False
+    return view
+
+
+def _row_operator(n: int, kind: str, row: int) -> PauliOperator:
+    """The pure operator of type kind on the qubits of a packed row."""
+    bits = gf2._unpack([row], n)[0]
+    zero = np.zeros(n, dtype=np.uint8)
+    return PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
+
+
+def _anticommuting(rows, bits: np.ndarray) -> tuple[int, ...]:
+    """Indices of the packed rows that overlap a 0/1 vector on an odd count."""
+    v = gf2._pack(bits)[0]
+    return tuple(i for i, row in enumerate(rows) if (row & v).bit_count() & 1)
 
 
 @dataclass(frozen=True)
@@ -107,13 +174,15 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
     code = gens if isinstance(gens, CssCode) else None
     if code is not None:
         gens = code.gens
-    # z_masks[q] marks the z generators touching qubit q; XOR-ing them
+    # columns[q] marks the z generators touching qubit q; XOR-ing them
     # over an x row's support leaves the z generators it anticommutes with
-    z_masks = gf2._pack(gens.z_rows.T)
-    overlap = [0] * gens.x_rows.shape[0]
-    for i, q in zip(*(idx.tolist() for idx in np.nonzero(gens.x_rows))):
-        overlap[i] ^= z_masks[q]
-    for i, hits in enumerate(overlap):
+    z_masks = gens.columns("z")
+    for i, row in enumerate(gens.x_packed):
+        hits = 0
+        while row:
+            low = row & -row
+            hits ^= z_masks[low.bit_length() - 1]
+            row ^= low
         if hits:
             j = (hits & -hits).bit_length() - 1
             return CssViolation(
@@ -142,9 +211,9 @@ def _logical_violation(gens: GeneratingSet, logicals) -> CssViolation | None:
             return CssViolation(f"logical class {ci} representatives are not pure")
         if int(cls.x_rep.x_bits @ cls.z_rep.z_bits) % 2 == 0:
             return CssViolation(f"logical class {ci} representatives commute")
-        if (gens.z_rows @ cls.x_rep.x_bits % 2).any():
+        if _anticommuting(gens.z_packed, cls.x_rep.x_bits):
             return CssViolation(f"logical x rep of class {ci} anticommutes with a generator")
-        if (gens.x_rows @ cls.z_rep.z_bits % 2).any():
+        if _anticommuting(gens.x_packed, cls.z_rep.z_bits):
             return CssViolation(f"logical z rep of class {ci} anticommutes with a generator")
         # a stabilizer rep fails above: its overlap with a commuting partner is even
         for cj, other in enumerate(logicals):
@@ -165,7 +234,7 @@ def rank_gf2(gens: GeneratingSet | CssCode) -> int:
     """Dimension of the generated group as a GF(2) vector space."""
     if isinstance(gens, CssCode):
         gens = gens.gens
-    return gf2.rank(gens.x_rows) + gf2.rank(gens.z_rows)
+    return len(gf2._echelon(gens.x_packed)) + len(gf2._echelon(gens.z_packed))
 
 
 def encoded_qubits(code: CssCode | GeneratingSet) -> int:
@@ -179,8 +248,8 @@ def groups_equal(a, b) -> bool:
     gb = b.gens if isinstance(b, CssCode) else b
     if ga.n != gb.n:
         raise ValidationError(f"qubit count mismatch: {ga.n} vs {gb.n}")
-    return gf2.row_spaces_equal(ga.x_rows, gb.x_rows) and gf2.row_spaces_equal(
-        ga.z_rows, gb.z_rows
+    return gf2._reduced(ga.x_packed) == gf2._reduced(gb.x_packed) and (
+        gf2._reduced(ga.z_packed) == gf2._reduced(gb.z_packed)
     )
 
 
@@ -194,16 +263,9 @@ def syndrome(code: CssCode | GeneratingSet, error: PauliOperator) -> Syndrome:
     if error.n != gens.n:
         raise ValidationError(f"error on {error.n} qubits, code has {gens.n}")
     # a pure-X row is violated by the Z part of the error, and vice versa
-    vx = np.nonzero((gens.x_rows @ error.z_bits) % 2)[0]
-    vz = np.nonzero((gens.z_rows @ error.x_bits) % 2)[0]
-    return Syndrome(tuple(int(i) for i in vx), tuple(int(i) for i in vz))
-
-
-def _drop_row(rows: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= index < rows.shape[0]:
-        raise ValidationError(f"generator index {index} out of range")
-    keep = np.delete(rows, index, axis=0)
-    return keep, rows[index]
+    return Syndrome(
+        _anticommuting(gens.x_packed, error.z_bits), _anticommuting(gens.z_packed, error.x_bits)
+    )
 
 
 def promote_to_logical(
@@ -218,19 +280,16 @@ def promote_to_logical(
     checks them.  The weld trace is dropped, since the rows change.
     """
     n = code.n
-    if kind == "x":
-        remaining, row = _drop_row(code.x_rows, index)
-        gens = GeneratingSet(n, remaining, code.z_rows)
-        rep = PauliOperator(n, row, np.zeros(n, np.uint8))
-        in_rest = gf2.in_row_space(remaining, row)
-    elif kind == "z":
-        remaining, row = _drop_row(code.z_rows, index)
-        gens = GeneratingSet(n, code.x_rows, remaining)
-        rep = PauliOperator(n, np.zeros(n, np.uint8), row)
-        in_rest = gf2.in_row_space(remaining, row)
-    else:
+    if kind not in ("x", "z"):
         raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
-    if in_rest:
+    blocks = {"x": list(code.gens.x_packed), "z": list(code.gens.z_packed)}
+    remaining = blocks[kind]
+    if not 0 <= index < len(remaining):
+        raise ValidationError(f"generator index {index} out of range")
+    row = remaining.pop(index)
+    gens = GeneratingSet._packed(n, blocks["x"], blocks["z"])
+    rep = _row_operator(n, kind, row)
+    if not gf2._residual(gf2._echelon(remaining), row):
         raise ValidationError(
             f"{kind} generator {index} is dependent, removing it does not change the group"
         )
@@ -258,16 +317,14 @@ def fold_logical(code: CssCode, class_index: int, kind: str) -> CssCode:
         raise ValidationError(f"logical class {class_index} out of range")
     cls = code.logicals[class_index]
     logicals = code.logicals[:class_index] + code.logicals[class_index + 1 :]
+    x, z = code.gens.x_packed, code.gens.z_packed
     if kind == "x":
-        gens = GeneratingSet(
-            code.n, np.vstack([code.x_rows, cls.x_rep.x_bits]), code.z_rows
-        )
+        x += tuple(gf2._pack(cls.x_rep.x_bits))
     elif kind == "z":
-        gens = GeneratingSet(
-            code.n, code.x_rows, np.vstack([code.z_rows, cls.z_rep.z_bits])
-        )
+        z += tuple(gf2._pack(cls.z_rep.z_bits))
     else:
         raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
+    gens = GeneratingSet._packed(code.n, x, z)
     return CssCode(gens, logicals, code.region_metadata)
 
 
@@ -334,9 +391,9 @@ def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int
         raise ValidationError("distance needs at least one promoted logical class")
     results = []
     for kind in ("x", "z"):
-        rows = code.x_rows if kind == "x" else code.z_rows
-        reduced, _ = gf2.rref(rows)
-        r = reduced.shape[0]
+        rows = code.gens.x_packed if kind == "x" else code.gens.z_packed
+        stab_masks = [row for _, row in gf2._reduced(rows)]
+        r = len(stab_masks)
         k = len(code.logicals)
         if r + k > rank_cap:
             raise FeasibilityError(
@@ -344,7 +401,6 @@ def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int
                 required=r + k,
                 cap=rank_cap,
             )
-        stab_masks = gf2._pack(reduced)
         rep_masks = gf2._pack(
             [(c.x_rep.x_bits if kind == "x" else c.z_rep.z_bits) for c in code.logicals]
         )
@@ -372,7 +428,9 @@ def permute_qubits(code: CssCode, perm) -> CssCode:
     if sorted(perm) != list(range(n)):
         raise ValidationError("perm must be a permutation of all qubit indices")
     inv = np.argsort(perm)
-    gens = GeneratingSet(n, code.x_rows[:, inv], code.z_rows[:, inv])
+    gens = GeneratingSet._packed(
+        n, gf2._relabel(code.gens.x_packed, perm), gf2._relabel(code.gens.z_packed, perm)
+    )
 
     def move(op: PauliOperator) -> PauliOperator:
         return PauliOperator(n, op.x_bits[inv], op.z_bits[inv])
@@ -439,11 +497,7 @@ def from_text(text: str) -> CssCode:
     for op, tag in [(o, "Z") for o in zs] + [(o, "LZ") for o in lzs]:
         if not op.is_z_type:
             raise ValidationError(f"{tag} line holds a non-Z operator")
-    gens = GeneratingSet(
-        n,
-        np.array([o.x_bits for o in xs], np.uint8) if xs else np.zeros((0, n), np.uint8),
-        np.array([o.z_bits for o in zs], np.uint8) if zs else np.zeros((0, n), np.uint8),
-    )
+    gens = GeneratingSet(n, [o.x_bits for o in xs], [o.z_bits for o in zs])
     logicals = tuple(LogicalClass(x, z) for x, z in zip(lxs, lzs))
     return CssCode(gens, logicals)
 

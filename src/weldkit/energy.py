@@ -109,8 +109,8 @@ def walk_barrier(code: CssCode, walk: PauliWalk) -> int:
     rows are deliberately counted once each.
     """
     # vx[q] toggles the violation bits of every stored x row hitting q
-    vx = gf2._pack(code.x_rows.T)
-    vz = gf2._pack(code.z_rows.T)
+    vx = code.gens.columns("x")
+    vz = code.gens.columns("z")
     sx = sz = 0
     peak = 0
     for q, kind in walk.steps:
@@ -246,10 +246,10 @@ def exact_barrier(
         raise ValidationError(f"representative must be a pure {kind}-type operator")
     if syndrome(code, rep).count:
         raise ValidationError("representative violates the group")
-    same = code.z_rows if kind == "z" else code.x_rows
-    opp = code.x_rows if kind == "z" else code.z_rows
+    same = code.gens.z_packed if kind == "z" else code.gens.x_packed
+    opp = "x" if kind == "z" else "z"
     bits = rep.z_bits if kind == "z" else rep.x_bits
-    basis = gf2._echelon(gf2._pack(same))
+    basis = gf2._echelon(same)
     free = code.n - len(basis)
     if (1 << free) > cap:
         raise FeasibilityError(
@@ -262,7 +262,7 @@ def exact_barrier(
         raise ValidationError("representative is a stabilizer, not a logical")
     flips = [gf2._residual(basis, 1 << q) for q in range(code.n)]
     steps = [(q, kind) for q in range(code.n)]
-    return _bottleneck_search(gf2._pack(opp.T), flips, target, steps, "exact")
+    return _bottleneck_search(code.gens.columns(opp), flips, target, steps, "exact")
 
 
 def operator_barrier(
@@ -277,9 +277,9 @@ def operator_barrier(
     if op.n != code.n:
         raise ValidationError(f"operator is on {op.n} qubits, code has {code.n}")
     if op.is_z_type:
-        kind, bits, opp = "z", op.z_bits, code.x_rows
+        kind, bits, opp = "z", op.z_bits, "x"
     elif op.is_x_type:
-        kind, bits, opp = "x", op.x_bits, code.z_rows
+        kind, bits, opp = "x", op.x_bits, "z"
     else:
         raise ValidationError("operator must be pure x-type or pure z-type")
     if (1 << code.n) > cap:
@@ -288,7 +288,7 @@ def operator_barrier(
         )
     flips = [1 << q for q in range(code.n)]
     steps = [(q, kind) for q in range(code.n)]
-    return _bottleneck_search(gf2._pack(opp.T), flips, gf2._pack(bits)[0], steps, "exact")
+    return _bottleneck_search(code.gens.columns(opp), flips, gf2._pack(bits)[0], steps, "exact")
 
 
 def parity_lower_bound(

@@ -1,10 +1,11 @@
 """Linear algebra over GF(2).
 
-Matrices are 2-d numpy uint8 arrays with entries in {0, 1}; rows are
-vectors.  Functions never modify their arguments.  Inside, each row is
-packed into a Python int with bit q = column q, so a row operation is
-one XOR.  Rank and membership use a semi-echelon basis keyed by each
-row's lowest set bit; rref back-substitutes it to the unique reduced form.
+The package stores one row format: a Python int with bit q = column q,
+so a row operation is one XOR; the private helpers work on such packed
+rows.  Rank and membership use a semi-echelon basis keyed by each row's
+lowest set bit; _reduced back-substitutes it to the unique reduced form.
+The public functions take 2-d uint8 matrices with entries in {0, 1},
+pack them, and never modify their arguments.
 """
 
 from __future__ import annotations
@@ -45,6 +46,31 @@ def _unpack(rows: list[int], width: int) -> np.ndarray:
     data = b"".join(r.to_bytes(step, "little") for r in rows)
     packed = np.frombuffer(data, np.uint8).reshape(len(rows), step)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _relabel(rows, targets) -> list[int]:
+    """Each packed row with its bit q moved to bit targets[q]."""
+    out = []
+    for row in rows:
+        moved = 0
+        while row:
+            low = row & -row
+            moved |= 1 << targets[low.bit_length() - 1]
+            row ^= low
+        out.append(moved)
+    return out
+
+
+def _transpose(rows, width: int) -> list[int]:
+    """Packed columns of packed rows: bit i of entry q is bit q of rows[i]."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
 
 
 def _echelon(rows: list[int]) -> dict[int, int]:
@@ -172,3 +198,17 @@ def null_space(mat) -> np.ndarray:
 def row_spaces_equal(a, b) -> bool:
     a, b = as_matrix(a), as_matrix(b)
     return a.shape[1] == b.shape[1] and _reduced(_pack(a)) == _reduced(_pack(b))
+
+
+def _vanishing_subset(rows: list[int], mask: int, width: int) -> list[int]:
+    """Indices of packed rows whose sum is zero on mask but not outright.
+
+    Needs rank(row & mask for each row) < rank(rows).  The subset is
+    shrunk greedily against the full rows' dependencies, best effort.
+    """
+    full = _unpack(rows, width)
+    kernel_full = null_space(full.T)
+    kernel_weld = null_space((full & _unpack([mask], width)).T)
+    cand = next(c for c in kernel_weld if not in_row_space(kernel_full, c))
+    coeff = reduce_weight(reduce_vector(kernel_full, cand), kernel_full)
+    return np.flatnonzero(coeff).tolist()

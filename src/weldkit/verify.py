@@ -149,8 +149,11 @@ def random_weld_case(rng, max_side: int = 12):
     Returns (code1, code2, ident, weld_type).  Both sides share the
     same independent restriction patterns, so the matching and
     independence preconditions hold, and weld must agree with the
-    kernel oracle on the result.
+    kernel oracle on the result.  Each side needs room for up to three
+    shared qubits and one interior qubit, so max_side is at least 4.
     """
+    if max_side < 4:
+        raise ValidationError(f"max_side must be at least 4, got {max_side}")
     weld_type = "z" if rng.integers(0, 2) else "x"
     shared = int(rng.integers(1, 4))
     count = int(rng.integers(1, shared + 1))
@@ -201,6 +204,8 @@ def run_verification(
     seed: int = 0, rounds: int = 200, max_side: int = 12
 ) -> VerificationReport:
     """Golden welds, oracle agreement rounds, and rejection checks."""
+    if rounds < 0:
+        raise ValidationError(f"rounds must not be negative, got {rounds}")
     checks = _golden_checks()
     rng = np.random.default_rng(seed)
 

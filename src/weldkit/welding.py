@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .css import CssCode, GeneratingSet, encoded_qubits, validate_or_raise
+from .css import CssCode, GeneratingSet, _row_operator, encoded_qubits, validate_or_raise
 from .errors import MetadataError, ValidationError, WeldError
 from .pauli import PauliOperator, commutes, format_operator
 
@@ -117,22 +117,18 @@ class WeldLayout:
             return self.embed2
         raise ValidationError(f"side must be 1 or 2, got {side!r}")
 
-    def embed_rows(self, rows: np.ndarray, side: int) -> np.ndarray:
-        emb = np.asarray(self._embedding(side), dtype=np.int64)
-        rows = gf2.as_matrix(rows, emb.size)
-        out = np.zeros((rows.shape[0], self.n), dtype=np.uint8)
-        out[:, emb] = rows
-        return out
-
     def embed_gens(self, gens: GeneratingSet, side: int) -> GeneratingSet:
-        return GeneratingSet(
-            self.n, self.embed_rows(gens.x_rows, side), self.embed_rows(gens.z_rows, side)
+        emb = self._embedding(side)
+        if gens.n != len(emb):
+            raise ValidationError(f"set acts on {gens.n} qubits, side {side} has {len(emb)}")
+        return GeneratingSet._packed(
+            self.n, gf2._relabel(gens.x_packed, emb), gf2._relabel(gens.z_packed, emb)
         )
 
     def embed_operator(self, op: PauliOperator, side: int) -> PauliOperator:
-        xb = self.embed_rows(op.x_bits.reshape(1, -1), side)[0]
-        zb = self.embed_rows(op.z_bits.reshape(1, -1), side)[0]
-        return PauliOperator(self.n, xb, zb)
+        bits = np.zeros((2, self.n), dtype=np.uint8)
+        bits[:, self._embedding(side)] = (op.x_bits, op.z_bits)
+        return PauliOperator(self.n, *bits)
 
     def shared_mask(self) -> np.ndarray:
         return gf2._unpack([_shared_mask(self.n, self.shared)], self.n)[0]
@@ -170,15 +166,12 @@ def contract(
     return layout, layout.embed_gens(gens1, 1), layout.embed_gens(gens2, 2)
 
 
-def _typed_rows(gens: GeneratingSet, kind: str) -> np.ndarray:
-    return gens.z_rows if kind == "z" else gens.x_rows
+def _typed_rows(gens: GeneratingSet, kind: str) -> tuple[int, ...]:
+    return gens.z_packed if kind == "z" else gens.x_packed
 
 
 def _format_row(row: int, kind: str, n: int) -> str:
-    bits = gf2._unpack([row], n)[0]
-    zero = np.zeros(n, dtype=np.uint8)
-    op = PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
-    return format_operator(op)
+    return format_operator(_row_operator(n, kind, row))
 
 
 def _shared_mask(n: int, shared) -> int:
@@ -238,19 +231,7 @@ def _dependent(split: _Split, mask: int, kind: str, n: int):
     rows = [split.rows[i] for i in split.touching]
     if len(gf2._echelon([row & mask for row in rows])) == len(gf2._echelon(rows)):
         return None
-    # every dependency of the full rows also kills the restrictions, so
-    # rank deficit means some coefficient vector kills only the latter
-    full = gf2._unpack(rows, n)
-    on_weld = full & gf2._unpack([mask], n)
-    kernel_full = gf2.null_space(full.T)
-    kernel_weld = gf2.null_space(on_weld.T)
-    coeff = None
-    for cand in kernel_weld:
-        if not gf2.in_row_space(kernel_full, cand):
-            coeff = gf2.reduce_vector(kernel_full, cand)
-            break
-    coeff = gf2.reduce_weight(coeff, kernel_full)
-    chosen = np.flatnonzero(coeff).tolist()
+    chosen = gf2._vanishing_subset(rows, mask, n)
     product = functools.reduce(operator.xor, (rows[j] for j in chosen))
     return {
         "subset": tuple(split.touching[j] for j in chosen),
@@ -273,7 +254,7 @@ def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
     for side, gens in enumerate(sets, start=1):
         if gens.n != layout.n:
             raise ValidationError(f"set {side} acts on {gens.n} qubits, the layout has {layout.n}")
-    splits = (_split(gf2._pack(_typed_rows(gens, kind)), mask) for gens in sets)
+    splits = (_split(_typed_rows(gens, kind), mask) for gens in sets)
     witness = _unmatched(*splits, kind, layout.n)
     return witness is None, witness
 
@@ -292,7 +273,7 @@ def check_weld_independence(gens, shared, weld_type: str):
     if isinstance(gens, CssCode):
         gens = gens.gens
     mask = _shared_mask(gens.n, shared)
-    split = _split(gf2._pack(_typed_rows(gens, kind)), mask)
+    split = _split(_typed_rows(gens, kind), mask)
     witness = _dependent(split, mask, kind, gens.n)
     return witness is None, witness
 
@@ -303,10 +284,10 @@ def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     rows maps "x" and "z" to code 1's rows and is updated in place to
     the output's; returns the layout and the pairs (i, j) of weld-type
     row indices.  contract keeps code-1 qubits and appends code 2's
-    unshared ones, so only gens2 is relabelled.  Each side's weld-type
-    rows are restricted to the shared qubits once, for both checks and
-    the pairing; a failed check raises WeldError with a witness, and
-    only a witness is unpacked here.  The weld-type output is each side's
+    unshared ones, so only gens2's rows are relabelled, at a cost of
+    their weight.  Each side's weld-type rows are restricted to the
+    shared qubits once, for both checks and the pairing; a failed check
+    raises WeldError with a witness.  The weld-type output is each side's
     rows that avoid the weld, in order, then one a ^ b ^ (a & mask) per
     pair: the first row of each side with one restriction, ordered as
     the restrictions' 0/1 arrays compare as bytes.
@@ -321,9 +302,8 @@ def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     n = layout.n
     mask = _shared_mask(n, layout.shared)
     other = "x" if kind == "z" else "z"
-    set2 = layout.embed_gens(gens2, 2)
     split1 = _split(rows[kind], mask)
-    split2 = _split(gf2._pack(_typed_rows(set2, kind)), mask)
+    split2 = _split(gf2._relabel(_typed_rows(gens2, kind), layout.embed2), mask)
     witness = _unmatched(split1, split2, kind, n)
     if witness is not None:
         raise WeldError(
@@ -342,7 +322,7 @@ def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     pairs = [(split1.first[key], split2.first[key]) for key in keys]
     welded = [split1.rows[i] ^ split2.rows[j] ^ (split1.rows[i] & mask) for i, j in pairs]
     rows[kind] = split1.untouched + split2.untouched + welded
-    rows[other] += gf2._pack(_typed_rows(set2, other))
+    rows[other] += gf2._relabel(_typed_rows(gens2, other), layout.embed2)
     return layout, pairs
 
 
@@ -390,11 +370,11 @@ def _trace(layout: WeldLayout, kind: str, set1, set2, pairs) -> WeldTrace:
         return PauliOperator(n, bits, zero) if block == "x" else PauliOperator(n, zero, bits)
 
     other = "x" if kind == "z" else "z"
-    weld1, weld2 = _typed_rows(set1, kind), _typed_rows(set2, kind)
+    weld1, weld2 = getattr(set1, f"{kind}_rows"), getattr(set2, f"{kind}_rows")
     # (label, block, side, rows): each of these rows sits alone in its side's slot
     carried = [
-        ("adopted", other, 1, _typed_rows(set1, other)),
-        ("adopted", other, 2, _typed_rows(set2, other)),
+        ("adopted", other, 1, getattr(set1, f"{other}_rows")),
+        ("adopted", other, 2, getattr(set2, f"{other}_rows")),
         ("untouched", kind, 1, weld1[~(weld1 & mask).any(axis=1)]),
         ("untouched", kind, 2, weld2[~(weld2 & mask).any(axis=1)]),
     ]
@@ -453,10 +433,9 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     """
     kind = _norm_type(weld_type)
     _require_stabilizer_inputs(code1, code2)
-    rows = {"x": gf2._pack(code1.x_rows), "z": gf2._pack(code1.z_rows)}
+    rows = {"x": list(code1.gens.x_packed), "z": list(code1.gens.z_packed)}
     layout, pairs = _weld_core(rows, code1.n, code2.gens, ident, kind)
-    n = layout.n
-    gens = GeneratingSet(n, gf2._unpack(rows["x"], n), gf2._unpack(rows["z"], n))
+    gens = GeneratingSet._packed(layout.n, rows["x"], rows["z"])
     set1, set2 = layout.embed_gens(code1.gens, 1), layout.embed_gens(code2.gens, 2)
     return CssCode(gens, (), None, _trace(layout, kind, set1, set2, pairs))
 

@@ -108,8 +108,7 @@ def test_phantom_face_outside_the_group_is_caught(monkeypatch):
         assert faces
         # a lone Z anticommutes with the X generators on its qubit, so no
         # product of Z generators can equal it
-        stray = np.zeros(asm.code.n, dtype=np.uint8)
-        stray[int(np.nonzero(asm.code.x_rows[0])[0][0])] = 1
+        stray = 1 << int(np.nonzero(asm.code.x_rows[0])[0][0])
         return faces[:1] + [stray] + faces[1:]
 
     monkeypatch.setattr(builders, "_phantom_welded_faces", with_stray_face)
@@ -645,6 +644,26 @@ def test_graph_constructors():
     assert len(grid2d(2, 3).edges) == 2 * 2 + 3 * 1
     assert len(cubic(2, 2, 2).edges) == 12
     assert grid2d(3, 3).is_connected()
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cubic(4, 4, 4), star(3), WeldGraph((0, 1, 2, "lone"), ((0, 1), (2, 1)))],
+    ids=["cubic4", "star3", "isolated"],
+)
+def test_degree_and_connectivity_match_a_scan_of_every_edge(graph):
+    for vertex in graph.vertices:
+        assert graph.degree(vertex) == sum(vertex in edge for edge in graph.edges)
+    assert graph.degree("absent") == 0
+    # grow the component of the first vertex by rescanning every edge
+    seen, grew = {graph.vertices[0]}, True
+    while grew:
+        grew = False
+        for u, v in graph.edges:
+            if (u in seen) != (v in seen):
+                seen |= {u, v}
+                grew = True
+    assert graph.is_connected() == (len(seen) == len(graph.vertices))
 
 
 def test_weld_graph_validation():

@@ -133,6 +133,13 @@ def test_barrier_state_cap_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_rounds(capsys):
+    assert main(["verify", "--rounds", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rounds must not be negative")
+    assert "FAIL" not in captured.out
+
+
 def test_verify_is_deterministic_per_seed(tmp_path):
     first = tmp_path / "a.txt"
     second = tmp_path / "b.txt"

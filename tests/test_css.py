@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from weldkit.css import (
     validate,
     validate_or_raise,
 )
+from weldkit import gf2
 from weldkit.errors import ValidationError
 from weldkit.gf2 import null_space
 from weldkit.pauli import PauliOperator, multiply, parse_operator
@@ -276,3 +279,92 @@ def test_from_text_rejects_malformed():
         from_text("n=2 k=0\nX: XXX\n")
     with pytest.raises(ValidationError, match="negative"):
         from_text("n=-1 k=0\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_views_round_trip_the_packed_rows(n, rows):
+    rng = np.random.default_rng(n * 10 + rows)
+    x = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+    z = rng.integers(0, 2, size=(rows + 1, n), dtype=np.uint8)
+    dense = GeneratingSet(n, x, z)
+    packed = GeneratingSet._packed(n, dense.x_packed, dense.z_packed)
+    for gens in (dense, packed):
+        assert gens.x_rows.shape == (rows, n) and gens.z_rows.shape == (rows + 1, n)
+        assert gens.x_rows.dtype == np.uint8
+        assert gens.x_rows.tobytes() == x.tobytes()
+        assert gens.z_rows.tobytes() == z.tobytes()
+        assert gens.x_packed == tuple(sum(int(b) << q for q, b in enumerate(r)) for r in x)
+        assert list(gens.columns("x")) == gf2._pack(x.T)
+        assert list(gens.columns("z")) == gf2._pack(z.T)
+
+
+def test_views_are_read_only_and_cached():
+    gens = GeneratingSet(3, [[1, 1, 0]], [[1, 1, 1]])
+    assert gens.x_rows is gens.x_rows
+    with pytest.raises(ValueError):
+        gens.x_rows[0, 0] = 0
+    with pytest.raises(ValueError):
+        gens.z_rows[:] = 0
+    assert gens.x_packed == (0b011,) and gens.z_packed == (0b111,)
+    edited = gens.x_rows.copy()
+    edited[0, 0] = 0
+    assert gens.x_rows.tolist() == [[1, 1, 0]]
+    for clone in (pickle.loads(pickle.dumps(gens)), copy.deepcopy(gens)):
+        assert (clone.n, clone.x_packed, clone.z_packed) == (3, (0b011,), (0b111,))
+        with pytest.raises(ValueError):
+            clone.x_rows[0, 0] = 0
+
+
+@pytest.mark.parametrize("row", [1 << 3, -1, 1 << 70, 1.0, np.int64(1)])
+def test_packed_constructor_rejects_rows_off_the_register(row):
+    with pytest.raises(ValidationError, match="not a packed row"):
+        GeneratingSet._packed(3, [0b101], [row])
+
+
+@pytest.mark.parametrize(
+    "n, x_rows",
+    [
+        (1, [[-1]]),
+        (1, [[2]]),
+        (2, [[1, 0.5]]),
+        (2, [["1", "0"]]),
+        (1, [[[1]]]),
+        (2, [[1, 0], [1]]),
+        (2, [[1, 0, 1]]),
+        (-1, []),
+        (1.5, []),
+    ],
+    ids=["negative", "two", "fraction", "strings", "3-d", "ragged", "width", "n<0", "n-float"],
+)
+def test_malformed_generator_blocks_are_rejected(n, x_rows):
+    with pytest.raises(ValidationError):
+        GeneratingSet(n, x_rows, [])
+
+
+def test_array_likes_pack_as_before():
+    assert GeneratingSet(3, [], np.zeros((0, 5))).x_packed == ()
+    assert GeneratingSet(3, [1, 0, 1], [[True, True, False]]).x_packed == (0b101,)
+    assert GeneratingSet(2, [[1.0, 0.0]], []).x_packed == (0b01,)
+    assert GeneratingSet(np.int64(2), [[0, 1]], []).n == 2
+
+
+def test_syndrome_and_logical_checks_match_a_dense_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 70))
+        x = rng.integers(0, 2, size=(int(rng.integers(1, n + 1)), n), dtype=np.uint8)
+        z = null_space(x)
+        code = CssCode(GeneratingSet(n, x, z))
+        for _ in range(5):
+            xb, zb = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+            got = syndrome(code, PauliOperator(n, xb, zb))
+            assert got.violated_x == tuple(np.flatnonzero(x @ zb % 2))
+            assert got.violated_z == tuple(np.flatnonzero(z @ xb % 2))
+            # a class is accepted only if both reps commute with every generator
+            zero = np.zeros(n, np.uint8)
+            xr, zr = PauliOperator(n, xb, zero), PauliOperator(n, zero, zb)
+            if int(xb @ zb) % 2:
+                violation = validate(CssCode(code.gens, (LogicalClass(xr, zr),)))
+                clean = not (z @ xb % 2).any() and not (x @ zb % 2).any()
+                assert (violation is None) == clean

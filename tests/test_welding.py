@@ -26,7 +26,7 @@ from weldkit.css import (
 )
 from weldkit.errors import MetadataError, ValidationError, WeldError
 from weldkit.pauli import PauliOperator, format_operator, multiply, parse_operator
-from weldkit.verify import _spoiled_cases, random_weld_case
+from weldkit.verify import _spoiled_cases, random_weld_case, run_verification
 from weldkit.welding import (
     QubitIdentification,
     anticommuting_entries,
@@ -424,3 +424,18 @@ def test_parse_identification_rejects_malformed():
         parse_identification("0 1\n0 2\n")
     with pytest.raises(ValidationError):
         parse_identification("0 1\n2 1\n")
+
+
+def test_verification_rejects_bad_arguments():
+    with pytest.raises(ValidationError, match="rounds"):
+        run_verification(rounds=-1)
+    with pytest.raises(ValidationError, match="max_side"):
+        run_verification(rounds=1, max_side=3)
+    with pytest.raises(ValidationError, match="max_side"):
+        random_weld_case(np.random.default_rng(0), max_side=3)
+    # the smallest side that always fits three shared qubits and an interior one
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        code1, code2, ident, weld_type = random_weld_case(rng, max_side=4)
+        merged = weld(code1, code2, ident, weld_type)
+        assert groups_equal(merged, weld_oracle(code1, code2, ident, weld_type))
