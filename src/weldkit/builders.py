@@ -801,8 +801,7 @@ def _weld_along_graph(
     first piece (welded onto nothing) on.  Each distinct piece object is
     validated and ranked once and the assembly never: weld equals
     weld_oracle, whose output is the full commutant of the adopted
-    block, so k=0 inputs give a valid k=0 output.  Checked pieces are
-    held until the loop ends, so no id is reused meanwhile.
+    block, so k=0 inputs give a valid k=0 output.
 
     The folded strings merge into one generator row, the union of every
     piece's string: _lift(asm, string support).  Once both weld checks
@@ -816,12 +815,9 @@ def _weld_along_graph(
     n = 0
     vertex_qubits: dict = {}
     embeddings = []
-    checked: dict = {}
     for edge in _ordered_edges(graph):
         piece = make_piece(edge)
-        if id(piece) not in checked:
-            _require_weldable(piece, "piece")
-            checked[id(piece)] = piece
+        _require_weldable(piece, "piece")
         pairs = []
         for vertex, end in zip(edge, piece_ends):
             if vertex in vertex_qubits:

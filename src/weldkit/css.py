@@ -343,27 +343,20 @@ def anticommuting_partner(code: CssCode, logical_rep: PauliOperator) -> PauliOpe
             f"representative acts on {logical_rep.n} qubits, the code has {n}"
         )
     if logical_rep.is_x_type and not logical_rep.is_identity:
-        same_rows = [code.x_rows]
-        same_bits = logical_rep.x_bits
-        other_reps = [c.x_rep.x_bits for c in code.logicals]
+        kind, bits, reps = "x", logical_rep.x_bits, [c.x_rep.x_bits for c in code.logicals]
     elif logical_rep.is_z_type and not logical_rep.is_identity:
-        same_rows = [code.z_rows]
-        same_bits = logical_rep.z_bits
-        other_reps = [c.z_rep.z_bits for c in code.logicals]
+        kind, bits, reps = "z", logical_rep.z_bits, [c.z_rep.z_bits for c in code.logicals]
     else:
         raise ValidationError("representative must be pure and nontrivial")
+    same = gf2._pack(bits)[0]
     # drop the class whose representative we are pairing, if present
-    other_reps = [r for r in other_reps if not np.array_equal(r, same_bits)]
-    constraints = np.vstack(same_rows + [np.array(other_reps).reshape(-1, n)] + [same_bits])
-    targets = np.zeros(constraints.shape[0], np.uint8)
-    targets[-1] = 1
-    v = gf2.solve(constraints, targets)
+    others = [rep for rep in (gf2._pack(r)[0] for r in reps) if rep != same]
+    constraints = [*getattr(code.gens, f"{kind}_packed"), *others, same]
+    v = gf2._solve(constraints, 1 << len(constraints) - 1, n)
     if v is None:
         raise ValidationError("no anticommuting partner exists, the input is not logical")
-    v = gf2.reduce_weight(v, gf2.null_space(constraints))
-    if logical_rep.is_x_type:
-        return PauliOperator(n, np.zeros(n, np.uint8), v)
-    return PauliOperator(n, v, np.zeros(n, np.uint8))
+    v = gf2._reduce_weight(v, gf2._kernel(constraints, n))
+    return _row_operator(n, "z" if kind == "x" else "x", v)
 
 
 def _coset_min_weight(base: int, reduced_masks: list[int]) -> int:

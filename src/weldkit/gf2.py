@@ -3,9 +3,10 @@
 The package stores one row format: a Python int with bit q = column q,
 so a row operation is one XOR; the private helpers work on such packed
 rows.  Rank and membership use a semi-echelon basis keyed by each row's
-lowest set bit; _reduced back-substitutes it to the unique reduced form.
-The public functions take 2-d uint8 matrices with entries in {0, 1},
-pack them, and never modify their arguments.
+lowest set bit; _reduced back-substitutes it to the unique reduced form,
+from which _solve reads a solution and _kernel a kernel basis, both on
+packed rows.  The public functions take 2-d uint8 matrices with entries
+in {0, 1}, pack them, and never modify their arguments.
 """
 
 from __future__ import annotations
@@ -108,6 +109,45 @@ def _reduced(rows: list[int]) -> list[tuple[int, int]]:
     return [(low.bit_length() - 1, done[low]) for low in sorted(done)]
 
 
+def _kernel(rows, width: int) -> list[int]:
+    """Packed basis of {x : every row & x has even weight}, x below 1 << width.
+
+    One vector per free column f of the reduced rows, in ascending f: bit
+    f plus the pivot bit of every reduced row that has bit f.
+    """
+    red = _reduced(rows)
+    pivots = [c for c, _ in red]
+    cols = _transpose([row for _, row in red], width)
+    free = sorted(set(range(width)).difference(pivots))
+    return [(1 << f) | m for f, m in zip(free, _relabel([cols[f] for f in free], pivots))]
+
+
+def _solve(rows, target: int, width: int) -> int | None:
+    """Packed x with row i & x of weight parity bit i of target, or None.
+
+    Free columns are zero: x has bit c for each reduced row of the rows
+    augmented by their target bit at column width that has that bit set.
+    """
+    x = 0
+    for c, row in _reduced([row | (target >> i & 1) << width for i, row in enumerate(rows)]):
+        if c == width:
+            return None
+        x |= (row >> width & 1) << c
+    return x
+
+
+def _reduce_weight(v: int, rows) -> int:
+    """v plus rows, added in order while one makes it strictly lighter."""
+    improved = True
+    while improved:
+        improved = False
+        for row in rows:
+            if (v ^ row).bit_count() < v.bit_count():
+                v ^= row
+                improved = True
+    return v
+
+
 def rref(mat) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 
@@ -142,14 +182,8 @@ def solve(a, b) -> np.ndarray | None:
     """
     a = as_matrix(a)
     rows, cols = a.shape
-    b = as_vector(b, rows)
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    x = np.zeros(cols, dtype=np.uint8)
-    for c, row in _reduced(_pack(aug)):
-        if c == cols:
-            return None
-        x[c] = row >> cols & 1
-    return x
+    x = _solve(_pack(a), _pack(as_vector(b, rows)[None])[0], cols)
+    return None if x is None else _unpack([x], cols)[0]
 
 
 def express_in_rows(mat, vec) -> np.ndarray | None:
@@ -169,30 +203,13 @@ def reduce_weight(vec, mat) -> np.ndarray:
     weight, until a pass adds none; the result need not be of least weight.
     """
     v = as_vector(vec)
-    rows = as_matrix(mat, v.size)
-    improved = True
-    while improved:
-        improved = False
-        for row in rows:
-            candidate = v ^ row
-            if int(candidate.sum()) < int(v.sum()):
-                v = candidate
-                improved = True
-    return v
+    return _unpack([_reduce_weight(_pack(v[None])[0], _pack(as_matrix(mat, v.size)))], v.size)[0]
 
 
 def null_space(mat) -> np.ndarray:
     """Rows form a basis of the right kernel {x : mat @ x == 0 (mod 2)}."""
     a = as_matrix(mat)
-    red, pivots = rref(a)
-    pivots = np.asarray(pivots, dtype=np.intp)
-    is_free = np.ones(a.shape[1], dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, a.shape[1]), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = red[:, free].T
-    return basis
+    return _unpack(_kernel(_pack(a), a.shape[1]), a.shape[1])
 
 
 def row_spaces_equal(a, b) -> bool:
@@ -206,9 +223,9 @@ def _vanishing_subset(rows: list[int], mask: int, width: int) -> list[int]:
     Needs rank(row & mask for each row) < rank(rows).  The subset is
     shrunk greedily against the full rows' dependencies, best effort.
     """
-    full = _unpack(rows, width)
-    kernel_full = null_space(full.T)
-    kernel_weld = null_space((full & _unpack([mask], width)).T)
-    cand = next(c for c in kernel_weld if not in_row_space(kernel_full, c))
-    coeff = reduce_weight(reduce_vector(kernel_full, cand), kernel_full)
-    return np.flatnonzero(coeff).tolist()
+    kernel_full = _kernel(_transpose(rows, width), len(rows))
+    kernel_weld = _kernel(_transpose([row & mask for row in rows], width), len(rows))
+    basis = _echelon(kernel_full)
+    cand = next(c for c in kernel_weld if _residual(basis, c))
+    coeff = _reduce_weight(_residual(basis, cand), kernel_full)
+    return [i for i in range(len(rows)) if coeff >> i & 1]

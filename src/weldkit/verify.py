@@ -136,11 +136,11 @@ def _weld_side(rng, patterns, shared_positions, n: int, weld_type: str) -> CssCo
         row[interior] = rng.integers(0, 2, size=len(interior), dtype=np.uint8)
         if row.any():
             rows.append(row)
-    patterned = np.array(rows, dtype=np.uint8)
-    kernel = gf2.null_space(patterned)
+    patterned = gf2._pack(rows)
+    kernel = gf2._kernel(patterned, n)
     if weld_type == "z":
-        return CssCode(GeneratingSet(n, kernel, patterned))
-    return CssCode(GeneratingSet(n, patterned, kernel))
+        return CssCode(GeneratingSet._packed(n, kernel, patterned))
+    return CssCode(GeneratingSet._packed(n, patterned, kernel))
 
 
 def random_weld_case(rng, max_side: int = 12):

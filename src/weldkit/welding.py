@@ -130,9 +130,6 @@ class WeldLayout:
         bits[:, self._embedding(side)] = (op.x_bits, op.z_bits)
         return PauliOperator(self.n, *bits)
 
-    def shared_mask(self) -> np.ndarray:
-        return gf2._unpack([_shared_mask(self.n, self.shared)], self.n)[0]
-
 
 def _layout(n1: int, n2: int, ident) -> WeldLayout:
     pair_map: dict[int, int] = {}
@@ -282,15 +279,16 @@ def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     """Weld gens2 onto an n1-qubit code held as int rows, bit q = qubit q.
 
     rows maps "x" and "z" to code 1's rows and is updated in place to
-    the output's; returns the layout and the pairs (i, j) of weld-type
-    row indices.  contract keeps code-1 qubits and appends code 2's
-    unshared ones, so only gens2's rows are relabelled, at a cost of
-    their weight.  Each side's weld-type rows are restricted to the
-    shared qubits once, for both checks and the pairing; a failed check
-    raises WeldError with a witness.  The weld-type output is each side's
-    rows that avoid the weld, in order, then one a ^ b ^ (a & mask) per
-    pair: the first row of each side with one restriction, ordered as
-    the restrictions' 0/1 arrays compare as bytes.
+    the output's; returns the layout, the pairs (i, j) of weld-type row
+    indices, and gens2's rows on the output register as a map like rows.
+    contract keeps code-1 qubits and appends code 2's unshared ones, so
+    only gens2's rows are relabelled, at a cost of their weight.  Each
+    side's weld-type rows are restricted to the shared qubits once, for
+    both checks and the pairing; a failed check raises WeldError with a
+    witness.  The weld-type output is each side's rows that avoid the
+    weld, in order, then one a ^ b ^ (a & mask) per pair: the first row
+    of each side with one restriction, ordered as the restrictions' 0/1
+    arrays compare as bytes.
 
     With both checks passed, two rows of one side share a restriction
     only if they are equal (their product would avoid the weld), so a
@@ -302,8 +300,9 @@ def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     n = layout.n
     mask = _shared_mask(n, layout.shared)
     other = "x" if kind == "z" else "z"
+    rows2 = {kind: gf2._relabel(_typed_rows(gens2, kind), layout.embed2)}
     split1 = _split(rows[kind], mask)
-    split2 = _split(gf2._relabel(_typed_rows(gens2, kind), layout.embed2), mask)
+    split2 = _split(rows2[kind], mask)
     witness = _unmatched(split1, split2, kind, n)
     if witness is not None:
         raise WeldError(
@@ -322,8 +321,9 @@ def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     pairs = [(split1.first[key], split2.first[key]) for key in keys]
     welded = [split1.rows[i] ^ split2.rows[j] ^ (split1.rows[i] & mask) for i, j in pairs]
     rows[kind] = split1.untouched + split2.untouched + welded
-    rows[other] += gf2._relabel(_typed_rows(gens2, other), layout.embed2)
-    return layout, pairs
+    rows2[other] = gf2._relabel(_typed_rows(gens2, other), layout.embed2)
+    rows[other] += rows2[other]
+    return layout, pairs, rows2
 
 
 @dataclass(frozen=True)
@@ -359,52 +359,67 @@ class WeldTrace:
         return tuple(e for e in self.entries if e.kind == "welded")
 
 
-def _trace(layout: WeldLayout, kind: str, set1, set2, pairs) -> WeldTrace:
-    """The dense decomposition of weld's output on set1 and set2, row by row."""
+def _trace(
+    layout: WeldLayout, kind: str, gens1: GeneratingSet, rows2: dict, pairs
+) -> WeldTrace:
+    """The dense decomposition of weld's output, row by row.
+
+    gens1 is code 1, whose rows keep their bits on the output register;
+    rows2 maps "x" and "z" to code 2's rows there, as _weld_core returns it.
+    """
     n = layout.n
-    mask = layout.shared_mask()
+    mask = _shared_mask(n, layout.shared)
+    other = "x" if kind == "z" else "z"
+    weld1, weld2 = _typed_rows(gens1, kind), rows2[kind]
+    # (label, block, side, rows): each of these rows sits alone in its side's slot
+    carried = [
+        ("adopted", other, 1, _typed_rows(gens1, other)),
+        ("adopted", other, 2, rows2[other]),
+        ("untouched", kind, 1, [row for row in weld1 if not row & mask]),
+        ("untouched", kind, 2, [row for row in weld2 if not row & mask]),
+    ]
+    flat = [row for *_, rows in carried for row in rows]
+    for i, j in pairs:
+        a, b = weld1[i], weld2[j]
+        flat += (a ^ b ^ (a & mask), a, b, a & mask)
+    # typed() takes the rows' bits in this order
+    bits = iter(gf2._unpack(flat, n))
     zero = np.zeros(n, dtype=np.uint8)
     identity = PauliOperator.identity(n)
 
-    def typed(bits, block):
-        return PauliOperator(n, bits, zero) if block == "x" else PauliOperator(n, zero, bits)
+    def typed(block):
+        row = next(bits)
+        return PauliOperator(n, row, zero) if block == "x" else PauliOperator(n, zero, row)
 
-    other = "x" if kind == "z" else "z"
-    weld1, weld2 = getattr(set1, f"{kind}_rows"), getattr(set2, f"{kind}_rows")
-    # (label, block, side, rows): each of these rows sits alone in its side's slot
-    carried = [
-        ("adopted", other, 1, getattr(set1, f"{other}_rows")),
-        ("adopted", other, 2, getattr(set2, f"{other}_rows")),
-        ("untouched", kind, 1, weld1[~(weld1 & mask).any(axis=1)]),
-        ("untouched", kind, 2, weld2[~(weld2 & mask).any(axis=1)]),
-    ]
     entries: list[TraceEntry] = []
     row = {"x": 0, "z": 0}
     for label, block, side, rows in carried:
-        for bits in rows:
-            op = typed(bits, block)
+        for _ in rows:
+            op = typed(block)
             parts = (op, identity) if side == 1 else (identity, op)
             entries.append(TraceEntry(label, block, row[block], op, *parts, identity))
             row[block] += 1
-    for i, j in pairs:
-        a, b, shared = weld1[i], weld2[j], weld1[i] & mask
-        entries.append(
-            TraceEntry(
-                "welded", kind, row[kind], typed(a ^ b ^ shared, kind),
-                typed(a, kind), typed(b, kind), typed(shared, kind),
-            )
-        )
+    for _ in pairs:
+        entries.append(TraceEntry("welded", kind, row[kind], *(typed(kind) for _ in range(4))))
         row[kind] += 1
     return WeldTrace(kind, layout, tuple(entries))
 
 
 def _require_weldable(code: CssCode, label: str):
+    """Raise unless code is a valid k=0 code without logicals.
+
+    A code object is frozen, so one that passed is marked in its
+    __dict__ and not checked again; a failing one raises on every call.
+    """
+    if "_weldable" in code.__dict__:
+        return
     validate_or_raise(code)
     if code.logicals:
         raise ValidationError(f"{label} carries promoted logicals, fold them back first")
     k = encoded_qubits(code)
     if k != 0:
         raise ValidationError(f"{label} encodes {k} qubits, welding needs zero")
+    code.__dict__["_weldable"] = True
 
 
 def _require_stabilizer_inputs(code1: CssCode, code2: CssCode):
@@ -434,10 +449,9 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     kind = _norm_type(weld_type)
     _require_stabilizer_inputs(code1, code2)
     rows = {"x": list(code1.gens.x_packed), "z": list(code1.gens.z_packed)}
-    layout, pairs = _weld_core(rows, code1.n, code2.gens, ident, kind)
+    layout, pairs, rows2 = _weld_core(rows, code1.n, code2.gens, ident, kind)
     gens = GeneratingSet._packed(layout.n, rows["x"], rows["z"])
-    set1, set2 = layout.embed_gens(code1.gens, 1), layout.embed_gens(code2.gens, 2)
-    return CssCode(gens, (), None, _trace(layout, kind, set1, set2, pairs))
+    return CssCode(gens, (), None, _trace(layout, kind, code1.gens, rows2, pairs))
 
 
 def weld_oracle(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
@@ -453,11 +467,11 @@ def weld_oracle(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCod
     _require_stabilizer_inputs(code1, code2)
     layout, set1, set2 = contract(code1, code2, ident)
     if kind == "z":
-        x_rows = np.vstack([set1.x_rows, set2.x_rows])
-        gens = GeneratingSet(layout.n, x_rows, gf2.null_space(x_rows))
+        x_rows = set1.x_packed + set2.x_packed
+        gens = GeneratingSet._packed(layout.n, x_rows, gf2._kernel(x_rows, layout.n))
     else:
-        z_rows = np.vstack([set1.z_rows, set2.z_rows])
-        gens = GeneratingSet(layout.n, gf2.null_space(z_rows), z_rows)
+        z_rows = set1.z_packed + set2.z_packed
+        gens = GeneratingSet._packed(layout.n, gf2._kernel(z_rows, layout.n), z_rows)
     return CssCode(gens)
 
 

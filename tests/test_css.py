@@ -213,6 +213,72 @@ def test_anticommuting_partner_properties():
     assert not ((code.z_rows @ partner.x_bits) % 2).any()
 
 
+def _dense_partner(code, rep):
+    # the dense solve anticommuting_partner ran before it used packed rows
+    n = code.n
+    if rep.is_x_type:
+        same_rows, same_bits = code.x_rows, rep.x_bits
+        other_reps = [c.x_rep.x_bits for c in code.logicals]
+    else:
+        same_rows, same_bits = code.z_rows, rep.z_bits
+        other_reps = [c.z_rep.z_bits for c in code.logicals]
+    other_reps = [r for r in other_reps if not np.array_equal(r, same_bits)]
+    constraints = np.vstack([same_rows, np.array(other_reps).reshape(-1, n), same_bits])
+    targets = np.zeros(constraints.shape[0], np.uint8)
+    targets[-1] = 1
+    v = gf2.solve(constraints, targets)
+    improved = True
+    while improved:  # the greedy uint8 loop of the old reduce_weight
+        improved = False
+        for row in gf2.null_space(constraints):
+            if int((v ^ row).sum()) < int(v.sum()):
+                v, improved = v ^ row, True
+    zero = np.zeros(n, np.uint8)
+    return PauliOperator(n, zero, v) if rep.is_x_type else PauliOperator(n, v, zero)
+
+
+def _assert_partner_matches_the_dense_solve(code, rep):
+    got, want = anticommuting_partner(code, rep), _dense_partner(code, rep)
+    for a, b in ((got.x_bits, want.x_bits), (got.z_bits, want.z_bits)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_anticommuting_partner_matches_the_dense_solve_on_random_codes():
+    from weldkit.verify import random_weld_case
+
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(40):
+        for code in random_weld_case(rng, max_side=16)[:2]:
+            for kind in ("x", "z"):
+                # a second promotion meets the same-type rep of another class
+                promoted = code
+                for _ in range(min(2, len(getattr(code.gens, f"{kind}_packed")))):
+                    try:
+                        promoted = promote_to_logical(promoted, kind, 0)
+                    except ValidationError:  # a dependent row
+                        break
+                    cls = promoted.logicals[-1]
+                    rep = cls.x_rep if kind == "x" else cls.z_rep
+                    # the rep's own class is left out of the constraints
+                    _assert_partner_matches_the_dense_solve(promoted, rep)
+                    _assert_partner_matches_the_dense_solve(
+                        replace(promoted, logicals=promoted.logicals[:-1]), rep
+                    )
+                    checked += 1
+    assert checked > 100
+
+
+def test_anticommuting_partner_matches_the_dense_solve_on_a_large_solid():
+    from weldkit.builders import SolidSpec, build_solid
+
+    code = fold_logical(build_solid(SolidSpec(8, 8, 8)), 0, "z")
+    assert code.n == 1656
+    promoted = promote_to_logical(code, "z", len(code.gens.z_packed) - 1)
+    draft = replace(promoted, logicals=())
+    _assert_partner_matches_the_dense_solve(draft, promoted.logicals[0].z_rep)
+
+
 def test_anticommuting_partner_rejects_another_register():
     code = build_surface(SurfaceSpec(2, 2))
     for n in (code.n + 1, code.n - 1):

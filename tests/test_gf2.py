@@ -180,3 +180,87 @@ def test_packed_core_matches_dense_elimination(cols):
             for b_mat in (other, red, np.vstack([m, member[None, :]])):
                 want = np.array_equal(ref_red, _reference_rref(b_mat)[0])
                 assert gf2.row_spaces_equal(m, b_mat) == want
+
+
+def _numpy_null_space(mat):
+    # the numpy construction null_space used before kernels were packed
+    a = gf2.as_matrix(mat)
+    red, pivots = gf2.rref(a)
+    pivots = np.asarray(pivots, dtype=np.intp)
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = red[:, free].T
+    return basis
+
+
+def _dense_reduce_weight(vec, mat):
+    # the uint8 loop reduce_weight ran before it worked on packed rows
+    v = gf2.as_vector(vec).copy()
+    improved = True
+    while improved:
+        improved = False
+        for row in gf2.as_matrix(mat, v.size):
+            candidate = v ^ row
+            if int(candidate.sum()) < int(v.sum()):
+                v = candidate
+                improved = True
+    return v
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+def test_kernel_matches_the_numpy_construction(cols):
+    rng = np.random.default_rng(100 + cols)
+    # unit lower times unit upper triangular is invertible
+    lower = np.tril(rng.integers(0, 2, size=(cols, cols)), -1) + np.eye(cols, dtype=np.int64)
+    upper = np.triu(rng.integers(0, 2, size=(cols, cols)), 1) + np.eye(cols, dtype=np.int64)
+    invertible = ((lower @ upper) % 2).astype(np.uint8)
+    noisy = _random_matrix(rng, 9, cols)
+    cases = [
+        np.zeros((0, cols), dtype=np.uint8),
+        invertible,
+        invertible[: cols // 2],
+        np.vstack([noisy, noisy[:3], noisy[:1]]),
+        _random_matrix(rng, 40, cols),
+    ]
+    for m in cases:
+        kernel, want = gf2.null_space(m), _numpy_null_space(m)
+        assert (kernel.dtype, kernel.shape) == (want.dtype, want.shape)
+        assert kernel.tobytes() == want.tobytes()
+        assert gf2._kernel(gf2._pack(m), cols) == gf2._pack(want)
+        assert kernel.shape[0] == cols - gf2.rank(m)
+        assert not ((m.astype(np.int64) @ kernel.T) % 2).any()
+        vec = rng.integers(0, 2, size=cols, dtype=np.uint8)
+        reduced = gf2.reduce_weight(vec, kernel)
+        assert reduced.tobytes() == _dense_reduce_weight(vec, kernel).tobytes()
+    assert gf2.null_space(invertible).shape == (0, cols)
+
+
+def _dense_vanishing_subset(rows, mask, width):
+    # the dense routine _vanishing_subset ran before it worked on packed rows
+    full = gf2._unpack(rows, width)
+    kernel_full = gf2.null_space(full.T)
+    kernel_weld = gf2.null_space((full & gf2._unpack([mask], width)).T)
+    cand = next(c for c in kernel_weld if not gf2.in_row_space(kernel_full, c))
+    coeff = _dense_reduce_weight(gf2.reduce_vector(kernel_full, cand), kernel_full)
+    return np.flatnonzero(coeff).tolist()
+
+
+def test_vanishing_subset_matches_the_dense_routine():
+    rng = np.random.default_rng(17)
+    found = 0
+    while found < 200:
+        width = int(rng.integers(2, 30))
+        rows = gf2._pack(_random_matrix(rng, int(rng.integers(2, 12)), width))
+        mask = gf2._pack((rng.random(width) < 0.2).astype(np.uint8))[0]
+        if len(gf2._echelon([row & mask for row in rows])) == len(gf2._echelon(rows)):
+            continue
+        found += 1
+        subset = gf2._vanishing_subset(rows, mask, width)
+        assert subset == _dense_vanishing_subset(rows, mask, width)
+        product = 0
+        for i in subset:
+            product ^= rows[i]
+        assert product and not product & mask

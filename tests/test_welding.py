@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,7 @@ from weldkit.welding import (
 # restriction to the shared qubits, each group sorted by full row and
 # paired in order, extras against the other side's first row.
 def reference_check_well_matched(set1, set2, layout, kind):
-    mask = layout.shared_mask()
+    mask = shared_mask(layout)
     rows1 = set1.z_rows if kind == "z" else set1.x_rows
     rows2 = set2.z_rows if kind == "z" else set2.x_rows
     seen1 = {(row & mask).tobytes() for row in rows1 if (row & mask).any()}
@@ -85,6 +86,10 @@ def reference_match_pairs(rows1, rows2, mask):
     return pairs
 
 
+def shared_mask(layout):
+    return np.isin(np.arange(layout.n), layout.shared).astype(np.uint8)
+
+
 def typed_op(bits, kind):
     zero = np.zeros(bits.size, dtype=np.uint8)
     if kind == "x":
@@ -99,7 +104,7 @@ def op_bytes(op):
 def reference_entries(code1, code2, ident, kind):
     """Trace entries, as bytes, that the reference pairing gives."""
     layout, set1, set2 = contract(code1, code2, ident)
-    mask = layout.shared_mask()
+    mask = shared_mask(layout)
     assert reference_check_well_matched(set1, set2, layout, kind) == (True, None)
     other = "x" if kind == "z" else "z"
     rows = {"x": (set1.x_rows, set2.x_rows), "z": (set1.z_rows, set2.z_rows)}
@@ -248,6 +253,47 @@ def test_weld_reproduces_the_reference_pairing():
                 ]
 
 
+def test_weld_trace_entries_are_pinned_by_digest():
+    # recorded when the trace was still built from dense embedded copies
+    rng = np.random.default_rng(1208)
+    digest = hashlib.sha256()
+    for i in range(300):
+        code1, code2, ident, kind = random_weld_case(rng, max_side=12 if i < 150 else 24)
+        trace = welded_operator_trace(weld(code1, code2, ident, kind))
+        digest.update(f"{trace.n}|".encode())
+        for e in trace.entries:
+            digest.update(f"{e.kind},{e.block},{e.row};".encode())
+            for op in (e.op, e.part1, e.part2, e.shared_part):
+                digest.update(op_bytes(op))
+    assert digest.hexdigest() == (
+        "efff42879c44d0a8687c2b0869c0e0294ccf43fcc89e1d28c39bc5b64970ae7a"
+    )
+
+
+def test_weld_and_oracle_validate_each_input_code_once(monkeypatch):
+    calls = []
+    real = css.validate
+    monkeypatch.setattr(css, "validate", lambda code: calls.append(code) or real(code))
+    code1, code2 = build_two_qubit(), build_two_qubit()
+    merged = weld(code1, code2, [(1, 0)], "z")
+    assert groups_equal(merged, weld_oracle(code1, code2, [(1, 0)], "z"))
+    assert calls == [code1, code2]
+
+
+def test_rejected_inputs_raise_on_every_call(monkeypatch):
+    # encodes one qubit, and carries a promoted logical
+    encoding = CssCode(GeneratingSet(2, [[1, 1]], []))
+    surface = build_surface(SurfaceSpec(2, 2))
+    calls = []
+    real = css.validate
+    monkeypatch.setattr(css, "validate", lambda code: calls.append(code) or real(code))
+    for bad, message in ((encoding, "encodes 1 qubits"), (surface, "promoted logicals")):
+        for attempt in (weld, weld_oracle, weld):
+            with pytest.raises(ValidationError, match=message):
+                attempt(bad, build_two_qubit(), [(0, 0)], "z")
+    assert calls == [encoding] * 3 + [surface] * 3
+
+
 def test_public_checks_return_the_witnesses_weld_raises():
     for (code1, code2, ident, kind), check in _spoiled_cases(np.random.default_rng(3)):
         if check == "self_weld":
@@ -375,7 +421,6 @@ def test_contract_layout_and_embeddings():
     assert layout.shared == (1,)
     assert set1.z_rows.tolist() == [[1, 1, 0]]
     assert set2.z_rows.tolist() == [[0, 1, 1]]
-    assert layout.shared_mask().tolist() == [0, 1, 0]
     op = layout.embed_operator(parse_operator("XZ"), 2)
     assert op == parse_operator("IXZ")
 
