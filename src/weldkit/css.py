@@ -55,6 +55,12 @@ class GeneratingSet:
                 raise ValidationError(f"{row!r} is not a packed row on {n} qubits")
         return gens
 
+    def _widened(self, n: int) -> GeneratingSet:
+        """The same rows on n >= self.n qubits; they already fit, so no check."""
+        gens = GeneratingSet.__new__(GeneratingSet)
+        gens.__dict__.update(n=n, x_packed=self.x_packed, z_packed=self.z_packed)
+        return gens
+
     def __reduce__(self):  # copies and pickles rebuild the views read-only
         return GeneratingSet._packed, (self.n, self.x_packed, self.z_packed)
 
@@ -352,10 +358,11 @@ def anticommuting_partner(code: CssCode, logical_rep: PauliOperator) -> PauliOpe
     # drop the class whose representative we are pairing, if present
     others = [rep for rep in (gf2._pack(r)[0] for r in reps) if rep != same]
     constraints = [*getattr(code.gens, f"{kind}_packed"), *others, same]
-    v = gf2._solve(constraints, 1 << len(constraints) - 1, n)
-    if v is None:
+    solved = gf2._solve(constraints, 1 << len(constraints) - 1, n)
+    if solved is None:
         raise ValidationError("no anticommuting partner exists, the input is not logical")
-    v = gf2._reduce_weight(v, gf2._kernel(constraints, n))
+    v, reduced = solved
+    v = gf2._reduce_weight(v, gf2._reduced_kernel(reduced, n))
     return _row_operator(n, "z" if kind == "x" else "x", v)
 
 

@@ -15,6 +15,9 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+
+import numpy as np
 
 from . import gf2
 from .builders import (
@@ -48,6 +51,12 @@ __all__ = [
 
 # Bottleneck searches refuse to enumerate more states than this.
 DEFAULT_STATE_CAP = 1 << 22
+
+# The search engine prices a batch's moves in numpy, _BATCH_STATES states
+# at a time; a batch of fewer than _NUMPY_MIN_CELLS (state, move) pairs
+# relaxes state by state instead (see _bottleneck_search).
+_BATCH_STATES = 256
+_NUMPY_MIN_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,12 @@ def walk_barrier(code: CssCode, walk: PauliWalk) -> int:
     return peak
 
 
+def _words(values, width):
+    # one row of width little-endian 64-bit words per int
+    data = b"".join([v.to_bytes(8 * width, "little") for v in values])
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), width)
+
+
 def _bottleneck_search(masks, flips, target, steps, method):
     """Lexicographic Dijkstra on (peak cost, length) over search states.
 
@@ -150,6 +165,25 @@ def _bottleneck_search(masks, flips, target, steps, method):
     candidate was known before level P' opened, in parent pop order and
     then move order, so each state keeps the same earliest push of its
     smallest key as if every move had been pushed at once.
+
+    States relax in batches: one popped bucket, or one rescan group.
+    numpy prices every (state, move) pair of a batch at once, and a
+    Python loop applies, in (state, move) order, just the moves that
+    fit, so pushes come in the order a per-state loop makes them:
+      - every push made while bucket K drains lands at key K + 1, so no
+        live state of K changes while K drains, and the whole bucket's
+        staleness is known before it relaxes;
+      - if the target is live at position p of its bucket, only the p
+        states before it relax, and the counts returned are those a
+        per-state loop stops at;
+      - a rescan group leaves the waiting heap in pop-index order, and
+        each member waits again above the level, so it never rejoins
+        the group.
+    A batch prices at most _BATCH_STATES states at a time, bounding its
+    arrays.  A bucket or group of fewer than _NUMPY_MIN_CELLS (state,
+    move) pairs relaxes state by state, as before batching: a dozen
+    numpy calls cost more than the plain loop on the small searches a
+    sweep runs.
     """
     if target == 0:
         return BarrierResult(method, 0, PauliWalk(()), 1, 1)
@@ -166,6 +200,9 @@ def _bottleneck_search(masks, flips, target, steps, method):
     length_mask = (1 << shift) - 1
     # no cost reaches this, so a relax that returns it left nothing waiting
     ceiling = bits.bit_count() + 1
+    width = max(1, -(-bits.bit_length() // 64))
+    mask_words = None  # made by the first batch priced in numpy
+    cost_type = np.min_scalar_type(ceiling)
     # state -> (key, previous state, move)
     best = {0: (0, 0, -1)}
     buckets = {0: [(0, 0)]}
@@ -197,35 +234,86 @@ def _bottleneck_search(masks, flips, target, steps, method):
                         bucket.append((nstate, nsyn))
         return above
 
+    def relax_batch(batch, low, level):
+        # relax (state, syndrome) pairs in order; return their least
+        # dearer costs
+        nonlocal mask_words
+        if len(batch) * len(moves) < _NUMPY_MIN_CELLS:
+            return [relax(state, syn, low, level) for state, syn in batch]
+        if mask_words is None:
+            mask_words = _words(masks, width)
+        aboves = []
+        for start in range(0, len(batch), _BATCH_STATES):
+            states, syns = zip(*batch[start : start + _BATCH_STATES])
+            cost = np.bitwise_count(_words(syns, width)[:, None, :] ^ mask_words)
+            cost = cost.sum(axis=2, dtype=cost_type)
+            dear = cost > level
+            aboves += np.where(dear, cost, ceiling).min(axis=1).tolist()
+            fits = (cost >= low) & ~dear if low else ~dear
+            base = level << shift
+            nkeys = [base | ((best[state][0] & length_mask) + 1) for state in states]
+            for i, j in zip(*(axis.tolist() for axis in np.nonzero(fits))):
+                state = states[i]
+                nstate = state ^ flips[j]
+                old = best.get(nstate)
+                nkey = nkeys[i]
+                if old is None or nkey < old[0]:
+                    best[nstate] = (nkey, state, j)
+                    nsyn = syns[i] ^ masks[j]
+                    bucket = buckets.get(nkey)
+                    if bucket is None:
+                        buckets[nkey] = [(nstate, nsyn)]
+                        heapq.heappush(keys, nkey)
+                    else:
+                        bucket.append((nstate, nsyn))
+        return aboves
+
+    def finish(peak, explored):
+        trail = []
+        state = target
+        while state:
+            _, state, j = best[state]
+            trail.append(steps[j])
+        return BarrierResult(method, peak, PauliWalk(tuple(reversed(trail))), explored, len(best))
+
     explored = 0
     while True:
         while keys:
             key = heapq.heappop(keys)
             peak = key >> shift
-            for state, syn in buckets.pop(key):
-                if key > best[state][0]:
-                    continue
-                explored += 1
-                if state == target:
-                    trail = []
-                    while state:
-                        _, state, j = best[state]
-                        trail.append(steps[j])
-                    walk = PauliWalk(tuple(reversed(trail)))
-                    return BarrierResult(method, peak, walk, explored, len(best))
-                above = relax(state, syn, 0, peak)
+            bucket = buckets.pop(key)
+            if len(bucket) * len(moves) < _NUMPY_MIN_CELLS:
+                for state, syn in bucket:
+                    if key > best[state][0]:
+                        continue
+                    explored += 1
+                    if state == target:
+                        return finish(peak, explored)
+                    above = relax(state, syn, 0, peak)
+                    if above < ceiling:
+                        heapq.heappush(waiting, (above, explored, state, syn))
+                continue
+            live = [entry for entry in bucket if best[entry[0]][0] == key]
+            if best.get(target, (None,))[0] == key:
+                # the target pops in this bucket: stop where it does
+                found = [state for state, _ in live].index(target)
+                relax_batch(live[:found], 0, peak)
+                return finish(peak, explored + found + 1)
+            aboves = relax_batch(live, 0, peak)
+            for index, (state, syn), above in zip(count(explored + 1), live, aboves):
                 if above < ceiling:
-                    heapq.heappush(waiting, (above, explored, state, syn))
+                    heapq.heappush(waiting, (above, index, state, syn))
+            explored += len(live)
         if not waiting:
             raise AssertionError("flip space is connected, target must be reachable")
         peak = waiting[0][0]
+        group = []
         while waiting and waiting[0][0] == peak:
-            _, index, state, syn = waiting[0]
-            above = relax(state, syn, peak, peak)
+            group.append(heapq.heappop(waiting))
+        aboves = relax_batch([(state, syn) for _, _, state, syn in group], peak, peak)
+        for (_, index, state, syn), above in zip(group, aboves):
             if above < ceiling:
-                heapq.heapreplace(waiting, (above, index, state, syn))
-            else:
-                heapq.heappop(waiting)
+                heapq.heappush(waiting, (above, index, state, syn))
 
 
 def exact_barrier(

@@ -115,25 +115,35 @@ def _kernel(rows, width: int) -> list[int]:
     One vector per free column f of the reduced rows, in ascending f: bit
     f plus the pivot bit of every reduced row that has bit f.
     """
-    red = _reduced(rows)
+    return _reduced_kernel(_reduced(rows), width)
+
+
+def _reduced_kernel(red: list[tuple[int, int]], width: int) -> list[int]:
+    """_kernel of rows already in _reduced form."""
     pivots = [c for c, _ in red]
     cols = _transpose([row for _, row in red], width)
     free = sorted(set(range(width)).difference(pivots))
     return [(1 << f) | m for f, m in zip(free, _relabel([cols[f] for f in free], pivots))]
 
 
-def _solve(rows, target: int, width: int) -> int | None:
-    """Packed x with row i & x of weight parity bit i of target, or None.
+def _solve(rows, target: int, width: int):
+    """(x, _reduced(rows)) with row i & x of weight parity bit i of target, or None.
 
     Free columns are zero: x has bit c for each reduced row of the rows
     augmented by their target bit at column width that has that bit set.
+    A consistent system has no pivot at column width, so those reduced
+    rows with that bit dropped keep distinct, cleared pivots and span the
+    rows: they are the rows' own reduced form, handed back so a caller
+    can take _reduced_kernel without reducing the rows again.
     """
+    red = _reduced([row | (target >> i & 1) << width for i, row in enumerate(rows)])
+    if red and red[-1][0] == width:
+        return None
     x = 0
-    for c, row in _reduced([row | (target >> i & 1) << width for i, row in enumerate(rows)]):
-        if c == width:
-            return None
+    for c, row in red:
         x |= (row >> width & 1) << c
-    return x
+    low = (1 << width) - 1
+    return x, [(c, row & low) for c, row in red]
 
 
 def _reduce_weight(v: int, rows) -> int:
@@ -182,8 +192,8 @@ def solve(a, b) -> np.ndarray | None:
     """
     a = as_matrix(a)
     rows, cols = a.shape
-    x = _solve(_pack(a), _pack(as_vector(b, rows)[None])[0], cols)
-    return None if x is None else _unpack([x], cols)[0]
+    solved = _solve(_pack(a), _pack(as_vector(b, rows)[None])[0], cols)
+    return None if solved is None else _unpack([solved[0]], cols)[0]
 
 
 def express_in_rows(mat, vec) -> np.ndarray | None:

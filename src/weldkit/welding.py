@@ -160,7 +160,8 @@ def contract(
     gens1 = code1.gens if isinstance(code1, CssCode) else code1
     gens2 = code2.gens if isinstance(code2, CssCode) else code2
     layout = _layout(gens1.n, gens2.n, ident)
-    return layout, layout.embed_gens(gens1, 1), layout.embed_gens(gens2, 2)
+    # code-1 qubits keep their indices, so its rows carry over as they are
+    return layout, gens1._widened(layout.n), layout.embed_gens(gens2, 2)
 
 
 def _typed_rows(gens: GeneratingSet, kind: str) -> tuple[int, ...]:

@@ -1,12 +1,14 @@
+import hashlib
 import heapq
 import random
 from fractions import Fraction
 from itertools import count
+from math import comb
 
 import numpy as np
 import pytest
 
-from weldkit import gf2
+from weldkit import energy, gf2
 from weldkit.builders import (
     FlatRegionGraph,
     QubitPatch,
@@ -18,11 +20,13 @@ from weldkit.builders import (
     build_welded_solid,
     build_welded_surface,
     cubic,
+    flat_region_graph,
     grid2d,
     path,
     region_graph_from_weld_graph,
     star,
 )
+from weldkit.cli import SWEEP_STATE_CAP
 from weldkit.css import permute_qubits
 from weldkit.energy import (
     DEFAULT_STATE_CAP,
@@ -263,6 +267,14 @@ def test_barrier_result_shape():
 # the shared engine against the two searches it replaced
 
 
+def _relax_paths(monkeypatch):
+    # the engine relaxes a batch in numpy or state by state, chosen by its
+    # size; run the caller once with every batch on each path
+    for cells in (0, 1 << 62):
+        monkeypatch.setattr(energy, "_NUMPY_MIN_CELLS", cells)
+        yield
+
+
 def _reference_bottleneck(n, masks, canon, target, kind):
     # per-state canonicalization, separate best and parent dicts
     if target == 0:
@@ -367,7 +379,12 @@ def _outcome(result):
     return result.barrier, result.witness.steps, result.states_explored
 
 
-def test_exact_and_operator_searches_match_the_reference_engine():
+def test_exact_and_operator_searches_match_the_reference_engine(monkeypatch):
+    for _ in _relax_paths(monkeypatch):
+        _exact_and_operator_searches_match_the_reference_engine()
+
+
+def _exact_and_operator_searches_match_the_reference_engine():
     codes = [
         build_surface(SurfaceSpec(2, 2)),
         build_surface(SurfaceSpec(2, 3)),
@@ -416,7 +433,12 @@ def _random_region_graph(rng, spins):
     return FlatRegionGraph("x", qubit, regions, boundaries, pairs)
 
 
-def test_parity_bound_matches_the_reference_engine():
+def test_parity_bound_matches_the_reference_engine(monkeypatch):
+    for _ in _relax_paths(monkeypatch):
+        _parity_bound_matches_the_reference_engine()
+
+
+def _parity_bound_matches_the_reference_engine():
     rng = random.Random(11)
     for spins in (1, 2, 3, 5, 7, 9):
         for _ in range(6):
@@ -464,6 +486,76 @@ def test_parity_bound_equals_the_spin_flip_barrier_at_certify_scale():
             bound = parity_lower_bound(region, rep).barrier
             mask = sum(1 << j for j in spins)
             assert bound == spin_flip_barrier(len(graph.vertices), edges, mask), target
+
+
+def _pin(result):
+    # every field of a BarrierResult: barrier, witness steps and both counts
+    return hashlib.sha256(repr(result).encode()).hexdigest()[:16]
+
+
+def test_certify_searches_keep_their_pinned_results():
+    pins = {}
+    for dims, targets in _CERTIFY_TARGETS.items():
+        graph = cubic(*dims) if len(dims) == 3 else grid2d(*dims)
+        region = region_graph_from_weld_graph(graph, "x")
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        for target in targets:
+            rep = PauliOperator.from_support(region.n, z=sorted(index[v] for v in target))
+            pins[dims, target] = _pin(parity_lower_bound(region, rep))
+    for spec in (SolidSpec(2, 2, 3), SolidSpec(3, 3, 2)):
+        code = build_solid(spec)
+        pins[spec] = _pin(exact_barrier(code, code.logicals[0].x_rep, "x", cap=1 << 64))
+    for graph in (star(4), grid2d(2, 2)):
+        code = build_welded_solid(graph, SolidSpec(2, 2, 2))
+        for kind in ("x", "z"):
+            report = verify_bound(code, kind, 0, cap=1 << 64)
+            pins[graph.name, kind] = (_pin(report.bound), _pin(report.exact))
+    assert list(pins.values()) == [
+        "0c13c400b0fc4ca3",
+        "5ed729da04b71489",
+        "6c5c12442c4694b4",
+        "37086b1e5a81e872",
+        "aa8f6321d109401f",
+        "58f9ddde83123e4b",
+        "3554d1b6b5bc7f0b",
+        "86361fd5b24248b7",
+        "8829f3222c1e3bbc",
+        "294c97cd0a2a2159",
+        ("ccc7df348011f005", "497293aabc871943"),
+        ("f1113f7443308ab5", "2820da7fd17afc87"),
+        ("ccc7df348011f005", "7b760bf3a5946c0f"),
+        ("ac315e95b92cf345", "4a4fb54ae20e88f4"),
+    ], pins
+
+
+def test_sweep_searches_keep_their_pinned_results():
+    # the 30 searches of `weldkit sweep --max-size 3 --max-pieces 4`
+    pins = []
+    for d in range(1, 4):
+        for pieces in range(1, 5):
+            spec = SolidSpec(d, d, 2)
+            if pieces == 1:
+                code = build_solid(spec)
+            else:
+                code = build_welded_solid(grid2d(pieces, pieces), spec)
+            logical = code.logicals[0]
+            for kind, rep in (("x", logical.x_rep), ("z", logical.z_rep)):
+                try:
+                    pins.append(_pin(exact_barrier(code, rep, kind, SWEEP_STATE_CAP)))
+                except FeasibilityError:
+                    pass
+                graph = flat_region_graph(code, "z" if kind == "x" else "x")
+                pins.append(_pin(parity_lower_bound(graph, rep, SWEEP_STATE_CAP)))
+    assert pins == [
+        "14d3321885d3abd5", "788596d22b64d5dd", "36a3bc3e569ca4af", "e7e5e088d656d04e",
+        "d3d9773e0c90023d", "788596d22b64d5dd", "4443ef751136c635", "67a22483518378a9",
+        "788596d22b64d5dd", "2930d3c834c5082e", "788596d22b64d5dd", "ae6afe65e6a4202a",
+        "ccc7df348011f005", "8211ca304fab70df", "96075bcee17eda73", "ccc7df348011f005",
+        "ac315e95b92cf345", "ccc7df348011f005", "10ee352e531d6d36", "ccc7df348011f005",
+        "20e671ada59aeeb1", "73f61713293c0d59", "6ea5ef52db7e81ab", "d41f7177391a7f8d",
+        "73f61713293c0d59", "67fe210a1cb724e8", "73f61713293c0d59", "32840423724b83bc",
+        "73f61713293c0d59", "fed73c1cef229904",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +632,12 @@ def _random_move_table(rng):
     return masks, flips, target
 
 
-def test_engine_matches_a_heap_over_random_move_tables():
+def test_engine_matches_a_heap_over_random_move_tables(monkeypatch):
+    for _ in _relax_paths(monkeypatch):
+        _engine_matches_a_heap_over_random_move_tables()
+
+
+def _engine_matches_a_heap_over_random_move_tables():
     rng = random.Random(8)
     seen = dict.fromkeys(("repeat", "zero mask", "dependent", "target 0", "climb"), 0)
     for _ in range(3000):
@@ -558,6 +655,62 @@ def test_engine_matches_a_heap_over_random_move_tables():
         seen["target 0"] += target == 0
         seen["climb"] += want[0] > max(mask.bit_count() for mask in masks)
     assert min(seen.values()) >= 100, seen
+
+
+def _wide_move_table(rng, width):
+    # masks and flips whose highest bit is bit width - 1, so syndromes
+    # and states fill one or more 64-bit words up to their last bit
+    moves = rng.randrange(2, 11)
+    sparse = rng.random() < 0.5
+
+    def draw():
+        if not sparse:
+            return rng.getrandbits(width)
+        value = 0
+        for _ in range(3):
+            value |= 1 << rng.randrange(width)
+        return value
+
+    masks = [draw() for _ in range(moves)]
+    flips = [draw() for _ in range(moves)]
+    masks[rng.randrange(moves)] |= 1 << (width - 1)
+    flips[rng.randrange(moves)] |= 1 << (width - 1)
+    target = 0
+    for flip in flips:
+        if rng.random() < 0.5:
+            target ^= flip
+    return masks, flips, target
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 128, 129, 200, 300])
+def test_engine_matches_a_heap_over_wide_move_tables(monkeypatch, width):
+    for _ in _relax_paths(monkeypatch):
+        rng = random.Random(width)
+        for _ in range(40):
+            masks, flips, target = _wide_move_table(rng, width)
+            assert max(mask.bit_length() for mask in masks) == width
+            assert max(flip.bit_length() for flip in flips) == width
+            steps = [(j, "x") for j in range(len(masks))]
+            result = _bottleneck_search(masks, flips, target, steps, "exact")
+            assert _outcome(result) == _reference_moves(masks, flips, target)
+
+
+def test_engine_matches_a_heap_when_a_bucket_outgrows_a_batch():
+    # 12 unit flips under one shared mask: every walk of length L pays the
+    # mask's weight from the first step on, so the bucket at length 6
+    # holds all comb(12, 6) states of weight 6
+    assert comb(12, 6) > energy._BATCH_STATES
+    flips = [1 << j for j in range(12)]
+    steps = [(j, "x") for j in range(12)]
+    wide = (1 << 129) | 0x5555_5555_5555_5555_5555
+    for mask in (0, wide):
+        masks = [mask] * 12
+        # every spin, then a weight-6 state deep inside its bucket
+        for target in ((1 << 12) - 1, 0b1101_0010_1100):
+            result = _bottleneck_search(masks, flips, target, steps, "exact")
+            want = _reference_moves(masks, flips, target)
+            assert _outcome(result) == want
+            assert result.states_explored > comb(12, 6)
 
 
 def test_stored_states_stay_near_the_explored_ones():

@@ -182,6 +182,27 @@ def test_packed_core_matches_dense_elimination(cols):
                 assert gf2.row_spaces_equal(m, b_mat) == want
 
 
+@pytest.mark.parametrize("cols", [0, 1, 9, 64, 65, 130])
+def test_one_reduction_yields_the_solution_and_the_kernel(cols):
+    rng = np.random.default_rng(300 + cols)
+    for rows in (0, 1, 5, 13, 70):
+        for _ in range(4):
+            packed = gf2._pack(_random_matrix(rng, rows, cols))
+            x = gf2._pack(rng.integers(0, 2, size=(1, cols), dtype=np.uint8))[0]
+            # bit i of a consistent target is the parity of row i & x
+            consistent = sum(((row & x).bit_count() & 1) << i for i, row in enumerate(packed))
+            noise = gf2._pack(rng.integers(0, 2, size=(1, rows), dtype=np.uint8))[0]
+            for target in (noise, consistent):
+                solved = gf2._solve(packed, target, cols)
+                want = _reference_solve(gf2._unpack(packed, cols), gf2._unpack([target], rows)[0])
+                assert (solved is None) == (want is None)
+                if solved is None:
+                    continue
+                assert gf2._unpack([solved[0]], cols)[0].tolist() == want.tolist()
+                assert solved[1] == gf2._reduced(packed)
+                assert gf2._reduced_kernel(solved[1], cols) == gf2._kernel(packed, cols)
+
+
 def _numpy_null_space(mat):
     # the numpy construction null_space used before kernels were packed
     a = gf2.as_matrix(mat)
