@@ -180,10 +180,10 @@ def _bottleneck_search(masks, flips, target, steps, method):
         each member waits again above the level, so it never rejoins
         the group.
     A batch prices at most _BATCH_STATES states at a time, bounding its
-    arrays.  A bucket or group of fewer than _NUMPY_MIN_CELLS (state,
-    move) pairs relaxes state by state, as before batching: a dozen
-    numpy calls cost more than the plain loop on the small searches a
-    sweep runs.
+    arrays.  A batch of fewer than _NUMPY_MIN_CELLS (state, move) pairs
+    relaxes state by state through the same entry, relax_batch: the
+    dozen numpy calls of a batch cost more than the plain loop below
+    about 300 pairs, and most of a sweep's batches are that small.
     """
     if target == 0:
         return BarrierResult(method, 0, PauliWalk(()), 1, 1)
@@ -210,9 +210,9 @@ def _bottleneck_search(masks, flips, target, steps, method):
     # (smallest cost above the level it was left at, pop index, state, syndrome)
     waiting = []
 
-    def relax(state, syn, low, level):
+    def relax(state, syn, low, level, index):
         # apply the moves costing low..level, one step past the state's
-        # stored walk; return the least dearer cost
+        # stored walk; wait under index at the least dearer cost
         nkey = (level << shift) | ((best[state][0] & length_mask) + 1)
         above = ceiling
         for j, (mask, flip) in moves:
@@ -232,23 +232,29 @@ def _bottleneck_search(masks, flips, target, steps, method):
                         heapq.heappush(keys, nkey)
                     else:
                         bucket.append((nstate, nsyn))
-        return above
+        if above < ceiling:
+            heapq.heappush(waiting, (above, index, state, syn))
 
-    def relax_batch(batch, low, level):
-        # relax (state, syndrome) pairs in order; return their least
-        # dearer costs
+    def relax_batch(batch, indices, low, level):
+        # relax (state, syndrome) pairs in order, the i-th waiting under
+        # the i-th index
         nonlocal mask_words
         if len(batch) * len(moves) < _NUMPY_MIN_CELLS:
-            return [relax(state, syn, low, level) for state, syn in batch]
+            for (state, syn), index in zip(batch, indices):
+                relax(state, syn, low, level, index)
+            return
         if mask_words is None:
             mask_words = _words(masks, width)
-        aboves = []
+        indices = iter(indices)
         for start in range(0, len(batch), _BATCH_STATES):
             states, syns = zip(*batch[start : start + _BATCH_STATES])
             cost = np.bitwise_count(_words(syns, width)[:, None, :] ^ mask_words)
             cost = cost.sum(axis=2, dtype=cost_type)
             dear = cost > level
-            aboves += np.where(dear, cost, ceiling).min(axis=1).tolist()
+            aboves = np.where(dear, cost, ceiling).min(axis=1).tolist()
+            for state, syn, above, index in zip(states, syns, aboves, indices):
+                if above < ceiling:
+                    heapq.heappush(waiting, (above, index, state, syn))
             fits = (cost >= low) & ~dear if low else ~dear
             base = level << shift
             nkeys = [base | ((best[state][0] & length_mask) + 1) for state in states]
@@ -266,54 +272,35 @@ def _bottleneck_search(masks, flips, target, steps, method):
                         heapq.heappush(keys, nkey)
                     else:
                         bucket.append((nstate, nsyn))
-        return aboves
-
-    def finish(peak, explored):
-        trail = []
-        state = target
-        while state:
-            _, state, j = best[state]
-            trail.append(steps[j])
-        return BarrierResult(method, peak, PauliWalk(tuple(reversed(trail))), explored, len(best))
 
     explored = 0
     while True:
         while keys:
             key = heapq.heappop(keys)
             peak = key >> shift
-            bucket = buckets.pop(key)
-            if len(bucket) * len(moves) < _NUMPY_MIN_CELLS:
-                for state, syn in bucket:
-                    if key > best[state][0]:
-                        continue
-                    explored += 1
-                    if state == target:
-                        return finish(peak, explored)
-                    above = relax(state, syn, 0, peak)
-                    if above < ceiling:
-                        heapq.heappush(waiting, (above, explored, state, syn))
-                continue
-            live = [entry for entry in bucket if best[entry[0]][0] == key]
+            live = [entry for entry in buckets.pop(key) if best[entry[0]][0] == key]
             if best.get(target, (None,))[0] == key:
                 # the target pops in this bucket: stop where it does
                 found = [state for state, _ in live].index(target)
-                relax_batch(live[:found], 0, peak)
-                return finish(peak, explored + found + 1)
-            aboves = relax_batch(live, 0, peak)
-            for index, (state, syn), above in zip(count(explored + 1), live, aboves):
-                if above < ceiling:
-                    heapq.heappush(waiting, (above, index, state, syn))
+                relax_batch(live[:found], count(explored + 1), 0, peak)
+                trail = []
+                state = target
+                while state:
+                    _, state, j = best[state]
+                    trail.append(steps[j])
+                walk = PauliWalk(tuple(reversed(trail)))
+                return BarrierResult(method, peak, walk, explored + found + 1, len(best))
+            relax_batch(live, count(explored + 1), 0, peak)
             explored += len(live)
         if not waiting:
             raise AssertionError("flip space is connected, target must be reachable")
         peak = waiting[0][0]
-        group = []
+        group, indices = [], []
         while waiting and waiting[0][0] == peak:
-            group.append(heapq.heappop(waiting))
-        aboves = relax_batch([(state, syn) for _, _, state, syn in group], peak, peak)
-        for (_, index, state, syn), above in zip(group, aboves):
-            if above < ceiling:
-                heapq.heappush(waiting, (above, index, state, syn))
+            _, index, state, syn = heapq.heappop(waiting)
+            group.append((state, syn))
+            indices.append(index)
+        relax_batch(group, indices, peak, peak)
 
 
 def exact_barrier(
