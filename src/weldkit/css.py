@@ -38,11 +38,11 @@ class GeneratingSet:
     z_packed: tuple[int, ...]
 
     def __init__(self, n: int, x_rows, z_rows):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValidationError(f"qubit count must be a non-negative integer, got {n!r}")
-        n = int(n)
+        n = gf2._width(n)
         self.__dict__.update(
-            n=n, x_packed=_packed_block("x", x_rows, n), z_packed=_packed_block("z", z_rows, n)
+            n=n,
+            x_packed=gf2._packed_block("x generator", x_rows, n),
+            z_packed=gf2._packed_block("z generator", z_rows, n),
         )
 
     @classmethod
@@ -50,9 +50,7 @@ class GeneratingSet:
         """A set from packed rows, each an int in [0, 1 << n)."""
         gens = cls.__new__(cls)
         gens.__dict__.update(n=n, x_packed=tuple(x_packed), z_packed=tuple(z_packed))
-        for row in gens.x_packed + gens.z_packed:
-            if not (isinstance(row, int) and 0 <= row and row.bit_length() <= n):
-                raise ValidationError(f"{row!r} is not a packed row on {n} qubits")
+        gf2._check_packed(gens.x_packed + gens.z_packed, n)
         return gens
 
     def _widened(self, n: int) -> GeneratingSet:
@@ -66,11 +64,11 @@ class GeneratingSet:
 
     @cached_property
     def x_rows(self) -> np.ndarray:
-        return _view(self.x_packed, self.n)
+        return gf2._view(self.x_packed, self.n)
 
     @cached_property
     def z_rows(self) -> np.ndarray:
-        return _view(self.z_packed, self.n)
+        return gf2._view(self.z_packed, self.n)
 
     def columns(self, kind: str) -> tuple[int, ...]:
         """Per-qubit masks of one block, cached: bit i of entry q is bit q of row i."""
@@ -86,36 +84,13 @@ class GeneratingSet:
         return [_row_operator(self.n, "z", row) for row in self.z_packed]
 
 
-def _packed_block(name: str, rows, n: int) -> tuple[int, ...]:
-    """One generator block given as any 0/1 array-like, packed."""
-    try:
-        a = np.asarray(rows)
-        if not ((a == 0) | (a == 1)).all():
-            raise ValidationError(f"{name} generator entries must be 0 or 1")
-        a = gf2.as_matrix(a, n)
-    except ValueError as err:  # a ragged list or a block that is not 2-d
-        raise ValidationError(f"{name} generators do not form a matrix: {err}") from None
-    if a.shape[1] != n:
-        raise ValidationError(f"{name} generators have {a.shape[1]} columns, expected {n}")
-    return tuple(gf2._pack(a))
-
-
-def _view(rows: tuple[int, ...], n: int) -> np.ndarray:
-    view = gf2._unpack(list(rows), n)
-    view.flags.writeable = False
-    return view
-
-
 def _row_operator(n: int, kind: str, row: int) -> PauliOperator:
     """The pure operator of type kind on the qubits of a packed row."""
-    bits = gf2._unpack([row], n)[0]
-    zero = np.zeros(n, dtype=np.uint8)
-    return PauliOperator(n, bits, zero) if kind == "x" else PauliOperator(n, zero, bits)
+    return PauliOperator._packed(n, row, 0) if kind == "x" else PauliOperator._packed(n, 0, row)
 
 
-def _anticommuting(rows, bits: np.ndarray) -> tuple[int, ...]:
-    """Indices of the packed rows that overlap a 0/1 vector on an odd count."""
-    v = gf2._pack(bits)[0]
+def _anticommuting(rows, v: int) -> tuple[int, ...]:
+    """Indices of the packed rows that overlap packed row v on an odd count."""
     return tuple(i for i, row in enumerate(rows) if (row & v).bit_count() & 1)
 
 
@@ -215,17 +190,17 @@ def _logical_violation(gens: GeneratingSet, logicals) -> CssViolation | None:
     for ci, cls in enumerate(logicals):
         if not cls.x_rep.is_x_type or not cls.z_rep.is_z_type:
             return CssViolation(f"logical class {ci} representatives are not pure")
-        if int(cls.x_rep.x_bits @ cls.z_rep.z_bits) % 2 == 0:
+        if not (cls.x_rep.x & cls.z_rep.z).bit_count() & 1:
             return CssViolation(f"logical class {ci} representatives commute")
-        if _anticommuting(gens.z_packed, cls.x_rep.x_bits):
+        if _anticommuting(gens.z_packed, cls.x_rep.x):
             return CssViolation(f"logical x rep of class {ci} anticommutes with a generator")
-        if _anticommuting(gens.x_packed, cls.z_rep.z_bits):
+        if _anticommuting(gens.x_packed, cls.z_rep.z):
             return CssViolation(f"logical z rep of class {ci} anticommutes with a generator")
         # a stabilizer rep fails above: its overlap with a commuting partner is even
         for cj, other in enumerate(logicals):
             if cj == ci:
                 continue
-            if int(cls.x_rep.x_bits @ other.z_rep.z_bits) % 2:
+            if (cls.x_rep.x & other.z_rep.z).bit_count() & 1:
                 return CssViolation(f"logical classes {ci} and {cj} overlap")
     return None
 
@@ -269,9 +244,7 @@ def syndrome(code: CssCode | GeneratingSet, error: PauliOperator) -> Syndrome:
     if error.n != gens.n:
         raise ValidationError(f"error on {error.n} qubits, code has {gens.n}")
     # a pure-X row is violated by the Z part of the error, and vice versa
-    return Syndrome(
-        _anticommuting(gens.x_packed, error.z_bits), _anticommuting(gens.z_packed, error.x_bits)
-    )
+    return Syndrome(_anticommuting(gens.x_packed, error.z), _anticommuting(gens.z_packed, error.x))
 
 
 def promote_to_logical(
@@ -325,9 +298,9 @@ def fold_logical(code: CssCode, class_index: int, kind: str) -> CssCode:
     logicals = code.logicals[:class_index] + code.logicals[class_index + 1 :]
     x, z = code.gens.x_packed, code.gens.z_packed
     if kind == "x":
-        x += tuple(gf2._pack(cls.x_rep.x_bits))
+        x += (cls.x_rep.x,)
     elif kind == "z":
-        z += tuple(gf2._pack(cls.z_rep.z_bits))
+        z += (cls.z_rep.z,)
     else:
         raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
     gens = GeneratingSet._packed(code.n, x, z)
@@ -349,14 +322,13 @@ def anticommuting_partner(code: CssCode, logical_rep: PauliOperator) -> PauliOpe
             f"representative acts on {logical_rep.n} qubits, the code has {n}"
         )
     if logical_rep.is_x_type and not logical_rep.is_identity:
-        kind, bits, reps = "x", logical_rep.x_bits, [c.x_rep.x_bits for c in code.logicals]
+        kind, same, reps = "x", logical_rep.x, [c.x_rep.x for c in code.logicals]
     elif logical_rep.is_z_type and not logical_rep.is_identity:
-        kind, bits, reps = "z", logical_rep.z_bits, [c.z_rep.z_bits for c in code.logicals]
+        kind, same, reps = "z", logical_rep.z, [c.z_rep.z for c in code.logicals]
     else:
         raise ValidationError("representative must be pure and nontrivial")
-    same = gf2._pack(bits)[0]
     # drop the class whose representative we are pairing, if present
-    others = [rep for rep in (gf2._pack(r)[0] for r in reps) if rep != same]
+    others = [rep for rep in reps if rep != same]
     constraints = [*getattr(code.gens, f"{kind}_packed"), *others, same]
     solved = gf2._solve(constraints, 1 << len(constraints) - 1, n)
     if solved is None:
@@ -401,9 +373,7 @@ def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int
                 required=r + k,
                 cap=rank_cap,
             )
-        rep_masks = gf2._pack(
-            [(c.x_rep.x_bits if kind == "x" else c.z_rep.z_bits) for c in code.logicals]
-        )
+        rep_masks = [(c.x_rep.x if kind == "x" else c.z_rep.z) for c in code.logicals]
         best = None
         for combo in range(1, 1 << k):
             base = 0
@@ -427,13 +397,12 @@ def permute_qubits(code: CssCode, perm) -> CssCode:
     n = code.n
     if sorted(perm) != list(range(n)):
         raise ValidationError("perm must be a permutation of all qubit indices")
-    inv = np.argsort(perm)
     gens = GeneratingSet._packed(
         n, gf2._relabel(code.gens.x_packed, perm), gf2._relabel(code.gens.z_packed, perm)
     )
 
     def move(op: PauliOperator) -> PauliOperator:
-        return PauliOperator(n, op.x_bits[inv], op.z_bits[inv])
+        return PauliOperator._packed(n, *gf2._relabel((op.x, op.z), perm))
 
     logicals = tuple(LogicalClass(move(c.x_rep), move(c.z_rep)) for c in code.logicals)
     return CssCode(gens, logicals)
@@ -497,7 +466,7 @@ def from_text(text: str) -> CssCode:
     for op, tag in [(o, "Z") for o in zs] + [(o, "LZ") for o in lzs]:
         if not op.is_z_type:
             raise ValidationError(f"{tag} line holds a non-Z operator")
-    gens = GeneratingSet(n, [o.x_bits for o in xs], [o.z_bits for o in zs])
+    gens = GeneratingSet._packed(n, [o.x for o in xs], [o.z for o in zs])
     logicals = tuple(LogicalClass(x, z) for x, z in zip(lxs, lzs))
     return CssCode(gens, logicals)
 

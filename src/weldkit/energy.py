@@ -323,7 +323,6 @@ def exact_barrier(
         raise ValidationError("representative violates the group")
     same = code.gens.z_packed if kind == "z" else code.gens.x_packed
     opp = "x" if kind == "z" else "z"
-    bits = rep.z_bits if kind == "z" else rep.x_bits
     basis = gf2._echelon(same)
     free = code.n - len(basis)
     if (1 << free) > cap:
@@ -332,7 +331,7 @@ def exact_barrier(
         )
     # a state is the member of its coset with no pivot bits; that map is
     # linear, so one flip moves a state by the flip's own image
-    target = gf2._residual(basis, gf2._pack(bits)[0])
+    target = gf2._residual(basis, rep.z if kind == "z" else rep.x)
     if target == 0:
         raise ValidationError("representative is a stabilizer, not a logical")
     flips = [gf2._residual(basis, 1 << q) for q in range(code.n)]
@@ -352,9 +351,9 @@ def operator_barrier(
     if op.n != code.n:
         raise ValidationError(f"operator is on {op.n} qubits, code has {code.n}")
     if op.is_z_type:
-        kind, bits, opp = "z", op.z_bits, "x"
+        kind, target, opp = "z", op.z, "x"
     elif op.is_x_type:
-        kind, bits, opp = "x", op.x_bits, "z"
+        kind, target, opp = "x", op.x, "z"
     else:
         raise ValidationError("operator must be pure x-type or pure z-type")
     if (1 << code.n) > cap:
@@ -363,7 +362,7 @@ def operator_barrier(
         )
     flips = [1 << q for q in range(code.n)]
     steps = [(q, kind) for q in range(code.n)]
-    return _bottleneck_search(code.gens.columns(opp), flips, gf2._pack(bits)[0], steps, "exact")
+    return _bottleneck_search(code.gens.columns(opp), flips, target, steps, "exact")
 
 
 def parity_lower_bound(

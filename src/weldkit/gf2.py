@@ -1,17 +1,26 @@
 """Linear algebra over GF(2).
 
 The package stores one row format: a Python int with bit q = column q,
-so a row operation is one XOR; the private helpers work on such packed
-rows.  Rank and membership use a semi-echelon basis keyed by each row's
-lowest set bit; _reduced back-substitutes it to the unique reduced form,
-from which _solve reads a solution and _kernel a kernel basis, both on
-packed rows.  The public functions take 2-d uint8 matrices with entries
-in {0, 1}, pack them, and never modify their arguments.
+so a row operation is one XOR.  Generating sets and Pauli operators
+hold such packed rows, and the library computes only on them through
+the private helpers here.  _packed_block packs and validates 0/1 input
+from outside, _check_packed validates rows built inside, and _view
+gives the read-only uint8 view of packed rows.  Rank and membership use
+a semi-echelon basis keyed by each row's lowest set bit; _reduced
+back-substitutes it to the unique reduced form, from which _solve reads
+a solution and _kernel a kernel basis, both on packed rows.
+
+The public functions take 2-d uint8 matrices with entries in {0, 1},
+pack them, and never modify their arguments.  The library itself does
+not call them; they stay as a dense interface and as the tests'
+independent reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def as_matrix(rows, width: int | None = None) -> np.ndarray:
@@ -47,6 +56,41 @@ def _unpack(rows: list[int], width: int) -> np.ndarray:
     data = b"".join(r.to_bytes(step, "little") for r in rows)
     packed = np.frombuffer(data, np.uint8).reshape(len(rows), step)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _width(n) -> int:
+    """n as a register size, or ValidationError if it is not one."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValidationError(f"qubit count must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
+def _packed_block(name: str, rows, width: int) -> tuple[int, ...]:
+    """Rows of width columns given as any 0/1 array-like, packed."""
+    try:
+        a = np.asarray(rows)
+        if not ((a == 0) | (a == 1)).all():
+            raise ValidationError(f"{name} entries must be 0 or 1")
+        a = as_matrix(a, width)
+    except ValueError as err:  # a ragged list or a block that is not 2-d
+        raise ValidationError(f"{name} rows do not form a matrix: {err}") from None
+    if a.shape[1] != width:
+        raise ValidationError(f"{name} rows have {a.shape[1]} columns, expected {width}")
+    return tuple(_pack(a))
+
+
+def _check_packed(rows, width: int):
+    """Raise ValidationError unless every row is an int in [0, 1 << width)."""
+    for row in rows:
+        if not (isinstance(row, int) and 0 <= row and row.bit_length() <= width):
+            raise ValidationError(f"{row!r} is not a packed row on {width} qubits")
+
+
+def _view(rows, width: int) -> np.ndarray:
+    """The (rows, width) uint8 matrix of packed rows, read-only."""
+    view = _unpack(list(rows), width)
+    view.flags.writeable = False
+    return view
 
 
 def _relabel(rows, targets) -> list[int]:

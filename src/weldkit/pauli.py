@@ -1,14 +1,18 @@
 """Phase-free Pauli operators on a fixed qubit register.
 
-An operator is a pair of GF(2) bit vectors: x_bits marks qubits carrying
-an X factor, z_bits marks qubits carrying a Z factor, and a qubit with
-both bits set carries a Y.  Global phases are quotiented out, so every
-operator is its own inverse and multiplication is componentwise XOR.
+An operator is a pair of GF(2) bit vectors, stored as packed rows in
+gf2's one row format: x marks the qubits carrying an X factor, z the
+qubits carrying a Z factor, bit q for qubit q, and a qubit with both
+bits set carries a Y.  Global phases are quotiented out, so every
+operator is its own inverse and multiplication is XOR on both rows.
+The module functions compute on the packed rows; x_bits and z_bits are
+read-only uint8 views for readers that want arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,45 +24,64 @@ from .errors import ValidationError
 DENSE_LIMIT = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PauliOperator:
+    """An operator on n qubits, its X and Z parts as ints, bit q = qubit q.
+
+    The constructor takes the parts as 0/1 array-likes of length n and
+    packs them once.  x_bits and z_bits are length-n uint8 views, made
+    on first read and read-only so they cannot drift from the packed
+    rows.
+    """
+
     n: int
-    x_bits: np.ndarray = field(compare=False)
-    z_bits: np.ndarray = field(compare=False)
+    x: int
+    z: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_bits", gf2.as_vector(self.x_bits, self.n))
-        object.__setattr__(self, "z_bits", gf2.as_vector(self.z_bits, self.n))
+    def __init__(self, n: int, x_bits, z_bits):
+        n = gf2._width(n)
+        (x,) = gf2._packed_block("x_bits", [x_bits], n)
+        (z,) = gf2._packed_block("z_bits", [z_bits], n)
+        self.__dict__.update(n=n, x=x, z=z)
+        self.__post_init__()
+
+    @classmethod
+    def _packed(cls, n: int, x: int, z: int) -> PauliOperator:
+        """An operator from packed rows, each an int in [0, 1 << n)."""
+        op = cls.__new__(cls)
+        op.__dict__.update(n=n, x=x, z=z)
+        op.__post_init__()
+        return op
+
+    def __post_init__(self):  # every construction ends here; bench/tracer.py counts these calls
+        gf2._check_packed((self.x, self.z), self.n)
+
+    def __reduce__(self):  # copies and pickles rebuild the views read-only
+        return PauliOperator._packed, (self.n, self.x, self.z)
+
+    @cached_property
+    def x_bits(self) -> np.ndarray:
+        return gf2._view((self.x,), self.n)[0]
+
+    @cached_property
+    def z_bits(self) -> np.ndarray:
+        return gf2._view((self.z,), self.n)[0]
 
     @staticmethod
-    def identity(n: int) -> "PauliOperator":
-        return PauliOperator(n, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+    def identity(n: int) -> PauliOperator:
+        return PauliOperator.from_support(n)
 
     @staticmethod
-    def from_support(n: int, x=(), z=()) -> "PauliOperator":
-        xb = np.zeros(n, dtype=np.uint8)
-        zb = np.zeros(n, dtype=np.uint8)
+    def from_support(n: int, x=(), z=()) -> PauliOperator:
+        n = gf2._width(n)
+        xb = zb = 0
         for q in x:
-            _check_index(q, n)
-            xb[q] ^= 1
+            xb ^= _bit(q, n)
         for q in z:
-            _check_index(q, n)
-            zb[q] ^= 1
-        return PauliOperator(n, xb, zb)
+            zb ^= _bit(q, n)
+        return PauliOperator._packed(n, xb, zb)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliOperator):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.x_bits, other.x_bits)
-            and np.array_equal(self.z_bits, other.z_bits)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.x_bits.tobytes(), self.z_bits.tobytes()))
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
+    def __mul__(self, other: PauliOperator) -> PauliOperator:
         return multiply(self, other)
 
     def __repr__(self) -> str:
@@ -66,29 +89,41 @@ class PauliOperator:
 
     @property
     def is_identity(self) -> bool:
-        return not (self.x_bits.any() or self.z_bits.any())
+        return not (self.x or self.z)
 
     @property
     def is_x_type(self) -> bool:
-        return not self.z_bits.any()
+        return not self.z
 
     @property
     def is_z_type(self) -> bool:
-        return not self.x_bits.any()
+        return not self.x
 
     def support(self) -> tuple[int, ...]:
-        return tuple(int(q) for q in np.nonzero(self.x_bits | self.z_bits)[0])
+        return _qubits(self.x | self.z)
 
     def x_support(self) -> tuple[int, ...]:
-        return tuple(int(q) for q in np.nonzero(self.x_bits)[0])
+        return _qubits(self.x)
 
     def z_support(self) -> tuple[int, ...]:
-        return tuple(int(q) for q in np.nonzero(self.z_bits)[0])
+        return _qubits(self.z)
 
 
-def _check_index(q: int, n: int):
+def _qubits(row: int) -> tuple[int, ...]:
+    """The set bits of a packed row, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return tuple(out)
+
+
+def _bit(q: int, n: int) -> int:
+    """The packed row of qubit q alone."""
     if not 0 <= q < n:
         raise IndexError(f"qubit {q} out of range for {n} qubits")
+    return 1 << int(q)
 
 
 def _check_sizes(a: PauliOperator, b: PauliOperator):
@@ -97,14 +132,14 @@ def _check_sizes(a: PauliOperator, b: PauliOperator):
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Phase-free product, the componentwise XOR of both bit vectors."""
+    """Phase-free product, the XOR of both packed rows."""
     _check_sizes(a, b)
-    return PauliOperator(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits)
+    return PauliOperator._packed(a.n, a.x ^ b.x, a.z ^ b.z)
 
 
 def symplectic(a: PauliOperator, b: PauliOperator) -> int:
     _check_sizes(a, b)
-    return int(a.x_bits @ b.z_bits + a.z_bits @ b.x_bits) % 2
+    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
@@ -114,7 +149,7 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
 
 def weight(p: PauliOperator) -> int:
     """Number of qubits on which p acts nontrivially."""
-    return int(np.count_nonzero(p.x_bits | p.z_bits))
+    return (p.x | p.z).bit_count()
 
 
 def restrict(p: PauliOperator, support) -> PauliOperator:
@@ -125,11 +160,10 @@ def restrict(p: PauliOperator, support) -> PauliOperator:
     When two supports cover every qubit, p factors as the product of its
     two restrictions times the restriction to their intersection.
     """
-    mask = np.zeros(p.n, dtype=np.uint8)
+    mask = 0
     for q in support:
-        _check_index(int(q), p.n)
-        mask[int(q)] = 1
-    return PauliOperator(p.n, p.x_bits & mask, p.z_bits & mask)
+        mask |= _bit(q, p.n)
+    return PauliOperator._packed(p.n, p.x & mask, p.z & mask)
 
 
 def permute_operator(p: PauliOperator, perm) -> PauliOperator:
@@ -137,11 +171,7 @@ def permute_operator(p: PauliOperator, perm) -> PauliOperator:
     perm = [int(q) for q in perm]
     if sorted(perm) != list(range(p.n)):
         raise ValidationError("perm must be a permutation of all qubit indices")
-    inv = np.argsort(perm)
-    return PauliOperator(p.n, p.x_bits[inv], p.z_bits[inv])
-
-
-_DENSE_CHARS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    return PauliOperator._packed(p.n, *gf2._relabel((p.x, p.z), perm))
 
 
 def format_operator(p: PauliOperator, style: str = "auto") -> str:
@@ -154,17 +184,12 @@ def format_operator(p: PauliOperator, style: str = "auto") -> str:
     if style == "auto":
         style = "dense" if p.n <= DENSE_LIMIT else "sparse"
     if style == "dense":
-        return "".join(
-            _DENSE_CHARS[(int(x), int(z))] for x, z in zip(p.x_bits, p.z_bits)
-        )
+        return "".join("IXZY"[(p.x >> q & 1) | (p.z >> q & 1) << 1] for q in range(p.n))
     if style == "sparse":
         parts = [f"n={p.n}"]
-        xs = np.nonzero(p.x_bits)[0]
-        zs = np.nonzero(p.z_bits)[0]
-        if xs.size:
-            parts.append("X:" + ",".join(str(int(q)) for q in xs))
-        if zs.size:
-            parts.append("Z:" + ",".join(str(int(q)) for q in zs))
+        for label, qubits in (("X", p.x_support()), ("Z", p.z_support())):
+            if qubits:
+                parts.append(f"{label}:" + ",".join(map(str, qubits)))
         return "; ".join(parts)
     raise ValidationError(f"unknown style {style!r}")
 
@@ -180,16 +205,15 @@ def parse_operator(text: str, n: int | None = None) -> PauliOperator:
         raise ValidationError("empty operator text")
     if "=" in text or ":" in text:
         return _parse_sparse(text, n)
-    xb = []
-    zb = []
-    for ch in text:
+    x = z = 0
+    for q, ch in enumerate(text):
         if ch not in "IXYZ":
             raise ValidationError(f"bad dense operator character {ch!r}")
-        xb.append(1 if ch in "XY" else 0)
-        zb.append(1 if ch in "ZY" else 0)
-    if n is not None and n != len(xb):
-        raise ValidationError(f"dense operator has {len(xb)} qubits, expected {n}")
-    return PauliOperator(len(xb), np.array(xb, dtype=np.uint8), np.array(zb, dtype=np.uint8))
+        x |= (ch in "XY") << q
+        z |= (ch in "ZY") << q
+    if n is not None and n != len(text):
+        raise ValidationError(f"dense operator has {len(text)} qubits, expected {n}")
+    return PauliOperator._packed(len(text), x, z)
 
 
 def _parse_sparse(text: str, n: int | None) -> PauliOperator:

@@ -68,10 +68,10 @@ def _golden_checks() -> list[CheckResult]:
 
     merged = weld(build_two_qubit(), build_two_qubit(), [(1, 0)], "z")
     want = CssCode(
-        GeneratingSet(
+        GeneratingSet._packed(
             3,
-            [parse_operator("XXI").x_bits, parse_operator("IXX").x_bits],
-            [parse_operator("ZZZ").z_bits],
+            [parse_operator("XXI").x, parse_operator("IXX").x],
+            [parse_operator("ZZZ").z],
         )
     )
     checks.append(
@@ -113,7 +113,7 @@ def _golden_checks() -> list[CheckResult]:
 def _independent_patterns(rng, shared: int, count: int) -> np.ndarray:
     while True:
         patterns = rng.integers(0, 2, size=(count, shared), dtype=np.uint8)
-        if gf2.rank(patterns) == count:
+        if len(gf2._echelon(gf2._pack(patterns))) == count:
             return patterns
 
 
@@ -189,9 +189,10 @@ def _spoiled_cases(rng):
         ],
         dtype=np.uint8,
     )
-    kernel = gf2.null_space(dependent)
-    left = CssCode(GeneratingSet(6, dependent, kernel))
-    right = CssCode(GeneratingSet(6, dependent.copy(), kernel.copy()))
+    rows = gf2._pack(dependent)
+    kernel = gf2._kernel(rows, 6)
+    left = CssCode(GeneratingSet._packed(6, rows, kernel))
+    right = CssCode(GeneratingSet._packed(6, rows, kernel))
     cases.append(((left, right, [(0, 0), (1, 1)], "x"), "weld_independence"))
 
     # Same object on both ends.

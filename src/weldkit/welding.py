@@ -126,9 +126,10 @@ class WeldLayout:
         )
 
     def embed_operator(self, op: PauliOperator, side: int) -> PauliOperator:
-        bits = np.zeros((2, self.n), dtype=np.uint8)
-        bits[:, self._embedding(side)] = (op.x_bits, op.z_bits)
-        return PauliOperator(self.n, *bits)
+        emb = self._embedding(side)
+        if op.n != len(emb):
+            raise ValidationError(f"operator acts on {op.n} qubits, side {side} has {len(emb)}")
+        return PauliOperator._packed(self.n, *gf2._relabel((op.x, op.z), emb))
 
 
 def _layout(n1: int, n2: int, ident) -> WeldLayout:
@@ -367,6 +368,13 @@ def _trace(
 
     gens1 is code 1, whose rows keep their bits on the output register;
     rows2 maps "x" and "z" to code 2's rows there, as _weld_core returns it.
+
+    Each operator is built from its packed row, and its x_bits and z_bits
+    views are seeded from one bulk unpack plus one shared zero row: the
+    traced benchmark's weld probe reads every entry's views, and making
+    them one by one inside it would inflate the probe's time.  The seeding
+    goes once the trace holds row indices instead of operators (ROADMAP
+    item 2), after the benchmark revision (item 1) resizes that probe.
     """
     n = layout.n
     mask = _shared_mask(n, layout.shared)
@@ -383,14 +391,21 @@ def _trace(
     for i, j in pairs:
         a, b = weld1[i], weld2[j]
         flat += (a ^ b ^ (a & mask), a, b, a & mask)
-    # typed() takes the rows' bits in this order
-    bits = iter(gf2._unpack(flat, n))
+    dense = gf2._unpack(flat, n)
     zero = np.zeros(n, dtype=np.uint8)
-    identity = PauliOperator.identity(n)
+    dense.flags.writeable = zero.flags.writeable = False
+
+    def seeded(op, x_bits, z_bits):  # fills the cached views without unpacking
+        op.__dict__.update(x_bits=x_bits, z_bits=z_bits)
+        return op
+
+    identity = seeded(PauliOperator.identity(n), zero, zero)
+    rows_and_bits = zip(flat, dense)  # typed() takes the rows in this order
 
     def typed(block):
-        row = next(bits)
-        return PauliOperator(n, row, zero) if block == "x" else PauliOperator(n, zero, row)
+        row, bits = next(rows_and_bits)
+        op = _row_operator(n, block, row)
+        return seeded(op, bits, zero) if block == "x" else seeded(op, zero, bits)
 
     entries: list[TraceEntry] = []
     row = {"x": 0, "z": 0}
@@ -490,18 +505,12 @@ def trace_successor(trace: WeldTrace, side: int, op: PauliOperator) -> PauliOper
     op lives on the original register of the named side; it is embedded
     through the layout and looked up among the trace entries.
     """
-    size = len(trace.layout._embedding(side))
-    if op.n != size:
-        raise ValidationError(f"operator acts on {op.n} qubits, but side {side} has {size}")
     embedded = trace.layout.embed_operator(op, side)
     if embedded.is_identity:
         # the other side's entries keep the identity in this slot
         raise ValidationError("operator is not a tracked generator of that side")
-    # comparing raw bytes skips the per-entry array_equal calls
-    key = (embedded.x_bits.tobytes(), embedded.z_bits.tobytes())
     for entry in trace.entries:
-        part = entry.part1 if side == 1 else entry.part2
-        if (part.x_bits.tobytes(), part.z_bits.tobytes()) == key:
+        if (entry.part1 if side == 1 else entry.part2) == embedded:
             return entry.op
     raise ValidationError("operator is not a tracked generator of that side")
 

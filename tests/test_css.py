@@ -1,11 +1,23 @@
 import copy
+import hashlib
 import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weldkit.builders import SurfaceSpec, build_repetition, build_surface, build_two_qubit
+from weldkit.builders import (
+    SolidSpec,
+    SurfaceSpec,
+    build_repetition,
+    build_solid,
+    build_surface,
+    build_two_qubit,
+    build_welded_solid,
+    build_welded_surface,
+    grid2d,
+    star,
+)
 from weldkit.css import (
     CssCode,
     GeneratingSet,
@@ -328,6 +340,39 @@ def test_json_round_trip():
     again = loads(dumps(code, "json"))
     assert groups_equal(again, code)
     assert again.logicals == code.logicals
+
+
+# sha256 of both exports, prefix of 16 hex digits, taken before operators
+# held packed rows; the welded solid is past DENSE_LIMIT, so sparse lines.
+@pytest.mark.parametrize(
+    "build, text_digest, json_digest",
+    [
+        (lambda: build_surface(SurfaceSpec(4, 3)), "5b92e28f53fcdb0b", "f631a2fe632c07f8"),
+        (
+            lambda: fold_logical(build_surface(SurfaceSpec(1, 3)), 0, "z"),
+            "17cdf24e5978c0e0",
+            "6d588fb790f38dfb",
+        ),
+        (lambda: build_solid(SolidSpec(2, 2, 3)), "51e48bbd5a2392f0", "c265f4dd6e91522c"),
+        (
+            lambda: build_welded_solid(grid2d(2, 2), SolidSpec(2, 2, 2)),
+            "764e235f0c685e57",
+            "c7b099e75b985ef2",
+        ),
+        (
+            lambda: build_welded_surface(star(3), "smooth", SurfaceSpec(2, 2)),
+            "a51523d815dce7c0",
+            "b0cb7ea5254bd2d9",
+        ),
+    ],
+    ids=["surface-4x3", "surface-1x3-folded", "solid-2x2x3", "welded-solid-84q", "welded-surface"],
+)
+def test_exports_are_pinned(build, text_digest, json_digest):
+    code = build()
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        text = dumps(code, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        assert dumps(loads(text), fmt) == text
 
 
 def test_loads_detects_format():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -119,3 +122,115 @@ def test_operator_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
+
+
+@pytest.mark.parametrize(
+    "n, x_bits, z_bits",
+    [
+        (3, [2, 0, 0], [0, 0, 0]),  # an entry past 1 would otherwise wrap mod 2
+        (3, [-1, 0, 0], [0, 0, 0]),
+        (3, [1, 0], [0, 0, 0]),
+        (3, [0, 0, 0], [[0, 0, 0]]),
+        (3, [[1], [0, 0]], [0, 0, 0]),
+        (-1, [], []),
+        (2.0, [0, 0], [0, 0]),
+    ],
+    ids=["entry-2", "entry-minus-1", "short", "2-d", "ragged", "n-negative", "n-float"],
+)
+def test_constructor_rejects_malformed_input(n, x_bits, z_bits):
+    with pytest.raises(ValidationError):
+        PauliOperator(n, x_bits, z_bits)
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, "3"])
+def test_support_constructors_reject_a_bad_register_size(n):
+    with pytest.raises(ValidationError, match="qubit count"):
+        PauliOperator.from_support(n)
+    with pytest.raises(ValidationError, match="qubit count"):
+        PauliOperator.identity(n)
+
+
+@pytest.mark.parametrize("row", [1 << 3, -1, 1 << 70, 1.0, np.int64(1)])
+def test_packed_constructor_rejects_rows_off_the_register(row):
+    with pytest.raises(ValidationError, match="not a packed row"):
+        PauliOperator._packed(3, 0b101, row)
+    with pytest.raises(ValidationError, match="not a packed row"):
+        PauliOperator._packed(3, row, 0)
+
+
+def test_constructor_packs_bit_q_as_qubit_q():
+    p = PauliOperator(5, [1, 0, 0, 1, 1], np.array([0, 1, 0, 0, 1], dtype=np.uint8))
+    assert (p.n, p.x, p.z) == (5, 0b11001, 0b10010)
+    assert p == PauliOperator._packed(5, 0b11001, 0b10010)
+    assert format_operator(p) == "XZIXY"
+    assert PauliOperator(0, [], []) == PauliOperator.identity(0)
+
+
+def test_views_are_read_only_and_cached():
+    q = PauliOperator(3, [1, 0, 0], [0, 0, 0])
+    members = {q}
+    assert q.x_bits is q.x_bits
+    assert q.x_bits.dtype == np.uint8 and q.x_bits.tolist() == [1, 0, 0]
+    with pytest.raises(ValueError):
+        q.x_bits[2] = 1
+    with pytest.raises(ValueError):
+        q.z_bits[:] = 1
+    # reading the views changed nothing the set sees
+    assert q in members and format_operator(q) == "XII"
+    for clone in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+        assert clone == q and clone in members
+        with pytest.raises(ValueError):
+            clone.x_bits[2] = 1
+        with pytest.raises(ValueError):
+            clone.z_bits[0] = 1
+        assert format_operator(clone) == "XII"
+
+
+WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 200]
+
+
+def _sparse_reference(n, x, z):
+    parts = [f"n={n}"]
+    for label, bits in (("X", x), ("Z", z)):
+        if bits.any():
+            parts.append(f"{label}:" + ",".join(str(q) for q in np.nonzero(bits)[0]))
+    return "; ".join(parts)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_operations_match_a_dense_reference(n):
+    """Every module function against numpy on the arrays the operators came from."""
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(25):
+        px, pz, qx, qz = (rng.integers(0, 2, size=n, dtype=np.uint8) for _ in range(4))
+        p, q = PauliOperator(n, px, pz), PauliOperator(n, qx, qz)
+        assert p.x_bits.tolist() == px.tolist() and p.z_bits.tolist() == pz.tolist()
+
+        prod = multiply(p, q)
+        assert prod == PauliOperator(n, px ^ qx, pz ^ qz)
+        overlap = int(np.sum(px & qz) + np.sum(pz & qx)) % 2
+        assert symplectic(p, q) == overlap
+        assert commutes(p, q) == (overlap == 0)
+        assert weight(p) == int(np.count_nonzero(px | pz))
+
+        support = rng.permutation(n)[: rng.integers(0, n + 1)]
+        mask = np.zeros(n, dtype=np.uint8)
+        mask[support] = 1
+        assert restrict(p, support) == PauliOperator(n, px & mask, pz & mask)
+
+        perm = rng.permutation(n)
+        inv = np.argsort(perm)
+        assert permute_operator(p, perm) == PauliOperator(n, px[inv], pz[inv])
+
+        assert p.support() == tuple(int(i) for i in np.nonzero(px | pz)[0])
+        assert p.x_support() == tuple(int(i) for i in np.nonzero(px)[0])
+        assert p.z_support() == tuple(int(i) for i in np.nonzero(pz)[0])
+
+        dense = "".join("IXZY"[a + 2 * b] for a, b in zip(px.tolist(), pz.tolist()))
+        assert format_operator(p, style="dense") == dense
+        sparse = _sparse_reference(n, px, pz)
+        assert format_operator(p, style="sparse") == sparse
+        assert format_operator(p) == (dense if n <= DENSE_LIMIT else sparse)
+        assert parse_operator(sparse) == p
+        if n:
+            assert parse_operator(dense) == p

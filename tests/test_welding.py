@@ -270,6 +270,18 @@ def test_weld_trace_entries_are_pinned_by_digest():
     )
 
 
+def test_trace_views_match_the_packed_rows_and_are_read_only():
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        trace = welded_operator_trace(weld(*random_weld_case(rng)))
+        for e in trace.entries:
+            for op in (e.op, e.part1, e.part2, e.shared_part):
+                assert PauliOperator(op.n, op.x_bits, op.z_bits) == op
+                for view in (op.x_bits, op.z_bits):
+                    with pytest.raises(ValueError):
+                        view[0] = 1 - view[0]
+
+
 def test_weld_and_oracle_validate_each_input_code_once(monkeypatch):
     calls = []
     real = css.validate
@@ -423,6 +435,15 @@ def test_contract_layout_and_embeddings():
     assert set2.z_rows.tolist() == [[0, 1, 1]]
     op = layout.embed_operator(parse_operator("XZ"), 2)
     assert op == parse_operator("IXZ")
+
+
+def test_embed_operator_checks_the_width():
+    layout, _, _ = contract(build_two_qubit(), build_two_qubit(), [(1, 0)])
+    for side in (1, 2):
+        with pytest.raises(ValidationError, match="3 qubits, side .* has 2"):
+            layout.embed_operator(parse_operator("XZI"), side)
+    with pytest.raises(ValidationError, match="side must be 1 or 2"):
+        layout.embed_operator(parse_operator("XZ"), 3)
 
 
 def test_contract_range_checks():
