@@ -18,8 +18,6 @@ import functools
 import operator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import gf2
 from .css import (
     CssCode,
@@ -63,6 +61,18 @@ __all__ = [
 # specs
 
 
+def _integer_sizes(spec, fields: tuple[str, ...], what: str) -> list[int]:
+    """Set each named field of a frozen spec to its int, or raise ValidationError."""
+    try:
+        sizes = [operator.index(getattr(spec, field)) for field in fields]
+    except TypeError:
+        values = tuple(getattr(spec, field) for field in fields)
+        raise ValidationError(f"{what} must be integers, got {values!r}") from None
+    for field, size in zip(fields, sizes):
+        object.__setattr__(spec, field, size)
+    return sizes
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Surface patch size in plaquettes: width columns by height rows."""
@@ -71,7 +81,7 @@ class SurfaceSpec:
     height: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+        if min(_integer_sizes(self, ("width", "height"), "surface width and height")) < 1:
             raise ValidationError("surface width and height must be at least 1")
 
 
@@ -85,7 +95,7 @@ class SolidSpec:
     horizontal_plaquettes: bool = False
 
     def __post_init__(self):
-        if min(self.dx, self.dy, self.dz) < 1:
+        if min(_integer_sizes(self, ("dx", "dy", "dz"), "solid cell counts")) < 1:
             raise ValidationError("solid cell counts must be at least 1")
 
 
@@ -371,8 +381,7 @@ def _mask(support) -> int:
 
 def build_two_qubit() -> CssCode:
     """The smallest weldable piece: two qubits stabilized by XX and ZZ."""
-    gens = GeneratingSet(2, [[1, 1]], [[1, 1]])
-    return CssCode(gens)
+    return CssCode(GeneratingSet._packed(2, [3], [3]))
 
 
 def build_repetition(length: int) -> CssCode:
@@ -852,7 +861,7 @@ def _weld_strips(lay: _Lattice, piece: CssCode) -> CssCode:
         (strip.column(0, 0), strip.column(1, 0)),
         "x",
     )
-    perm = np.full(asm.code.n, -1, dtype=np.int64)
+    perm = [-1] * asm.code.n
     for ((xu, yu), (xv, yv)), embed in asm.piece_embeddings:
         rung = lay.hx if xv == xu + 1 else lay.hy
         for z in range(lay.dz):
@@ -860,7 +869,7 @@ def _weld_strips(lay: _Lattice, piece: CssCode) -> CssCode:
             perm[embed[strip.vq(1, 0, z)]] = lay.vq(xv, yv, z)
         for z in range(1, lay.dz):
             perm[embed[strip.hx(0, 0, z)]] = rung(xu, yu, z)
-    if sorted(perm.tolist()) != list(range(asm.code.n)):
+    if sorted(perm) != list(range(asm.code.n)):
         raise AssertionError("strip welding did not cover the lattice exactly once")
     return permute_qubits(asm.code, perm)
 

@@ -72,6 +72,8 @@ class GeneratingSet:
 
     def columns(self, kind: str) -> tuple[int, ...]:
         """Per-qubit masks of one block, cached: bit i of entry q is bit q of row i."""
+        if kind not in ("x", "z"):
+            raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
         key = f"_{kind}_columns"
         if key not in self.__dict__:
             self.__dict__[key] = tuple(gf2._transpose(getattr(self, f"{kind}_packed"), self.n))

@@ -3,17 +3,17 @@
 The package stores one row format: a Python int with bit q = column q,
 so a row operation is one XOR.  Generating sets and Pauli operators
 hold such packed rows, and the library computes only on them through
-the private helpers here.  _packed_block packs and validates 0/1 input
-from outside, _check_packed validates rows built inside, and _view
-gives the read-only uint8 view of packed rows.  Rank and membership use
-a semi-echelon basis keyed by each row's lowest set bit; _reduced
-back-substitutes it to the unique reduced form, from which _solve reads
-a solution and _kernel a kernel basis, both on packed rows.
+the private helpers here.  Rank and membership use a semi-echelon basis
+keyed by each row's lowest set bit; _reduced back-substitutes it to the
+unique reduced form, from which _solve reads a solution and _kernel a
+kernel basis, both on packed rows.
 
-The public functions take 2-d uint8 matrices with entries in {0, 1},
-pack them, and never modify their arguments.  The library itself does
-not call them; they stay as a dense interface and as the tests'
-independent reference.
+Dense 0/1 arrays appear only at the library's edge.  _packed_block packs
+and validates array-likes in the two array constructors, GeneratingSet
+and PauliOperator, through as_matrix and _pack; _view gives the
+read-only uint8 views of packed rows, and welding._trace seeds the weld
+trace's views from one bulk _unpack.  _check_packed validates rows built
+inside.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ def as_matrix(rows, width: int | None = None) -> np.ndarray:
     if width is not None and a.shape[0] == 0:
         a = a.reshape(0, width)
     return a % 2
-
-
-def as_vector(v, width: int | None = None) -> np.ndarray:
-    a = np.asarray(v, dtype=np.uint8).ravel() % 2
-    if width is not None and a.size != width:
-        raise ValueError(f"expected vector of length {width}, got {a.size}")
-    return a
 
 
 def _pack(mat) -> list[int]:
@@ -200,75 +193,6 @@ def _reduce_weight(v: int, rows) -> int:
                 v ^= row
                 improved = True
     return v
-
-
-def rref(mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form.
-
-    Returns (reduced, pivot_columns).  Zero rows are dropped, so the
-    reduced matrix has exactly rank(mat) rows and is a canonical form of
-    the row space: two matrices have equal row spaces iff their rref
-    arrays are equal.
-    """
-    a = as_matrix(mat)
-    red = _reduced(_pack(a))
-    return _unpack([row for _, row in red], a.shape[1]), [c for c, _ in red]
-
-
-def rank(mat) -> int:
-    return len(_echelon(_pack(mat)))
-
-
-def reduce_vector(mat, vec) -> np.ndarray:
-    """Residual of vec after eliminating against the rows of mat."""
-    v = as_vector(vec)
-    return _unpack([_residual(_echelon(_pack(mat)), _pack(v[None])[0])], v.size)[0]
-
-
-def in_row_space(mat, vec) -> bool:
-    return not _residual(_echelon(_pack(mat)), _pack(as_vector(vec)[None])[0])
-
-
-def solve(a, b) -> np.ndarray | None:
-    """One solution x of a @ x == b (mod 2), or None if inconsistent.
-
-    Free variables are set to zero, which makes the result deterministic.
-    """
-    a = as_matrix(a)
-    rows, cols = a.shape
-    solved = _solve(_pack(a), _pack(as_vector(b, rows)[None])[0], cols)
-    return None if solved is None else _unpack([solved[0]], cols)[0]
-
-
-def express_in_rows(mat, vec) -> np.ndarray | None:
-    """Coefficients c with c @ mat == vec (mod 2), or None.
-
-    Coefficients refer to the rows of mat as given, not to the reduced
-    form.
-    """
-    a = as_matrix(mat)
-    return solve(a.T, as_vector(vec, a.shape[1]))
-
-
-def reduce_weight(vec, mat) -> np.ndarray:
-    """vec plus a greedy choice of rows of mat, never heavier than vec.
-
-    Each pass over the rows, in order, adds every row that lowers the
-    weight, until a pass adds none; the result need not be of least weight.
-    """
-    v = as_vector(vec)
-    return _unpack([_reduce_weight(_pack(v[None])[0], _pack(as_matrix(mat, v.size)))], v.size)[0]
-
-
-def null_space(mat) -> np.ndarray:
-    """Rows form a basis of the right kernel {x : mat @ x == 0 (mod 2)}."""
-    a = as_matrix(mat)
-    return _unpack(_kernel(_pack(a), a.shape[1]), a.shape[1])
-
-
-def row_spaces_equal(a, b) -> bool:
-    a, b = as_matrix(a), as_matrix(b)
-    return a.shape[1] == b.shape[1] and _reduced(_pack(a)) == _reduced(_pack(b))
 
 
 def _vanishing_subset(rows: list[int], mask: int, width: int) -> list[int]:

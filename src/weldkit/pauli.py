@@ -122,13 +122,13 @@ def _qubits(row: int) -> tuple[int, ...]:
 def _bit(q: int, n: int) -> int:
     """The packed row of qubit q alone."""
     if not 0 <= q < n:
-        raise IndexError(f"qubit {q} out of range for {n} qubits")
+        raise ValidationError(f"qubit {q} out of range for {n} qubits")
     return 1 << int(q)
 
 
 def _check_sizes(a: PauliOperator, b: PauliOperator):
     if a.n != b.n:
-        raise ValueError(f"operator size mismatch: {a.n} vs {b.n}")
+        raise ValidationError(f"operator size mismatch: {a.n} vs {b.n}")
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -241,7 +241,4 @@ def _parse_sparse(text: str, n: int | None) -> PauliOperator:
             raise ValidationError(f"bad number in operator field {part!r}")
     if n is None:
         raise ValidationError("sparse operator needs an n= field")
-    try:
-        return PauliOperator.from_support(n, x=xs, z=zs)
-    except IndexError as err:
-        raise ValidationError(str(err))
+    return PauliOperator.from_support(n, x=xs, z=zs)

@@ -110,33 +110,39 @@ def _golden_checks() -> list[CheckResult]:
     return checks
 
 
-def _independent_patterns(rng, shared: int, count: int) -> np.ndarray:
+def _row(positions, bits) -> int:
+    """The packed row with bit positions[i] set where bits[i] is 1."""
+    row = 0
+    for q, bit in zip(positions, bits):
+        row |= int(bit) << q
+    return row
+
+
+def _independent_patterns(rng, shared: int, count: int) -> list[int]:
+    """count independent packed patterns on shared slots, bit j for slot j."""
     while True:
-        patterns = rng.integers(0, 2, size=(count, shared), dtype=np.uint8)
-        if len(gf2._echelon(gf2._pack(patterns))) == count:
+        draw = rng.integers(0, 2, size=(count, shared), dtype=np.uint8)
+        patterns = [_row(range(shared), bits) for bits in draw]
+        if len(gf2._echelon(patterns)) == count:
             return patterns
 
 
 def _weld_side(rng, patterns, shared_positions, n: int, weld_type: str) -> CssCode:
     """A stabilizer code whose weld-type rows realize the given patterns.
 
-    One touching row per pattern (pattern bits on the shared slots,
+    One touching row per pattern (pattern bit j on shared_positions[j],
     noise elsewhere) plus a few interior-only rows; the opposite type
     is the kernel, which forces commutation and zero encoded qubits.
     """
     interior = sorted(set(range(n)) - set(shared_positions))
-    rows = []
-    for pattern in patterns:
-        row = np.zeros(n, dtype=np.uint8)
-        row[list(shared_positions)] = pattern
-        row[interior] = rng.integers(0, 2, size=len(interior), dtype=np.uint8)
-        rows.append(row)
+    patterned = []
+    for placed in gf2._relabel(patterns, shared_positions):
+        noise = rng.integers(0, 2, size=len(interior), dtype=np.uint8)
+        patterned.append(placed | _row(interior, noise))
     for _ in range(int(rng.integers(0, 3))):
-        row = np.zeros(n, dtype=np.uint8)
-        row[interior] = rng.integers(0, 2, size=len(interior), dtype=np.uint8)
-        if row.any():
-            rows.append(row)
-    patterned = gf2._pack(rows)
+        row = _row(interior, rng.integers(0, 2, size=len(interior), dtype=np.uint8))
+        if row:
+            patterned.append(row)
     kernel = gf2._kernel(patterned, n)
     if weld_type == "z":
         return CssCode(GeneratingSet._packed(n, kernel, patterned))
@@ -181,15 +187,7 @@ def _spoiled_cases(rng):
     cases.append(((lonely, other, [(0, 0), (1, 1)], "z"), "well_matched"))
 
     # Three touching rows, independent in full but rank two on the weld.
-    dependent = np.array(
-        [
-            [0, 1, 1, 0, 0, 0],
-            [1, 0, 0, 1, 0, 0],
-            [1, 1, 0, 0, 1, 0],
-        ],
-        dtype=np.uint8,
-    )
-    rows = gf2._pack(dependent)
+    rows = [parse_operator(text).x for text in ("IXXIII", "XIIXII", "XXIIXI")]
     kernel = gf2._kernel(rows, 6)
     left = CssCode(GeneratingSet._packed(6, rows, kernel))
     right = CssCode(GeneratingSet._packed(6, rows, kernel))

@@ -717,3 +717,9 @@ def test_spec_validation():
         build_solid(SolidSpec(1, 0, 1))
     with pytest.raises(ValidationError):
         build_repetition(1)
+    for make in (lambda: SolidSpec(1.5, 1, 2), lambda: SolidSpec(1, 1, 2.0), lambda: SurfaceSpec("2", 2)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            make()
+    spec = SolidSpec(np.int64(1), 1, np.uint8(2))
+    assert spec == SolidSpec(1, 1, 2) and type(spec.dx) is type(spec.dz) is int
+    assert type(SurfaceSpec(np.int32(2), 2).width) is int

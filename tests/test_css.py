@@ -3,6 +3,7 @@ import hashlib
 import pickle
 from dataclasses import replace
 
+import gf2_reference as ref
 import numpy as np
 import pytest
 
@@ -40,7 +41,6 @@ from weldkit.css import (
 )
 from weldkit import gf2
 from weldkit.errors import ValidationError
-from weldkit.gf2 import null_space
 from weldkit.pauli import PauliOperator, multiply, parse_operator
 
 
@@ -64,7 +64,8 @@ def test_validate_reports_first_pair_in_row_major_order():
     for n in (5, 9, 64, 130):
         for _ in range(20):
             z = rng.integers(0, 2, size=(int(rng.integers(1, n)), n), dtype=np.uint8)
-            kernel = null_space(z)
+            kernel = ref.null_space(z)
+            assert gf2._kernel(gf2._pack(z), n) == gf2._pack(kernel)
             x = (rng.integers(0, 2, size=(n, kernel.shape[0]), dtype=np.uint8) @ kernel) % 2
             assert validate(GeneratingSet(n, x, z)) is None
             for _ in range(int(rng.integers(2, 6))):
@@ -226,7 +227,8 @@ def test_anticommuting_partner_properties():
 
 
 def _dense_partner(code, rep):
-    # the dense solve anticommuting_partner ran before it used packed rows
+    # the dense solve anticommuting_partner ran before it used packed rows,
+    # on the numpy references rather than on the kernels it runs
     n = code.n
     if rep.is_x_type:
         same_rows, same_bits = code.x_rows, rep.x_bits
@@ -238,13 +240,7 @@ def _dense_partner(code, rep):
     constraints = np.vstack([same_rows, np.array(other_reps).reshape(-1, n), same_bits])
     targets = np.zeros(constraints.shape[0], np.uint8)
     targets[-1] = 1
-    v = gf2.solve(constraints, targets)
-    improved = True
-    while improved:  # the greedy uint8 loop of the old reduce_weight
-        improved = False
-        for row in gf2.null_space(constraints):
-            if int((v ^ row).sum()) < int(v.sum()):
-                v, improved = v ^ row, True
+    v = ref.reduce_weight(ref.solve(constraints, targets), ref.null_space(constraints))
     zero = np.zeros(n, np.uint8)
     return PauliOperator(n, zero, v) if rep.is_x_type else PauliOperator(n, v, zero)
 
@@ -410,6 +406,12 @@ def test_views_round_trip_the_packed_rows(n, rows):
         assert list(gens.columns("z")) == gf2._pack(z.T)
 
 
+def test_columns_rejects_an_unknown_kind():
+    gens = GeneratingSet(2, [[1, 1]], [[1, 1]])
+    with pytest.raises(ValidationError, match="kind must be"):
+        gens.columns("y")
+
+
 def test_views_are_read_only_and_cached():
     gens = GeneratingSet(3, [[1, 1, 0]], [[1, 1, 1]])
     assert gens.x_rows is gens.x_rows
@@ -465,7 +467,8 @@ def test_syndrome_and_logical_checks_match_a_dense_reference():
     for _ in range(40):
         n = int(rng.integers(2, 70))
         x = rng.integers(0, 2, size=(int(rng.integers(1, n + 1)), n), dtype=np.uint8)
-        z = null_space(x)
+        z = ref.null_space(x)
+        assert gf2._kernel(gf2._pack(x), n) == gf2._pack(z)
         code = CssCode(GeneratingSet(n, x, z))
         for _ in range(5):
             xb, zb = rng.integers(0, 2, size=(2, n), dtype=np.uint8)

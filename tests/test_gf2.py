@@ -1,7 +1,18 @@
+import gf2_reference as ref
 import numpy as np
 import pytest
 
 from weldkit import gf2
+
+
+def _row(vec) -> int:
+    """A 0/1 vector as one packed row."""
+    return gf2._pack([vec])[0]
+
+
+def _dense(red, width):
+    """The rows and pivot columns of a _reduced form, as ref.rref gives them."""
+    return gf2._unpack([row for _, row in red], width), [c for c, _ in red]
 
 
 def test_as_matrix_shapes():
@@ -14,127 +25,83 @@ def test_as_matrix_shapes():
 
 def test_rref_known():
     m = gf2.as_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    reduced, pivots = gf2.rref(m)
-    assert list(pivots) == [0, 1]
-    assert gf2.rank(m) == 2
+    rows = gf2._pack(m)
+    reduced, pivots = _dense(gf2._reduced(rows), 3)
+    assert pivots == [0, 1]
+    assert reduced.tolist() == ref.rref(m)[0].tolist()
+    assert len(gf2._echelon(rows)) == 2
     # third row is the sum of the first two
-    assert gf2.in_row_space(m, np.array([1, 0, 1], dtype=np.uint8))
+    assert not gf2._residual(gf2._echelon(rows), _row([1, 0, 1]))
 
 
 def test_rref_idempotent_and_span_preserving():
     rng = np.random.default_rng(11)
     for _ in range(100):
         m = rng.integers(0, 2, size=(5, 8), dtype=np.uint8)
-        reduced, pivots = gf2.rref(m)
-        again, again_pivots = gf2.rref(reduced)
-        assert np.array_equal(reduced[: len(pivots)], again[: len(again_pivots)])
-        assert gf2.row_spaces_equal(m, reduced)
+        red = gf2._reduced(gf2._pack(m))
+        assert gf2._reduced([row for _, row in red]) == red
+        reduced, pivots = _dense(red, 8)
+        want, want_pivots = ref.rref(m)
+        assert np.array_equal(reduced, want) and pivots == want_pivots
+        assert np.array_equal(ref.rref(reduced)[0], want)
 
 
 def test_reduce_vector_lands_in_coset():
     m = gf2.as_matrix([[1, 1, 0, 0], [0, 0, 1, 1]])
-    v = np.array([1, 1, 1, 1], dtype=np.uint8)
-    reduced = gf2.reduce_vector(m, v)
-    assert not reduced.any()
-    w = np.array([1, 0, 0, 0], dtype=np.uint8)
-    assert gf2.reduce_vector(m, w).any()
+    basis = gf2._echelon(gf2._pack(m))
+    for v in ([1, 1, 1, 1], [1, 0, 0, 0]):
+        reduced = gf2._residual(basis, _row(v))
+        assert gf2._unpack([reduced], 4)[0].tolist() == ref.reduce_vector(m, v).tolist()
+    assert not gf2._residual(basis, _row([1, 1, 1, 1]))
+    assert gf2._residual(basis, _row([1, 0, 0, 0]))
 
 
 def test_null_space_is_orthogonal_complement():
     rng = np.random.default_rng(5)
     for _ in range(50):
         m = rng.integers(0, 2, size=(4, 9), dtype=np.uint8)
-        kernel = gf2.null_space(m)
+        packed = gf2._kernel(gf2._pack(m), 9)
+        kernel = gf2._unpack(packed, 9)
         assert kernel.shape[1] == 9
-        assert kernel.shape[0] == 9 - gf2.rank(m)
+        assert kernel.shape[0] == 9 - len(ref.rref(m)[1])
         if kernel.shape[0] and m.shape[0]:
             assert not ((m @ kernel.T) % 2).any()
-        assert gf2.rank(kernel) == kernel.shape[0]
+        assert len(gf2._echelon(packed)) == kernel.shape[0] == len(ref.rref(kernel)[1])
 
 
 def test_solve_and_express():
     m = gf2.as_matrix([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+    # coefficients c with c @ m == v solve m.T @ c == v
+    columns = gf2._pack(m.T)
     rng = np.random.default_rng(3)
     for _ in range(50):
         coeffs = rng.integers(0, 2, size=3, dtype=np.uint8)
         v = (coeffs @ m) % 2
-        got = gf2.express_in_rows(m, v.astype(np.uint8))
-        assert got is not None
+        solved = gf2._solve(columns, _row(v), 3)
+        assert solved is not None
+        got = gf2._unpack([solved[0]], 3)[0]
+        assert got.tolist() == ref.solve(m.T, v).tolist()
         assert np.array_equal((got @ m) % 2, v)
-    assert gf2.express_in_rows(m, np.array([1, 1, 1, 1], dtype=np.uint8)) is None
+    assert gf2._solve(columns, _row([1, 1, 1, 1]), 3) is None
+    assert ref.solve(m.T, [1, 1, 1, 1]) is None
 
 
 def test_row_spaces_equal_detects_difference():
     a = gf2.as_matrix([[1, 1, 0], [0, 1, 1]])
     b = gf2.as_matrix([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     c = gf2.as_matrix([[1, 1, 1]])
-    assert gf2.row_spaces_equal(a, b)
-    assert not gf2.row_spaces_equal(a, c)
+    assert gf2._reduced(gf2._pack(a)) == gf2._reduced(gf2._pack(b))
+    assert gf2._reduced(gf2._pack(a)) != gf2._reduced(gf2._pack(c))
+    assert np.array_equal(ref.rref(a)[0], ref.rref(b)[0])
+    assert not np.array_equal(ref.rref(a)[0], ref.rref(c)[0])
 
 
 def test_in_row_space_rejects_outsiders():
     m = gf2.as_matrix([[1, 1, 0, 0]])
-    assert gf2.in_row_space(m, np.array([1, 1, 0, 0], dtype=np.uint8))
-    assert gf2.in_row_space(m, np.zeros(4, dtype=np.uint8))
-    assert not gf2.in_row_space(m, np.array([1, 0, 0, 0], dtype=np.uint8))
-
-
-def _reference_rref(mat):
-    # the dense uint8 elimination that gf2 used before rows were packed
-    a = gf2.as_matrix(mat).copy()
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        lead = r + int(hits[0])
-        if lead != r:
-            a[[r, lead]] = a[[lead, r]]
-        for i in np.nonzero(a[:, c])[0]:
-            if i != r:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def _reference_reduce(mat, vec):
-    red, pivots = _reference_rref(mat)
-    v = gf2.as_vector(vec).copy()
-    for row, c in zip(red, pivots):
-        if v[c]:
-            v ^= row
-    return v
-
-
-def _reference_solve(a, b):
-    a = gf2.as_matrix(a)
-    cols = a.shape[1]
-    red, pivots = _reference_rref(np.concatenate([a, b.reshape(-1, 1)], axis=1))
-    x = np.zeros(cols, dtype=np.uint8)
-    for row, c in zip(red, pivots):
-        if c == cols:
-            return None
-        x[c] = row[cols]
-    return x
-
-
-def _reference_null_space(mat):
-    a = gf2.as_matrix(mat)
-    cols = a.shape[1]
-    red, pivots = _reference_rref(a)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, c in zip(red, pivots):
-            if row[f]:
-                basis[i, c] = 1
-    return basis
+    basis = gf2._echelon(gf2._pack(m))
+    for v, inside in (([1, 1, 0, 0], True), ([0, 0, 0, 0], True), ([1, 0, 0, 0], False)):
+        assert (not gf2._residual(basis, _row(v))) == inside
+        assert (not ref.reduce_vector(m, v).any()) == inside
 
 
 def _random_matrix(rng, rows, cols):
@@ -156,30 +123,30 @@ def test_packed_core_matches_dense_elimination(cols):
     for rows in (0, 1, 2, 5, 13, 70):
         for _ in range(4):
             m = _random_matrix(rng, rows, cols)
-            red, pivots = gf2.rref(m)
-            ref_red, ref_pivots = _reference_rref(m)
+            packed = gf2._pack(m)
+            red, pivots = _dense(gf2._reduced(packed), cols)
+            ref_red, ref_pivots = ref.rref(m)
             assert red.dtype == np.uint8 and red.shape == ref_red.shape
             assert np.array_equal(red, ref_red) and pivots == ref_pivots
-            assert gf2.rank(m) == len(ref_pivots)
+            basis = gf2._echelon(packed)
+            assert len(basis) == len(ref_pivots)
             member = (rng.integers(0, 2, size=rows, dtype=np.uint8) @ m) % 2
             for vec in (rng.integers(0, 2, size=cols, dtype=np.uint8), member):
-                want = _reference_reduce(m, vec)
-                got = gf2.reduce_vector(m, vec)
-                assert got.dtype == np.uint8 and np.array_equal(got, want)
-                assert gf2.in_row_space(m, vec) == (not want.any())
+                want = ref.reduce_vector(m, vec)
+                got = gf2._unpack([gf2._residual(basis, _row(vec))], cols)[0]
+                assert np.array_equal(got, want)
             b = rng.integers(0, 2, size=rows, dtype=np.uint8)
             for target in (b, (m @ rng.integers(0, 2, size=cols, dtype=np.uint8)) % 2):
-                got, want = gf2.solve(m, target), _reference_solve(m, target)
-                assert (got is None) == (want is None)
+                solved, want = gf2._solve(packed, _row(target), cols), ref.solve(m, target)
+                assert (solved is None) == (want is None)
                 if want is not None:
-                    assert np.array_equal(got, want)
-            kernel = gf2.null_space(m)
-            assert kernel.dtype == np.uint8
-            assert np.array_equal(kernel, _reference_null_space(m))
+                    assert np.array_equal(gf2._unpack([solved[0]], cols)[0], want)
+            kernel = gf2._unpack(gf2._kernel(packed, cols), cols)
+            assert np.array_equal(kernel, ref.null_space(m))
             other = _random_matrix(rng, rows, cols)
             for b_mat in (other, red, np.vstack([m, member[None, :]])):
-                want = np.array_equal(ref_red, _reference_rref(b_mat)[0])
-                assert gf2.row_spaces_equal(m, b_mat) == want
+                want = np.array_equal(ref_red, ref.rref(b_mat)[0])
+                assert (gf2._reduced(packed) == gf2._reduced(gf2._pack(b_mat))) == want
 
 
 @pytest.mark.parametrize("cols", [0, 1, 9, 64, 65, 130])
@@ -194,41 +161,13 @@ def test_one_reduction_yields_the_solution_and_the_kernel(cols):
             noise = gf2._pack(rng.integers(0, 2, size=(1, rows), dtype=np.uint8))[0]
             for target in (noise, consistent):
                 solved = gf2._solve(packed, target, cols)
-                want = _reference_solve(gf2._unpack(packed, cols), gf2._unpack([target], rows)[0])
+                want = ref.solve(gf2._unpack(packed, cols), gf2._unpack([target], rows)[0])
                 assert (solved is None) == (want is None)
                 if solved is None:
                     continue
                 assert gf2._unpack([solved[0]], cols)[0].tolist() == want.tolist()
                 assert solved[1] == gf2._reduced(packed)
                 assert gf2._reduced_kernel(solved[1], cols) == gf2._kernel(packed, cols)
-
-
-def _numpy_null_space(mat):
-    # the numpy construction null_space used before kernels were packed
-    a = gf2.as_matrix(mat)
-    red, pivots = gf2.rref(a)
-    pivots = np.asarray(pivots, dtype=np.intp)
-    is_free = np.ones(a.shape[1], dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, a.shape[1]), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = red[:, free].T
-    return basis
-
-
-def _dense_reduce_weight(vec, mat):
-    # the uint8 loop reduce_weight ran before it worked on packed rows
-    v = gf2.as_vector(vec).copy()
-    improved = True
-    while improved:
-        improved = False
-        for row in gf2.as_matrix(mat, v.size):
-            candidate = v ^ row
-            if int(candidate.sum()) < int(v.sum()):
-                v = candidate
-                improved = True
-    return v
 
 
 @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 200])
@@ -247,26 +186,17 @@ def test_kernel_matches_the_numpy_construction(cols):
         _random_matrix(rng, 40, cols),
     ]
     for m in cases:
-        kernel, want = gf2.null_space(m), _numpy_null_space(m)
+        packed = gf2._kernel(gf2._pack(m), cols)
+        kernel, want = gf2._unpack(packed, cols), ref.numpy_null_space(m)
         assert (kernel.dtype, kernel.shape) == (want.dtype, want.shape)
         assert kernel.tobytes() == want.tobytes()
-        assert gf2._kernel(gf2._pack(m), cols) == gf2._pack(want)
-        assert kernel.shape[0] == cols - gf2.rank(m)
+        assert packed == gf2._pack(want)
+        assert kernel.shape[0] == cols - len(ref.rref(m)[1])
         assert not ((m.astype(np.int64) @ kernel.T) % 2).any()
         vec = rng.integers(0, 2, size=cols, dtype=np.uint8)
-        reduced = gf2.reduce_weight(vec, kernel)
-        assert reduced.tobytes() == _dense_reduce_weight(vec, kernel).tobytes()
-    assert gf2.null_space(invertible).shape == (0, cols)
-
-
-def _dense_vanishing_subset(rows, mask, width):
-    # the dense routine _vanishing_subset ran before it worked on packed rows
-    full = gf2._unpack(rows, width)
-    kernel_full = gf2.null_space(full.T)
-    kernel_weld = gf2.null_space((full & gf2._unpack([mask], width)).T)
-    cand = next(c for c in kernel_weld if not gf2.in_row_space(kernel_full, c))
-    coeff = _dense_reduce_weight(gf2.reduce_vector(kernel_full, cand), kernel_full)
-    return np.flatnonzero(coeff).tolist()
+        reduced = gf2._unpack([gf2._reduce_weight(_row(vec), packed)], cols)[0]
+        assert reduced.tobytes() == ref.reduce_weight(vec, kernel).tobytes()
+    assert gf2._kernel(gf2._pack(invertible), cols) == []
 
 
 def test_vanishing_subset_matches_the_dense_routine():
@@ -275,12 +205,13 @@ def test_vanishing_subset_matches_the_dense_routine():
     while found < 200:
         width = int(rng.integers(2, 30))
         rows = gf2._pack(_random_matrix(rng, int(rng.integers(2, 12)), width))
-        mask = gf2._pack((rng.random(width) < 0.2).astype(np.uint8))[0]
+        mask_bits = (rng.random(width) < 0.2).astype(np.uint8)
+        mask = gf2._pack(mask_bits)[0]
         if len(gf2._echelon([row & mask for row in rows])) == len(gf2._echelon(rows)):
             continue
         found += 1
         subset = gf2._vanishing_subset(rows, mask, width)
-        assert subset == _dense_vanishing_subset(rows, mask, width)
+        assert subset == ref.vanishing_subset(gf2._unpack(rows, width), mask_bits)
         product = 0
         for i in subset:
             product ^= rows[i]

@@ -97,6 +97,23 @@ def test_parse_rejects_garbage():
         parse_operator("n=x; X:0")
 
 
+def test_operations_across_registers_raise_validation_error():
+    a, b = parse_operator("XZ"), parse_operator("XZI")
+    for op in (multiply, symplectic, commutes):
+        with pytest.raises(ValidationError, match="size mismatch"):
+            op(a, b)
+
+
+@pytest.mark.parametrize("q", [-1, 3, 64])
+def test_off_register_qubits_raise_validation_error(q):
+    with pytest.raises(ValidationError, match="out of range"):
+        PauliOperator.from_support(3, x=[0, q])
+    with pytest.raises(ValidationError, match="out of range"):
+        PauliOperator.from_support(3, z=[q])
+    with pytest.raises(ValidationError, match="out of range"):
+        restrict(parse_operator("XYZ"), [1, q])
+
+
 def test_permute_operator_moves_support():
     p = PauliOperator.from_support(4, x=(0,), z=(3,))
     perm = (2, 0, 1, 3)  # old index -> new index

@@ -1,6 +1,7 @@
 import hashlib
 from dataclasses import replace
 
+import gf2_reference as ref
 import numpy as np
 import pytest
 
@@ -395,7 +396,8 @@ def test_dependent_weld_restrictions_are_rejected():
         ],
         dtype=np.uint8,
     )
-    kernel = gf2.null_space(rows)
+    kernel = ref.null_space(rows)
+    assert gf2._kernel(gf2._pack(rows), 6) == gf2._pack(kernel)
     left = CssCode(GeneratingSet(6, rows, kernel))
     right = CssCode(GeneratingSet(6, rows.copy(), kernel.copy()))
     with pytest.raises(WeldError) as exc:
