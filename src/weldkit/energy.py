@@ -15,7 +15,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 
 import numpy as np
 
@@ -137,6 +137,8 @@ def walk_barrier(code: CssCode, walk: PauliWalk) -> int:
 
 def _words(values, width):
     # one row of width little-endian 64-bit words per int
+    if width == 1:
+        return np.array(values, dtype=np.uint64).reshape(len(values), 1)
     data = b"".join([v.to_bytes(8 * width, "little") for v in values])
     return np.frombuffer(data, dtype="<u8").reshape(len(values), width)
 
@@ -158,13 +160,17 @@ def _bottleneck_search(masks, flips, target, steps, method):
 
     Only states the current peak level can reach are stored.  A state
     popped at level P relaxes its moves of cost at most P; its dearer
-    moves wait in one heap under their smallest cost and the state's pop
-    index.  When level P drains, the least waiting cost P' opens the
-    next level: its states rescan in pop order, apply just their moves
-    of cost P' and wait again under their next dearer cost.  Every such
-    candidate was known before level P' opened, in parent pop order and
-    then move order, so each state keeps the same earliest push of its
-    smallest key as if every move had been pushed at once.
+    moves wait under their smallest cost, in that cost level's list of
+    (pop index, state, syndrome).  When level P drains, the least
+    waiting level P' opens: its list, sorted by pop index, rescans, its
+    states apply just their moves of cost P' and wait again under their
+    next dearer cost, in a higher level's list.  Every such candidate
+    was known before level P' opened, in parent pop order and then move
+    order, so each state keeps the same earliest push of its smallest
+    key as if every move had been pushed at once.  Pop indices are
+    unique, so the sort gives the order of a heap on (cost, pop index):
+    a list can hold fresher states ahead of older ones that a rescan at
+    a lower level sent on.
 
     States relax in batches: one popped bucket, or one rescan group.
     numpy prices every (state, move) pair of a batch at once, and a
@@ -176,9 +182,8 @@ def _bottleneck_search(masks, flips, target, steps, method):
       - if the target is live at position p of its bucket, only the p
         states before it relax, and the counts returned are those a
         per-state loop stops at;
-      - a rescan group leaves the waiting heap in pop-index order, and
-        each member waits again above the level, so it never rejoins
-        the group.
+      - each member of a rescan group waits again above the level, so
+        it never rejoins the group.
     A batch prices at most _BATCH_STATES states at a time, bounding its
     arrays.  A batch of fewer than _NUMPY_MIN_CELLS (state, move) pairs
     relaxes state by state through the same entry, relax_batch: the
@@ -207,8 +212,8 @@ def _bottleneck_search(masks, flips, target, steps, method):
     best = {0: (0, 0, -1)}
     buckets = {0: [(0, 0)]}
     keys = [0]
-    # (smallest cost above the level it was left at, pop index, state, syndrome)
-    waiting = []
+    # smallest cost above the level it was left at -> [(pop index, state, syndrome)]
+    waiting = {}
 
     def relax(state, syn, low, level, index):
         # apply the moves costing low..level, one step past the state's
@@ -233,11 +238,16 @@ def _bottleneck_search(masks, flips, target, steps, method):
                     else:
                         bucket.append((nstate, nsyn))
         if above < ceiling:
-            heapq.heappush(waiting, (above, index, state, syn))
+            later = waiting.get(above)
+            if later is None:
+                waiting[above] = [(index, state, syn)]
+            else:
+                later.append((index, state, syn))
 
-    def relax_batch(batch, indices, low, level):
+    def relax_batch(batch, indices, low, level, key=None):
         # relax (state, syndrome) pairs in order, the i-th waiting under
-        # the i-th index
+        # the i-th index; a popped bucket passes its key, and every move
+        # out of it lands at key + 1
         nonlocal mask_words
         if len(batch) * len(moves) < _NUMPY_MIN_CELLS:
             for (state, syn), index in zip(batch, indices):
@@ -254,15 +264,23 @@ def _bottleneck_search(masks, flips, target, steps, method):
             aboves = np.where(dear, cost, ceiling).min(axis=1).tolist()
             for state, syn, above, index in zip(states, syns, aboves, indices):
                 if above < ceiling:
-                    heapq.heappush(waiting, (above, index, state, syn))
+                    later = waiting.get(above)
+                    if later is None:
+                        waiting[above] = [(index, state, syn)]
+                    else:
+                        later.append((index, state, syn))
             fits = (cost >= low) & ~dear if low else ~dear
-            base = level << shift
-            nkeys = [base | ((best[state][0] & length_mask) + 1) for state in states]
-            for i, j in zip(*(axis.tolist() for axis in np.nonzero(fits))):
+            rows, cols = (axis.tolist() for axis in np.nonzero(fits))
+            if key is None:
+                base = level << shift
+                nkeys = [base | ((best[state][0] & length_mask) + 1) for state in states]
+                nkeys = map(nkeys.__getitem__, rows)
+            else:
+                nkeys = repeat(key + 1)
+            for i, j, nkey in zip(rows, cols, nkeys):
                 state = states[i]
                 nstate = state ^ flips[j]
                 old = best.get(nstate)
-                nkey = nkeys[i]
                 if old is None or nkey < old[0]:
                     best[nstate] = (nkey, state, j)
                     nsyn = syns[i] ^ masks[j]
@@ -282,7 +300,7 @@ def _bottleneck_search(masks, flips, target, steps, method):
             if best.get(target, (None,))[0] == key:
                 # the target pops in this bucket: stop where it does
                 found = [state for state, _ in live].index(target)
-                relax_batch(live[:found], count(explored + 1), 0, peak)
+                relax_batch(live[:found], count(explored + 1), 0, peak, key)
                 trail = []
                 state = target
                 while state:
@@ -290,16 +308,15 @@ def _bottleneck_search(masks, flips, target, steps, method):
                     trail.append(steps[j])
                 walk = PauliWalk(tuple(reversed(trail)))
                 return BarrierResult(method, peak, walk, explored + found + 1, len(best))
-            relax_batch(live, count(explored + 1), 0, peak)
+            relax_batch(live, count(explored + 1), 0, peak, key)
             explored += len(live)
         if not waiting:
             raise AssertionError("flip space is connected, target must be reachable")
-        peak = waiting[0][0]
-        group, indices = [], []
-        while waiting and waiting[0][0] == peak:
-            _, index, state, syn = heapq.heappop(waiting)
-            group.append((state, syn))
-            indices.append(index)
+        peak = min(waiting)
+        group = waiting.pop(peak)
+        group.sort()
+        indices = [index for index, _, _ in group]
+        group = [(state, syn) for _, state, syn in group]
         relax_batch(group, indices, peak, peak)
 
 

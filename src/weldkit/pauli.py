@@ -11,6 +11,7 @@ read-only uint8 views for readers that want arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,9 +122,13 @@ def _qubits(row: int) -> tuple[int, ...]:
 
 def _bit(q: int, n: int) -> int:
     """The packed row of qubit q alone."""
+    try:
+        q = operator.index(q)
+    except TypeError:
+        raise ValidationError(f"qubit must be an integer, got {q!r}") from None
     if not 0 <= q < n:
         raise ValidationError(f"qubit {q} out of range for {n} qubits")
-    return 1 << int(q)
+    return 1 << q
 
 
 def _check_sizes(a: PauliOperator, b: PauliOperator):

@@ -713,6 +713,30 @@ def test_engine_matches_a_heap_when_a_bucket_outgrows_a_batch():
             assert result.states_explored > comb(12, 6)
 
 
+def test_a_waiting_level_relaxes_in_pop_order(monkeypatch):
+    # Unit flips: a state is a set of moves and costs the weight of their
+    # masks XORed.  {m0} pops at peak 2 (index 4) and waits at 3; {m2}
+    # pops after it (index 5) and waits at 4.  When level 3 opens, {m0}
+    # rescans and waits again at 4, so level 4's list holds {m2} ahead
+    # of the older {m0}.  Both reach the target {m0, m2} at (4, 2), and
+    # in pop order {m0} pushes it first and becomes its parent.
+    masks, flips, target = [0b0101, 0b0010, 0b1010], [1, 2, 4], 0b101
+    steps = [(j, "x") for j in range(3)]
+    for _ in _relax_paths(monkeypatch):
+        result = _bottleneck_search(masks, flips, target, steps, "exact")
+        assert _outcome(result) == _reference_moves(masks, flips, target)
+        assert result.witness.steps == ((0, "x"), (2, "x"))
+
+
+def test_one_word_rows_match_the_byte_rows():
+    values = (0, 1, 12345, 1 << 63, (1 << 63) | 1, (1 << 64) - 1)
+    one = energy._words(values, 1)
+    two = energy._words(values, 2)
+    assert one.shape == (len(values), 1)
+    assert one[:, 0].tolist() == two[:, 0].tolist() == list(values)
+    assert not two[:, 1].any()
+
+
 def test_stored_states_stay_near_the_explored_ones():
     solid = build_solid(SolidSpec(3, 3, 2))
     result = exact_barrier(solid, solid.logicals[0].x_rep, "x", cap=1 << 64)

@@ -114,6 +114,22 @@ def test_off_register_qubits_raise_validation_error(q):
         restrict(parse_operator("XYZ"), [1, q])
 
 
+@pytest.mark.parametrize("q", [1.5, 1.7, 1.0, "1", None])
+def test_non_integer_qubits_raise_validation_error(q):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        PauliOperator.from_support(3, x=[q])
+    with pytest.raises(ValidationError, match="must be an integer"):
+        PauliOperator.from_support(3, z=[0, q])
+    with pytest.raises(ValidationError, match="must be an integer"):
+        restrict(parse_operator("XYZ"), [q])
+
+
+def test_numpy_integer_qubits_are_accepted():
+    qubits = np.array([0, 2], dtype=np.int64)
+    assert PauliOperator.from_support(3, x=qubits, z=[np.uint8(1)]) == parse_operator("XZX")
+    assert restrict(parse_operator("XYZ"), qubits[1:]) == parse_operator("IIZ")
+
+
 def test_permute_operator_moves_support():
     p = PauliOperator.from_support(4, x=(0,), z=(3,))
     perm = (2, 0, 1, 3)  # old index -> new index
