@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,90 @@ from weldkit import cli
 from weldkit.builders import SolidSpec, build_solid, build_two_qubit
 from weldkit.cli import main
 from weldkit.css import CssCode, GeneratingSet, dumps, groups_equal, loads
+
+
+FAMILY_NAMES = ("two-qubit", "repetition", "surface", "solid", "welded-surface", "welded-solid")
+KINDS = ("x", "z")
+# option -> (default, choices, required, nargs, type)
+OUT = {"--out": (None, None, False, None, None)}
+JSON = {"--json": (False, None, False, 0, None)}
+FAMILY_SIZES = {
+    "--length": (3, None, False, None, int),
+    "--width": (2, None, False, None, int),
+    "--height": (2, None, False, None, int),
+    "--dx": (1, None, False, None, int),
+    "--dy": (1, None, False, None, int),
+    "--dz": (2, None, False, None, int),
+    "--horizontal-plaquettes": (False, None, False, 0, None),
+    "--graph": ("path:2", None, False, None, None),
+    "--boundary": ("rough", ("rough", "smooth"), False, None, None),
+}
+ANALYSIS = {
+    "code": (None, None, False, "?", None),
+    "--family": (None, FAMILY_NAMES, False, None, None),
+    **FAMILY_SIZES,
+    "--kind": (None, KINDS, True, None, None),
+    "--logical": (0, None, False, None, int),
+    "--max-states": (1 << 22, None, False, None, int),
+}
+INTERFACE = {
+    "build": {"--family": (None, FAMILY_NAMES, True, None, None), **FAMILY_SIZES, **JSON, **OUT},
+    "weld": {
+        "code1": (None, None, True, None, None),
+        "code2": (None, None, True, None, None),
+        "--ident": (None, None, True, None, None),
+        "--type": (None, KINDS, True, None, None),
+        **JSON,
+        **OUT,
+    },
+    "info": {"code": (None, None, True, None, None), **JSON, **OUT},
+    "barrier": {**ANALYSIS, **JSON, **OUT},
+    "bound": {**ANALYSIS, **JSON, **OUT},
+    "verify": {
+        "--seed": (0, None, False, None, int),
+        "--rounds": (200, None, False, None, int),
+        **JSON,
+        **OUT,
+    },
+    "sweep": {
+        "--max-size": (2, None, False, None, int),
+        "--max-pieces": (3, None, False, None, int),
+        "--max-states": (1 << 18, None, False, None, int),
+        **OUT,
+    },
+    "export": {
+        "code": (None, None, True, None, None),
+        "--format": (None, ("text", "json"), True, None, None),
+        **OUT,
+    },
+}
+POSITIONALS = {"weld": ["code1", "code2"], "info": ["code"], "barrier": ["code"],
+               "bound": ["code"], "export": ["code"]}
+
+
+def test_every_verb_keeps_its_options():
+    verbs = next(
+        action.choices
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(verbs) == list(INTERFACE)
+    for verb, parser in verbs.items():
+        table, positionals = {}, []
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert len(action.option_strings) <= 1, (verb, action.option_strings)
+            name = action.option_strings[0] if action.option_strings else action.dest
+            if not action.option_strings:
+                positionals.append(name)
+            else:
+                assert action.dest == name[2:].replace("-", "_")
+            choices = None if action.choices is None else tuple(action.choices)
+            table[name] = (action.default, choices, action.required, action.nargs, action.type)
+        assert table == INTERFACE[verb], verb
+        assert positionals == POSITIONALS.get(verb, []), verb
+        assert parser.get_default("handler") is getattr(cli, f"cmd_{verb}")
 
 
 def write(path, text):
