@@ -1,6 +1,9 @@
 """Command line front end.
 
-Verbs: build, weld, info, barrier, bound, verify, sweep, export.
+Verbs: build, weld, info, barrier, bound, verify, sweep, export.  Every
+verb takes --out; every verb but sweep and export takes --json.  barrier
+and bound share one set of options: a code file or --family with its
+size options, plus --kind, --logical and --max-states.
 Exit codes: 0 on success, 1 for validation and metadata problems and
 for a bound or verify check that fails, 2 when a search refuses to
 start because it would exceed its state cap.
@@ -32,7 +35,7 @@ from .builders import (
     star,
 )
 from . import gf2
-from .css import dumps, loads
+from .css import _logical, dumps, loads
 from .energy import (
     DEFAULT_STATE_CAP,
     exact_barrier,
@@ -41,7 +44,6 @@ from .energy import (
 )
 from .errors import (
     FeasibilityError,
-    MetadataError,
     ValidationError,
     WeldkitError,
 )
@@ -49,14 +51,21 @@ from .pauli import format_operator
 from .verify import run_verification
 from .welding import parse_identification, weld
 
-FAMILIES = (
-    "two-qubit",
-    "repetition",
-    "surface",
-    "solid",
-    "welded-surface",
-    "welded-solid",
-)
+# family name -> the code it builds from the parsed arguments
+FAMILIES = {
+    "two-qubit": lambda args: build_two_qubit(),
+    "repetition": lambda args: build_repetition(args.length),
+    "surface": lambda args: build_surface(SurfaceSpec(args.width, args.height)),
+    "solid": lambda args: build_solid(
+        SolidSpec(args.dx, args.dy, args.dz, args.horizontal_plaquettes)
+    ),
+    "welded-surface": lambda args: build_welded_surface(
+        _graph_from_spec(args.graph), args.boundary, SurfaceSpec(args.width, args.height)
+    ),
+    "welded-solid": lambda args: build_welded_solid(
+        _graph_from_spec(args.graph), SolidSpec(args.dx, args.dy, args.dz)
+    ),
+}
 
 SWEEP_STATE_CAP = 1 << 18
 
@@ -85,31 +94,6 @@ def _graph_from_spec(text: str):
         return maker(*nums)
     with _open(text, "read weld graph") as handle:
         return parse_weld_graph(handle.read())
-
-
-def _family_code(args):
-    family = args.family
-    if family == "two-qubit":
-        return build_two_qubit()
-    if family == "repetition":
-        return build_repetition(args.length)
-    if family == "surface":
-        return build_surface(SurfaceSpec(args.width, args.height))
-    if family == "solid":
-        return build_solid(
-            SolidSpec(args.dx, args.dy, args.dz, args.horizontal_plaquettes)
-        )
-    if family == "welded-surface":
-        return build_welded_surface(
-            _graph_from_spec(args.graph),
-            args.boundary,
-            SurfaceSpec(args.width, args.height),
-        )
-    if family == "welded-solid":
-        return build_welded_solid(
-            _graph_from_spec(args.graph), SolidSpec(args.dx, args.dy, args.dz)
-        )
-    raise ValidationError(f"unknown family {family!r}")
 
 
 def _add_family_options(parser, required: bool):
@@ -147,17 +131,18 @@ def _load_code(path_arg: str):
 
 
 def _code_for_analysis(args):
-    if args.code is not None and args.family is not None:
-        raise ValidationError("give a code file or --family, not both")
+    if (args.code is None) == (args.family is None):
+        raise ValidationError("give either a code file or --family")
     if args.code is not None:
         return _load_code(args.code)
-    if args.family is not None:
-        return _family_code(args)
-    raise ValidationError("give a code file or --family")
+    return FAMILIES[args.family](args)
 
 
-def _emit(args, text: str):
-    if getattr(args, "out", None):
+def _emit(args, text: str, payload=None):
+    """Write text to --out or stdout; under --json, payload as JSON instead."""
+    if payload is not None and args.json:
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out:
         with _open(args.out, "write output file", "w") as handle:
             handle.write(text)
     else:
@@ -175,7 +160,7 @@ def _barrier_json(result) -> dict:
 
 
 def cmd_build(args) -> int:
-    code = _family_code(args)
+    code = FAMILIES[args.family](args)
     _emit(args, dumps(code, "json" if args.json else "text"))
     return 0
 
@@ -208,9 +193,6 @@ def cmd_info(args) -> int:
             for lc in code.logicals
         ],
     }
-    if args.json:
-        _emit(args, json.dumps(fields, indent=2) + "\n")
-        return 0
     lines = [
         f"qubits: {fields['qubits']}",
         f"encoded: {fields['encoded']}",
@@ -219,28 +201,15 @@ def cmd_info(args) -> int:
     ]
     for i, lc in enumerate(fields["logicals"]):
         lines.append(f"logical {i}: X={lc['x']}  Z={lc['z']}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n", fields)
     return 0
-
-
-def _pick_rep(code, kind: str, index: int):
-    if not code.logicals:
-        raise ValidationError("code has no logical classes to walk to")
-    if not 0 <= index < len(code.logicals):
-        raise ValidationError(
-            f"logical index {index} out of range for {len(code.logicals)} classes"
-        )
-    logical = code.logicals[index]
-    return logical.z_rep if kind == "z" else logical.x_rep
 
 
 def cmd_barrier(args) -> int:
     code = _code_for_analysis(args)
-    rep = _pick_rep(code, args.kind, args.logical)
+    logical = _logical(code, args.logical)
+    rep = logical.z_rep if args.kind == "z" else logical.x_rep
     result = exact_barrier(code, rep, args.kind, args.max_states)
-    if args.json:
-        _emit(args, json.dumps(_barrier_json(result), indent=2) + "\n")
-        return 0
     steps = " ".join(f"{q}{kind}" for q, kind in result.witness.steps)
     _emit(
         args,
@@ -249,6 +218,7 @@ def cmd_barrier(args) -> int:
         f"states explored: {result.states_explored}\n"
         f"states stored: {result.states_stored}\n"
         f"witness: {steps}\n",
+        _barrier_json(result),
     )
     return 0
 
@@ -256,40 +226,26 @@ def cmd_barrier(args) -> int:
 def cmd_bound(args) -> int:
     code = _code_for_analysis(args)
     report = verify_bound(code, args.kind, args.logical, args.max_states)
-    if args.json:
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "bound": _barrier_json(report.bound),
-                    "exact": _barrier_json(report.exact),
-                    "ok": report.ok,
-                    "saturated": report.saturated,
-                },
-                indent=2,
-            )
-            + "\n",
-        )
-        return 0 if report.ok else 1
     _emit(
         args,
         f"parity bound: {report.bound.barrier}\n"
         f"exact barrier: {report.exact.barrier}\n"
         f"bound holds: {report.ok}\n"
         f"saturated: {report.saturated}\n",
+        {
+            "bound": _barrier_json(report.bound),
+            "exact": _barrier_json(report.exact),
+            "ok": report.ok,
+            "saturated": report.saturated,
+        },
     )
     return 0 if report.ok else 1
 
 
 def cmd_verify(args) -> int:
     report = run_verification(seed=args.seed, rounds=args.rounds)
-    if args.json:
-        payload = [
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
-        ]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(args, report.summary() + "\n")
+    checks = [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks]
+    _emit(args, report.summary() + "\n", checks)
     return 0 if report.ok else 1
 
 
@@ -358,71 +314,44 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="weldkit",
         description="Build lattice stabilizer codes by welding and measure their energy barriers.",
     )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the output to this file, not to stdout")
+    printed = argparse.ArgumentParser(add_help=False)
+    printed.add_argument("--json", action="store_true", help="print JSON instead of text")
+    analysis = argparse.ArgumentParser(add_help=False)
+    analysis.add_argument("code", nargs="?", help="code file; or use --family")
+    _add_family_options(analysis, required=False)
+    analysis.add_argument("--kind", choices=("x", "z"), required=True)
+    analysis.add_argument("--logical", type=int, default=0, help="logical class index")
+    analysis.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("build", help="construct a code and print it")
-    _add_family_options(p, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_build)
+    def verb(name, handler, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, out])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("weld", help="weld two code files along an identification")
+    p = verb("build", cmd_build, "construct a code and print it", printed)
+    _add_family_options(p, required=True)
+    p = verb("weld", cmd_weld, "weld two code files along an identification", printed)
     p.add_argument("code1")
     p.add_argument("code2")
     p.add_argument("--ident", required=True, help="file of 'qubit1 qubit2' lines")
     p.add_argument("--type", choices=("x", "z"), required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_weld)
-
-    p = sub.add_parser("info", help="summarize a code file")
-    p.add_argument("code")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_info)
-
-    p = sub.add_parser("barrier", help="exact energy barrier of a logical")
-    p.add_argument("code", nargs="?", help="code file; or use --family")
-    _add_family_options(p, required=False)
-    p.add_argument("--kind", choices=("x", "z"), required=True)
-    p.add_argument("--logical", type=int, default=0, help="logical class index")
-    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_barrier)
-
-    p = sub.add_parser(
-        "bound", help="parity lower bound checked against the exact barrier"
-    )
-    p.add_argument("code", nargs="?", help="code file; or use --family")
-    _add_family_options(p, required=False)
-    p.add_argument("--kind", choices=("x", "z"), required=True)
-    p.add_argument("--logical", type=int, default=0)
-    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_bound)
-
-    p = sub.add_parser("verify", help="run the built-in check suite")
+    verb("info", cmd_info, "summarize a code file", printed).add_argument("code")
+    verb("barrier", cmd_barrier, "exact energy barrier of a logical", analysis, printed)
+    verb("bound", cmd_bound, "parity lower bound checked against the exact barrier",
+         analysis, printed)
+    p = verb("verify", cmd_verify, "run the built-in check suite", printed)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("sweep", help="barrier table over welded-solid sizes, as CSV")
+    p = verb("sweep", cmd_sweep, "barrier table over welded-solid sizes, as CSV")
     p.add_argument("--max-size", type=int, default=2, help="largest piece side d")
     p.add_argument("--max-pieces", type=int, default=3, help="largest grid side R")
     p.add_argument("--max-states", type=int, default=SWEEP_STATE_CAP)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("export", help="rewrite a code file in another format")
+    p = verb("export", cmd_export, "rewrite a code file in another format")
     p.add_argument("code")
     p.add_argument("--format", choices=("text", "json"), required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_export)
-
     return parser
 
 

@@ -287,6 +287,15 @@ def promote_to_logical(
     return replace(draft, logicals=logicals)
 
 
+def _logical(code: CssCode, index: int) -> LogicalClass:
+    """The code's logical class at index, which must be in range."""
+    if not 0 <= index < len(code.logicals):
+        raise ValidationError(
+            f"logical class {index} out of range, the code has {len(code.logicals)}"
+        )
+    return code.logicals[index]
+
+
 def fold_logical(code: CssCode, class_index: int, kind: str) -> CssCode:
     """Inverse of promotion: push one representative back into the generators.
 
@@ -294,9 +303,7 @@ def fold_logical(code: CssCode, class_index: int, kind: str) -> CssCode:
     logical operator once its partner joins the group.  The weld trace is
     dropped, since the rows change.
     """
-    if not 0 <= class_index < len(code.logicals):
-        raise ValidationError(f"logical class {class_index} out of range")
-    cls = code.logicals[class_index]
+    cls = _logical(code, class_index)
     logicals = code.logicals[:class_index] + code.logicals[class_index + 1 :]
     x, z = code.gens.x_packed, code.gens.z_packed
     if kind == "x":
@@ -452,6 +459,11 @@ def from_text(text: str) -> CssCode:
         raise ValidationError(f"bad header {header!r}") from exc
     if n < 0:
         raise ValidationError(f"bad header {header!r}: n must not be negative")
+    return _from_tagged(n, k, tagged)
+
+
+def _from_tagged(n: int, k: int, tagged: list[tuple[str, str]]) -> CssCode:
+    """A code from (tag, operator text) pairs, the tags X, Z, LX and LZ."""
     xs, zs, lxs, lzs = [], [], [], []
     buckets = {"X": xs, "Z": zs, "LX": lxs, "LZ": lzs}
     for tag, body in tagged:
@@ -484,19 +496,18 @@ def to_json_dict(code: CssCode) -> dict:
 
 
 def from_json_dict(data: dict) -> CssCode:
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("code json needs an integer 'n'") from exc
-    lines = [f"n={n} k={len(data.get('logical_x', []))}"]
-    lines += [f"X: {s}" for s in data.get("x_gens", [])]
-    lines += [f"Z: {s}" for s in data.get("z_gens", [])]
-    for x, z in zip(data.get("logical_x", []), data.get("logical_z", [])):
-        lines.append(f"LX: {x}")
-        lines.append(f"LZ: {z}")
+    n = data.get("n")
+    if type(n) is not int or n < 0:
+        raise ValidationError("code json needs a non-negative integer 'n'")
+    tagged = []
+    for field, tag in (("x_gens", "X"), ("z_gens", "Z"), ("logical_x", "LX"), ("logical_z", "LZ")):
+        ops = data.get(field, [])
+        if not isinstance(ops, list) or not all(isinstance(op, str) for op in ops):
+            raise ValidationError(f"code json field {field!r} must be a list of strings")
+        tagged += [(tag, op) for op in ops]
     if len(data.get("logical_x", [])) != len(data.get("logical_z", [])):
         raise ValidationError("logical_x and logical_z lengths differ")
-    return from_text("\n".join(lines))
+    return _from_tagged(n, len(data.get("logical_x", [])), tagged)
 
 
 def dumps(code: CssCode, fmt: str = "text") -> str:

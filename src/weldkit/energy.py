@@ -28,7 +28,7 @@ from .builders import (
     build_welded_solid,
     flat_region_graph,
 )
-from .css import CssCode, syndrome
+from .css import CssCode, _logical, syndrome
 from .errors import FeasibilityError, MetadataError, ValidationError
 from .pauli import PauliOperator
 
@@ -440,13 +440,7 @@ def verify_bound(
     """
     if kind not in ("x", "z"):
         raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
-    if not code.logicals:
-        raise ValidationError("code encodes nothing, there is no logical to bound")
-    if not 0 <= class_index < len(code.logicals):
-        raise ValidationError(
-            f"logical class {class_index} out of range, the code has {len(code.logicals)}"
-        )
-    logical = code.logicals[class_index]
+    logical = _logical(code, class_index)
     rep = logical.z_rep if kind == "z" else logical.x_rep
     graph = flat_region_graph(code, "x" if kind == "z" else "z")
     bound = parity_lower_bound(graph, rep, cap)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from weldkit import cli
-from weldkit.builders import SolidSpec, build_solid, build_two_qubit
+from weldkit.builders import SolidSpec, build_repetition, build_solid, build_two_qubit
 from weldkit.cli import main
 from weldkit.css import CssCode, GeneratingSet, dumps, groups_equal, loads
 
@@ -208,6 +208,67 @@ def test_build_solid_with_horizontal_plaquettes(tmp_path):
     argv = ["build", "--family", "solid", "--horizontal-plaquettes", "--out", str(out)]
     assert main(argv) == 0
     assert groups_equal(loads(out.read_text()), build_solid(SolidSpec(1, 1, 2)))
+
+
+def test_build_repetition_and_info_json(tmp_path, capsys):
+    built = tmp_path / "rep.txt"
+    assert main(["build", "--family", "repetition", "--out", str(built)]) == 0
+    code = loads(built.read_text())
+    assert groups_equal(code, build_repetition(3))
+    assert code.logicals == build_repetition(3).logicals
+    assert main(["info", str(built), "--json"]) == 0
+    fields = json.loads(capsys.readouterr().out)
+    assert (fields["qubits"], fields["encoded"], fields["x_rank"], fields["z_rank"]) == (3, 1, 2, 0)
+    assert fields["logicals"] == [{"x": "XII", "z": "ZZZ"}]
+
+
+def test_verify_json_lists_every_check(capsys):
+    assert main(["verify", "--rounds", "2", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)
+    assert checks and all(set(c) == {"name", "ok", "detail"} and c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize(
+    "spec, message", [("grid:2", "takes 2 size(s)"), ("path:x", "non-integer sizes")]
+)
+def test_graph_spec_sizes_are_checked(spec, message, capsys):
+    assert main(["build", "--family", "welded-solid", "--graph", spec]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_analysis_needs_a_code_file_or_a_family(capsys):
+    assert main(["barrier", "--kind", "z"]) == 1
+    assert "error: give either a code file or --family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "bad JSON"),
+        ('{"n": 3, "x_gens": null}', "'x_gens' must be a list of strings"),
+        ('{"n": 3, "logical_x": 5, "logical_z": 5}', "'logical_x' must be a list of strings"),
+        ('{"n": 2.7, "x_gens": ["XX"]}', "integer 'n'"),
+    ],
+)
+def test_malformed_code_files_are_clean_errors(tmp_path, text, message, capsys):
+    assert main(["info", write(tmp_path / "bad.json", text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "code, index", [(build_repetition(3), "1"), (build_two_qubit(), "0")]
+)
+def test_barrier_rejects_a_logical_class_the_code_lacks(tmp_path, code, index, capsys):
+    path = write(tmp_path / "code.txt", dumps(code, "text"))
+    assert main(["barrier", path, "--kind", "x", "--logical", index]) == 1
+    assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, refusal", [("z", "coset space"), ("x", "spin space")])
+def test_bound_state_cap_exit_code(kind, refusal, capsys):
+    assert main(["bound", "--family", "solid", "--kind", kind, "--max-states", "4"]) == 2
+    assert f"error: {refusal} exceeds the state cap" in capsys.readouterr().err
 
 
 def test_barrier_state_cap_exit_code(capsys):

@@ -28,6 +28,7 @@ from weldkit.css import (
     dumps,
     encoded_qubits,
     fold_logical,
+    from_json_dict,
     from_text,
     groups_equal,
     loads,
@@ -40,7 +41,7 @@ from weldkit.css import (
     validate_or_raise,
 )
 from weldkit import gf2
-from weldkit.errors import ValidationError
+from weldkit.errors import FeasibilityError, ValidationError
 from weldkit.pauli import PauliOperator, multiply, parse_operator
 
 
@@ -182,6 +183,9 @@ def test_promote_and_fold_round_trip():
     folded = fold_logical(promoted, 0, "z")
     assert encoded_qubits(folded) == 0
     assert groups_equal(folded, code)
+    for index in (1, -1):
+        with pytest.raises(ValidationError, match=f"class {index} out of range, the code has 1"):
+            fold_logical(promoted, index, "z")
 
 
 def test_promote_rejects_dependent_row_removal():
@@ -306,6 +310,9 @@ def test_distance_of_known_codes():
     square = build_surface(SurfaceSpec(2, 3))
     assert square.n == 13
     assert distance(square) == (3, 3)
+    with pytest.raises(FeasibilityError) as exc:
+        distance(square, rank_cap=4)
+    assert exc.value.required > exc.value.cap == 4
 
 
 def test_permute_qubits_preserves_structure():
@@ -386,6 +393,52 @@ def test_from_text_rejects_malformed():
         from_text("n=2 k=0\nX: XXX\n")
     with pytest.raises(ValidationError, match="negative"):
         from_text("n=-1 k=0\n")
+    with pytest.raises(ValidationError, match="LX and LZ line counts differ"):
+        from_text("n=1 k=1\nLX: X\n")
+    with pytest.raises(ValidationError, match="header says k=2 but found 1"):
+        from_text("n=1 k=2\nLX: X\nLZ: Z\n")
+    with pytest.raises(ValidationError, match="X line holds a non-X operator"):
+        from_text("n=1 k=0\nX: Z\n")
+    with pytest.raises(ValidationError, match="Z line holds a non-Z operator"):
+        from_text("n=1 k=0\nZ: X\n")
+    for empty in ("", "# nothing but a comment\n"):
+        with pytest.raises(ValidationError, match="empty code text"):
+            from_text(empty)
+    with pytest.raises(ValidationError, match="bad code line"):
+        from_text("n=1 k=0\nX X\n")
+
+
+def test_dumps_rejects_an_unknown_format():
+    with pytest.raises(ValidationError, match="unknown code format 'yaml'"):
+        dumps(build_two_qubit(), "yaml")
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"n": 3, "x_gens": None}, "x_gens"),
+        ({"n": 3, "logical_x": 5, "logical_z": 5}, "logical_x"),
+        ({"n": 2, "z_gens": ["ZZ", 3]}, "z_gens"),
+        ({"n": 2, "logical_x": ["XX"], "logical_z": "ZZ"}, "logical_z"),
+    ],
+)
+def test_json_operator_lists_must_hold_strings(data, field):
+    with pytest.raises(ValidationError, match=f"field '{field}' must be a list of strings"):
+        from_json_dict(data)
+
+
+@pytest.mark.parametrize("n, gen", [(2.7, "XX"), (True, "X"), ("3", "XXX"), (None, "X")])
+def test_json_qubit_count_must_be_a_json_integer(n, gen):
+    with pytest.raises(ValidationError, match="integer 'n'"):
+        from_json_dict({"n": n, "x_gens": [gen]})
+
+
+def test_json_operators_are_parsed_one_by_one():
+    # a newline inside an operator string must not start a new text line
+    with pytest.raises(ValidationError):
+        from_json_dict({"n": 1, "x_gens": ["X\nZ: Z"]})
+    code = from_json_dict({"n": 2, "x_gens": ["XX"], "z_gens": ["ZZ"]})
+    assert groups_equal(code, build_two_qubit())
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 200])

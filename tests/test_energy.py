@@ -138,6 +138,13 @@ def test_feasibility_cap_is_enforced():
     with pytest.raises(FeasibilityError) as exc:
         exact_barrier(code, code.logicals[0].z_rep, "z", cap=4)
     assert exc.value.required > exc.value.cap == 4
+    with pytest.raises(FeasibilityError) as exc:
+        operator_barrier(code, code.logicals[0].z_rep, cap=4)
+    assert (exc.value.required, exc.value.cap) == (2**code.n, 4)
+    graph = flat_region_graph(code, "z")
+    with pytest.raises(FeasibilityError) as exc:
+        parity_lower_bound(graph, code.logicals[0].x_rep, cap=4)
+    assert (exc.value.required, exc.value.cap) == (2 ** len(graph.boundaries), 4)
 
 
 def test_bound_never_exceeds_exact():
