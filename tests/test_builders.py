@@ -646,6 +646,46 @@ def test_graph_constructors():
     assert grid2d(3, 3).is_connected()
 
 
+_GRAPH_PINS = [
+    (path(3), "path(3)", (0, 1, 2), ((0, 1), (1, 2))),
+    (star(2), "star(2)", (0, 1, 2), ((0, 1), (0, 2))),
+    (
+        grid2d(3, 2),
+        "grid2d(3,2)",
+        ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)),
+        (
+            ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (2, 0)), ((1, 0), (1, 1)),
+            ((2, 0), (2, 1)), ((0, 1), (1, 1)), ((1, 1), (2, 1)),
+        ),
+    ),
+    (
+        cubic(2, 2, 2),
+        "cubic(2,2,2)",
+        (
+            (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+            (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1),
+        ),
+        (
+            ((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 1)),
+            ((1, 0, 0), (1, 1, 0)), ((1, 0, 0), (1, 0, 1)), ((0, 1, 0), (1, 1, 0)),
+            ((0, 1, 0), (0, 1, 1)), ((1, 1, 0), (1, 1, 1)), ((0, 0, 1), (1, 0, 1)),
+            ((0, 0, 1), (0, 1, 1)), ((1, 0, 1), (1, 1, 1)), ((0, 1, 1), (1, 1, 1)),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, name, vertices, edges", _GRAPH_PINS, ids=[pin[1] for pin in _GRAPH_PINS]
+)
+def test_graph_generators_are_pinned(graph, name, vertices, edges):
+    # the welded builders weld pieces in edge order, so these orders fix
+    # every welded code's qubit and generator-row order
+    assert graph.name == name
+    assert graph.vertices == vertices
+    assert graph.edges == edges
+
+
 @pytest.mark.parametrize(
     "graph",
     [cubic(4, 4, 4), star(3), WeldGraph((0, 1, 2, "lone"), ((0, 1), (2, 1)))],
