@@ -9,7 +9,9 @@ WeldGraph and identify matching boundary qubits at shared vertices.
 Each constructor returns an immutable CssCode that passes validate, with
 its logical classes installed and, for lattice families, flat-region
 metadata attached: a record of where each particle type moves freely,
-which the energy module turns into parity lower bounds.
+which the energy module turns into parity lower bounds.  Lattice rows
+come from one enumeration, _Lattice: the X rows are the stars level by
+level over its column grid, the Z rows the half-plaquettes of faces().
 """
 
 from __future__ import annotations
@@ -61,13 +63,17 @@ __all__ = [
 # specs
 
 
+def _sizes(values, what: str) -> list[int]:
+    """values as ints, through operator.index, or raise ValidationError."""
+    try:
+        return [operator.index(value) for value in values]
+    except TypeError:
+        raise ValidationError(f"{what} must be integers, got {tuple(values)!r}") from None
+
+
 def _integer_sizes(spec, fields: tuple[str, ...], what: str) -> list[int]:
     """Set each named field of a frozen spec to its int, or raise ValidationError."""
-    try:
-        sizes = [operator.index(getattr(spec, field)) for field in fields]
-    except TypeError:
-        values = tuple(getattr(spec, field) for field in fields)
-        raise ValidationError(f"{what} must be integers, got {values!r}") from None
+    sizes = _sizes([getattr(spec, field) for field in fields], what)
     for field, size in zip(fields, sizes):
         object.__setattr__(spec, field, size)
     return sizes
@@ -155,6 +161,7 @@ class WeldGraph:
 
 def path(n: int) -> WeldGraph:
     """Path with n vertices (n - 1 edges)."""
+    (n,) = _sizes((n,), "path length")
     if n < 1:
         raise ValidationError("path needs at least one vertex")
     return WeldGraph(
@@ -164,6 +171,7 @@ def path(n: int) -> WeldGraph:
 
 def star(leaves: int) -> WeldGraph:
     """Star with one center (label 0) and the given number of leaves."""
+    (leaves,) = _sizes((leaves,), "star leaf count")
     if leaves < 1:
         raise ValidationError("star needs at least one leaf")
     return WeldGraph(
@@ -173,39 +181,37 @@ def star(leaves: int) -> WeldGraph:
     )
 
 
+def _mesh(kind: str, dims) -> WeldGraph:
+    """Grid of vertices with the given side lengths and nearest-neighbor edges.
+
+    Vertices are coordinate tuples, first axis fastest; each vertex
+    lists its edges to the next vertex along each axis, in axis order.
+    """
+    sides = _sizes(dims, f"{kind} sides")
+    if min(sides) < 1:
+        raise ValidationError(f"{kind} sides must be at least 1")
+    vertices = [()]
+    strides = []  # per axis, how far the next vertex along it is in the list
+    for side in sides:
+        strides.append(len(vertices))
+        vertices = [v + (i,) for i in range(side) for v in vertices]
+    edges = tuple(
+        (v, vertices[i + stride])
+        for i, v in enumerate(vertices)
+        for axis, (side, stride) in enumerate(zip(sides, strides))
+        if v[axis] + 1 < side
+    )
+    return WeldGraph(tuple(vertices), edges, f"{kind}({','.join(map(str, sides))})")
+
+
 def grid2d(a: int, b: int) -> WeldGraph:
     """a-by-b grid of vertices with nearest-neighbor edges."""
-    if a < 1 or b < 1:
-        raise ValidationError("grid sides must be at least 1")
-    vertices = tuple((i, j) for j in range(b) for i in range(a))
-    edges = []
-    for j in range(b):
-        for i in range(a):
-            if i + 1 < a:
-                edges.append(((i, j), (i + 1, j)))
-            if j + 1 < b:
-                edges.append(((i, j), (i, j + 1)))
-    return WeldGraph(vertices, tuple(edges), f"grid2d({a},{b})")
+    return _mesh("grid2d", (a, b))
 
 
 def cubic(a: int, b: int, c: int) -> WeldGraph:
     """a-by-b-by-c cubic lattice of vertices with nearest-neighbor edges."""
-    if min(a, b, c) < 1:
-        raise ValidationError("cubic sides must be at least 1")
-    vertices = tuple(
-        (i, j, k) for k in range(c) for j in range(b) for i in range(a)
-    )
-    edges = []
-    for k in range(c):
-        for j in range(b):
-            for i in range(a):
-                if i + 1 < a:
-                    edges.append(((i, j, k), (i + 1, j, k)))
-                if j + 1 < b:
-                    edges.append(((i, j, k), (i, j + 1, k)))
-                if k + 1 < c:
-                    edges.append(((i, j, k), (i, j, k + 1)))
-    return WeldGraph(vertices, tuple(edges), f"cubic({a},{b},{c})")
+    return _mesh("cubic", (a, b, c))
 
 
 def parse_weld_graph(text: str) -> WeldGraph:
@@ -413,6 +419,13 @@ class _Lattice:
     top boundary) the two families of horizontal edges at level z + 1.
     Horizontal edges exist only at interior levels 1..dz-1.
 
+    The vertical columns form a (dx+1) x (dy+1) grid, listed x fastest
+    in grid, and edges(axis) is the one enumeration of its edges along
+    an axis, in grid order.  A half-plaquette hangs off one grid edge at
+    one level, and faces() lists their keys (axis, x, y, z), x edges
+    then y edges, level by level within each axis: the one enumeration
+    that fixes the order of the Z generator rows.
+
     A surface patch is the slab dy = 0: width dx, height dz.  Its rows
     are the layers, its top and bottom rows layer(0) and layer(dz - 1),
     its left and right columns column(0, 0) and column(dx, 0), and its
@@ -426,6 +439,7 @@ class _Lattice:
         self.hy_count = (dx + 1) * dy
         self.level_stride = self.cols + self.hx_count + self.hy_count
         self.n = dz * self.cols + (dz - 1) * (self.hx_count + self.hy_count)
+        self.grid = [(x, y) for y in range(dy + 1) for x in range(dx + 1)]
 
     def vq(self, x: int, y: int, z: int) -> int:
         return z * self.level_stride + y * (self.dx + 1) + x
@@ -434,17 +448,33 @@ class _Lattice:
         return (z - 1) * self.level_stride + self.cols + y * self.dx + x
 
     def hy(self, x: int, y: int, z: int) -> int:
-        return self.hx(0, 0, z) + self.hx_count + y * (self.dx + 1) + x
+        return (z - 1) * self.level_stride + self.cols + self.hx_count + y * (self.dx + 1) + x
+
+    # per grid axis: the step to the next column and the rung, the
+    # horizontal edge that joins the two columns at an interior level
+    _AXES = {"x": (1, 0, hx), "y": (0, 1, hy)}
 
     def layer(self, z: int) -> tuple[int, ...]:
-        return tuple(
-            self.vq(x, y, z) for y in range(self.dy + 1) for x in range(self.dx + 1)
-        )
+        return tuple(self.vq(x, y, z) for x, y in self.grid)
 
     def column(self, x: int, y: int) -> tuple[int, ...]:
         return tuple(self.vq(x, y, z) for z in range(self.dz))
 
+    def edges(self, axis: str) -> list[tuple[int, int]]:
+        """The grid edges along axis, each named by its first column (x, y)."""
+        sx, sy, _ = self._AXES[axis]
+        return [(x, y) for x, y in self.grid if x + sx <= self.dx and y + sy <= self.dy]
+
+    def faces(self) -> list[tuple[str, int, int, int]]:
+        """Every half-plaquette key (axis, x, y, z), in generator-row order."""
+        keys = []
+        for axis in "xy":
+            edges = self.edges(axis)
+            keys += [(axis, x, y, z) for z in range(self.dz) for x, y in edges]
+        return keys
+
     def star_support(self, x: int, y: int, z: int) -> list[int]:
+        """Column (x, y) at levels z - 1 and z, and the rungs meeting it at z."""
         support = [self.vq(x, y, z - 1), self.vq(x, y, z)]
         if x > 0:
             support.append(self.hx(x - 1, y, z))
@@ -456,71 +486,23 @@ class _Lattice:
             support.append(self.hy(x, y, z))
         return support
 
-    def face_x_support(self, x: int, y: int, z: int) -> list[int]:
-        support = [self.vq(x, y, z), self.vq(x + 1, y, z)]
+    def face_support(self, axis: str, x: int, y: int, z: int) -> list[int]:
+        """The half-plaquette on the grid edge from column (x, y) at level z."""
+        sx, sy, rung = self._AXES[axis]
+        corner = self.vq(x, y, z)
+        # the next column's qubit at level z is sx + sy * (dx + 1) further on
+        support = [corner, corner + sx + sy * (self.dx + 1)]
         if z >= 1:
-            support.append(self.hx(x, y, z))
+            support.append(rung(self, x, y, z))
         if z + 1 <= self.dz - 1:
-            support.append(self.hx(x, y, z + 1))
+            support.append(rung(self, x, y, z + 1))
         return support
 
-    def face_y_support(self, x: int, y: int, z: int) -> list[int]:
-        support = [self.vq(x, y, z), self.vq(x, y + 1, z)]
-        if z >= 1:
-            support.append(self.hy(x, y, z))
-        if z + 1 <= self.dz - 1:
-            support.append(self.hy(x, y, z + 1))
-        return support
-
-    def sheet_x(self, x: int, y: int) -> tuple[int, ...]:
-        interior = [self.hx(x, y, z) for z in range(1, self.dz)]
-        return tuple(self.column(x, y)) + tuple(self.column(x + 1, y)) + tuple(interior)
-
-    def sheet_y(self, x: int, y: int) -> tuple[int, ...]:
-        interior = [self.hy(x, y, z) for z in range(1, self.dz)]
-        return tuple(self.column(x, y)) + tuple(self.column(x, y + 1)) + tuple(interior)
-
-    def star_supports(self) -> list[list[int]]:
-        return [
-            self.star_support(x, y, z)
-            for z in range(1, self.dz)
-            for y in range(self.dy + 1)
-            for x in range(self.dx + 1)
-        ]
-
-    def face_supports(self) -> list[list[int]]:
-        faces = [
-            self.face_x_support(x, y, z)
-            for z in range(self.dz)
-            for y in range(self.dy + 1)
-            for x in range(self.dx)
-        ]
-        faces += [
-            self.face_y_support(x, y, z)
-            for z in range(self.dz)
-            for y in range(self.dy)
-            for x in range(self.dx + 1)
-        ]
-        return faces
-
-    def face_x_row(self, x: int, y: int, z: int) -> int:
-        return z * (self.dy + 1) * self.dx + y * self.dx + x
-
-    def face_y_row(self, x: int, y: int, z: int) -> int:
-        return (
-            self.dz * (self.dy + 1) * self.dx
-            + z * self.dy * (self.dx + 1)
-            + y * (self.dx + 1)
-            + x
-        )
-
-    def horizontal_plaquettes(self) -> list[list[int]]:
-        return [
-            [self.hx(x, y, z), self.hx(x, y + 1, z), self.hy(x, y, z), self.hy(x + 1, y, z)]
-            for z in range(1, self.dz)
-            for y in range(self.dy)
-            for x in range(self.dx)
-        ]
+    def sheet(self, axis: str, x: int, y: int) -> tuple[int, ...]:
+        """The two columns of a grid edge and every rung between them."""
+        sx, sy, rung = self._AXES[axis]
+        interior = tuple(rung(self, x, y, z) for z in range(1, self.dz))
+        return self.column(x, y) + self.column(x + sx, y + sy) + interior
 
 
 def _lattice_gens(lay: _Lattice, fold: str = "", horizontal: bool = False) -> GeneratingSet:
@@ -530,10 +512,15 @@ def _lattice_gens(lay: _Lattice, fold: str = "", horizontal: bool = False) -> Ge
     fold="z" the left Z string column(0, 0) as the last Z row: the k=0
     form a weld consumes.
     """
-    stars = lay.star_supports()
-    faces = lay.face_supports()
+    stars = [lay.star_support(x, y, z) for z in range(1, lay.dz) for x, y in lay.grid]
+    faces = [lay.face_support(axis, x, y, z) for axis, x, y, z in lay.faces()]
     if horizontal:
-        faces += lay.horizontal_plaquettes()
+        faces += [
+            [lay.hx(x, y, z), lay.hx(x, y + 1, z), lay.hy(x, y, z), lay.hy(x + 1, y, z)]
+            for z in range(1, lay.dz)
+            for x, y in lay.grid
+            if x < lay.dx and y < lay.dy
+        ]
     if fold == "x":
         stars.append(lay.layer(0))
     elif fold == "z":
@@ -561,6 +548,13 @@ def _lattice_code(lay: _Lattice, meta: dict, horizontal: bool = False) -> CssCod
 # surface codes
 
 
+def _rough_region(lay: _Lattice, label: str) -> FlatRegionGraph:
+    """Flat-X: one region between lay's rough top and bottom layers."""
+    return _one_region(
+        "x", lay.n, label, (("rough top", lay.layer(0)), ("rough bottom", lay.layer(lay.dz - 1)))
+    )
+
+
 def _surface_region_metadata(spec: SurfaceSpec) -> dict:
     lay = _Lattice(spec.width, 0, spec.height)
     meta = {
@@ -577,12 +571,7 @@ def _surface_region_metadata(spec: SurfaceSpec) -> dict:
     if spec.height >= 2:
         # A one-row patch has a single vertical layer, so the two rough
         # boundaries coincide and carry no X-particle bookkeeping.
-        meta["x"] = _one_region(
-            "x",
-            lay.n,
-            "surface",
-            (("rough top", lay.layer(0)), ("rough bottom", lay.layer(spec.height - 1))),
-        )
+        meta["x"] = _rough_region(lay, "surface")
     return meta
 
 
@@ -734,24 +723,17 @@ def _sheet_region_graph(lay: _Lattice, n: int, lift) -> FlatRegionGraph:
     on the n-qubit register: the identity for a single solid, the union
     over every piece's embedding for a welded one.
     """
-    columns = {
-        (x, y): QubitPatch(f"column ({x},{y})", lift(lay.column(x, y)))
-        for y in range(lay.dy + 1)
-        for x in range(lay.dx + 1)
-    }
-    order = {pos: i for i, pos in enumerate(columns)}
+    columns = [QubitPatch(f"column ({x},{y})", lift(lay.column(x, y))) for x, y in lay.grid]
+    order = {pos: i for i, pos in enumerate(lay.grid)}
     regions = []
     incidence = []
-    for y in range(lay.dy + 1):
-        for x in range(lay.dx):
-            regions.append(QubitPatch(f"sheet x ({x},{y})", lift(lay.sheet_x(x, y))))
-            incidence.append((order[(x, y)], order[(x + 1, y)]))
-    for y in range(lay.dy):
-        for x in range(lay.dx + 1):
-            regions.append(QubitPatch(f"sheet y ({x},{y})", lift(lay.sheet_y(x, y))))
-            incidence.append((order[(x, y)], order[(x, y + 1)]))
+    for axis in "xy":
+        sx, sy, _ = lay._AXES[axis]
+        for x, y in lay.edges(axis):
+            regions.append(QubitPatch(f"sheet {axis} ({x},{y})", lift(lay.sheet(axis, x, y))))
+            incidence.append((order[(x, y)], order[(x + sx, y + sy)]))
     return FlatRegionGraph(
-        "z", n, tuple(regions), tuple(columns.values()), tuple(incidence)
+        "z", n, tuple(regions), tuple(columns), tuple(incidence)
     )
 
 
@@ -759,12 +741,7 @@ def _solid_region_metadata(spec: SolidSpec) -> dict:
     lay = _Lattice(spec.dx, spec.dy, spec.dz)
     meta = {}
     if spec.dz >= 2:
-        meta["x"] = _one_region(
-            "x",
-            lay.n,
-            "solid",
-            (("rough top", lay.layer(0)), ("rough bottom", lay.layer(spec.dz - 1))),
-        )
+        meta["x"] = _rough_region(lay, "solid")
     if not spec.horizontal_plaquettes:
         # With horizontal plaquettes generated, Z particles can no longer
         # cross a sheet silently, so the sheet decomposition only holds
@@ -861,14 +838,12 @@ def _weld_strips(lay: _Lattice, piece: CssCode) -> CssCode:
         (strip.column(0, 0), strip.column(1, 0)),
         "x",
     )
+    # the strip is one sheet, which lands on the sheet of its grid edge
+    whole = strip.sheet("x", 0, 0)
     perm = [-1] * asm.code.n
-    for ((xu, yu), (xv, yv)), embed in asm.piece_embeddings:
-        rung = lay.hx if xv == xu + 1 else lay.hy
-        for z in range(lay.dz):
-            perm[embed[strip.vq(0, 0, z)]] = lay.vq(xu, yu, z)
-            perm[embed[strip.vq(1, 0, z)]] = lay.vq(xv, yv, z)
-        for z in range(1, lay.dz):
-            perm[embed[strip.hx(0, 0, z)]] = rung(xu, yu, z)
+    for ((x, y), (xv, _)), embed in asm.piece_embeddings:
+        for q, target in zip(whole, lay.sheet("x" if xv > x else "y", x, y)):
+            perm[embed[q]] = target
     if sorted(perm) != list(range(asm.code.n)):
         raise AssertionError("strip welding did not cover the lattice exactly once")
     return permute_qubits(asm.code, perm)
@@ -963,46 +938,39 @@ def _repick_solid_layer(code: CssCode, lay: _Lattice, z: int) -> CssCode:
     the y edges at x=0) and multiplying each remaining y-edge plaquette
     by its comb cycle clears that plaquette off the layer entirely.
     """
+    at = {key[:3]: i for i, key in enumerate(lay.faces()) if key[3] == z}
     z_rows = list(code.gens.z_packed)
-    for y in range(lay.dy):
-        for x in range(1, lay.dx + 1):
-            row = z_rows[lay.face_y_row(0, y, z)]
-            for xp in range(x):
-                row ^= z_rows[lay.face_x_row(xp, y, z)]
-                row ^= z_rows[lay.face_x_row(xp, y + 1, z)]
-            z_rows[lay.face_y_row(x, y, z)] ^= row
+    for x, y in lay.edges("y"):
+        if x == 0:
+            cycle = z_rows[at["y", 0, y]]
+        else:
+            # the comb cycle closed by the y edge at x
+            cycle ^= z_rows[at["x", x - 1, y]] ^ z_rows[at["x", x - 1, y + 1]]
+            z_rows[at["y", x, y]] ^= cycle
     return CssCode(GeneratingSet._packed(code.n, code.gens.x_packed, z_rows))
 
 
-def _phantom_welded_faces(
-    graph: WeldGraph, asm: _Assembly, lay: _Lattice, spec: SolidSpec
-) -> list[int]:
+def _phantom_welded_faces(graph: WeldGraph, asm: _Assembly, lay: _Lattice) -> list[int]:
     """Reconstruct the welded non-comb plaquettes dropped by re-picking.
 
     A weld of deg pieces would have produced, for each y-edge of the
     column grid outside the comb, the product of all incident layer
-    plaquettes times the weld restriction when the piece count is even.
-    Those operators are still in the group; appending them restores the
-    plain half-plaquette energy landscape at every weld.
+    plaquettes times the weld restriction when the piece count is even:
+    the union of those plaquettes, which share only the edge's two weld
+    qubits.  Those operators are still in the group; appending them
+    restores the plain half-plaquette energy landscape at every weld.
     """
     incident: dict = {}
-    for edge, embed in asm.piece_embeddings:
-        u, v = edge
+    for (u, v), embed in asm.piece_embeddings:
         incident.setdefault(u, []).append((embed, 0))
-        incident.setdefault(v, []).append((embed, spec.dz - 1))
-    rows = []
-    for vertex in graph.vertices:
-        pieces = incident.get(vertex, ())
-        if len(pieces) < 2:
-            continue
-        layer = asm.vertex_qubits[vertex]
-        for y in range(lay.dy):
-            for x in range(1, lay.dx + 1):
-                row = _mask(embed[q] for embed, z in pieces for q in lay.face_y_support(x, y, z))
-                if len(pieces) % 2 == 0:
-                    row ^= _mask((layer[y * (lay.dx + 1) + x], layer[(y + 1) * (lay.dx + 1) + x]))
-                rows.append(row)
-    return rows
+        incident.setdefault(v, []).append((embed, lay.dz - 1))
+    off_comb = [(x, y) for x, y in lay.edges("y") if x > 0]
+    return [
+        _mask({embed[q] for embed, z in incident[vertex] for q in lay.face_support("y", x, y, z)})
+        for vertex in graph.vertices
+        if graph.degree(vertex) >= 2
+        for x, y in off_comb
+    ]
 
 
 def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
@@ -1041,7 +1009,7 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     asm = _weld_along_graph(graph, lambda e: variant(shared[e[0]], shared[e[1]]), ends, "z")
 
     code = asm.code
-    phantoms = _phantom_welded_faces(graph, asm, lay, spec)
+    phantoms = _phantom_welded_faces(graph, asm, lay)
     if phantoms:
         basis = gf2._echelon(code.gens.z_packed)
         if any(gf2._residual(basis, v) for v in phantoms):

@@ -103,8 +103,8 @@ def test_phantom_face_outside_the_group_is_caught(monkeypatch):
 
     real = builders._phantom_welded_faces
 
-    def with_stray_face(graph, asm, lay, spec):
-        faces = real(graph, asm, lay, spec)
+    def with_stray_face(graph, asm, lay):
+        faces = real(graph, asm, lay)
         assert faces
         # a lone Z anticommutes with the X generators on its qubit, so no
         # product of Z generators can equal it
@@ -644,6 +644,32 @@ def test_graph_constructors():
     assert len(grid2d(2, 3).edges) == 2 * 2 + 3 * 1
     assert len(cubic(2, 2, 2).edges) == 12
     assert grid2d(3, 3).is_connected()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path(2.5),
+        lambda: path(None),
+        lambda: star("3"),
+        lambda: grid2d(2, 1.5),
+        lambda: cubic(2, 2, "2"),
+    ],
+    ids=["path-float", "path-none", "star-str", "grid2d-float", "cubic-str"],
+)
+def test_graph_generators_reject_non_integer_sizes(make):
+    with pytest.raises(ValidationError, match="must be integers"):
+        make()
+
+
+def test_graph_generators_take_sizes_as_integers():
+    assert grid2d(True, 2).name == "grid2d(1,2)"
+    assert grid2d(True, 2) == grid2d(1, 2)
+    assert cubic(np.int64(2), 2, np.uint8(2)) == cubic(2, 2, 2)
+    assert path(np.int32(3)).name == "path(3)" and star(np.int64(2)).name == "star(2)"
+    for make in (lambda: path(0), lambda: star(0), lambda: grid2d(0, 2), lambda: cubic(2, -1, 2)):
+        with pytest.raises(ValidationError, match="at least"):
+            make()
 
 
 _GRAPH_PINS = [
