@@ -4,9 +4,10 @@ Verbs: build, weld, info, barrier, bound, verify, sweep, export.  Every
 verb takes --out; every verb but sweep and export takes --json.  barrier
 and bound share one set of options: a code file or --family with its
 size options, plus --kind, --logical and --max-states.
-Exit codes: 0 on success, 1 for validation and metadata problems and
-for a bound or verify check that fails, 2 when a search refuses to
-start because it would exceed its state cap.
+Exit codes: 0 on success (--help included), 1 for usage errors, for
+validation and metadata problems and for a bound or verify check that
+fails, 2 when a search refuses to start because it would exceed its
+state cap.
 """
 
 from __future__ import annotations
@@ -309,8 +310,20 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2.
+
+    Exit code 2 belongs to the state-cap refusal; the subcommand parsers
+    inherit this class through add_subparsers.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weldkit",
         description="Build lattice stabilizer codes by welding and measure their energy barriers.",
     )

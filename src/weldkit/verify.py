@@ -10,6 +10,7 @@ takes a seed at all.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +204,12 @@ def run_verification(
     seed: int = 0, rounds: int = 200, max_side: int = 12
 ) -> VerificationReport:
     """Golden welds, oracle agreement rounds, and rejection checks."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValidationError(f"seed must not be negative, got {seed}")
     if rounds < 0:
         raise ValidationError(f"rounds must not be negative, got {rounds}")
     checks = _golden_checks()

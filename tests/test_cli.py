@@ -286,6 +286,37 @@ def test_verify_rejects_negative_rounds(capsys):
     assert "FAIL" not in captured.out
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--seed", "-3", "--rounds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must not be negative, got -3\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["build", "--family", "nope"], "argument --family: invalid choice: 'nope'"),
+        (["barrier", "--family", "two-qubit"], "the following arguments are required: --kind"),
+    ],
+)
+def test_usage_errors_exit_1_with_the_usage_text(argv, complaint, capsys):
+    # 2 is the state-cap refusal's code, so a mistyped command must not use it
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: weldkit {argv[0]} ")
+    assert complaint in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["build", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: weldkit build ")
+
+
 def test_verify_is_deterministic_per_seed(tmp_path):
     first = tmp_path / "a.txt"
     second = tmp_path / "b.txt"

@@ -497,6 +497,12 @@ def test_parse_identification_rejects_malformed():
 def test_verification_rejects_bad_arguments():
     with pytest.raises(ValidationError, match="rounds"):
         run_verification(rounds=-1)
+    with pytest.raises(ValidationError, match="seed must not be negative, got -3"):
+        run_verification(seed=-3, rounds=1)
+    for seed in (1.5, "2", None):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_verification(seed=seed, rounds=1)
+    assert run_verification(seed=np.int64(3), rounds=2) == run_verification(seed=3, rounds=2)
     with pytest.raises(ValidationError, match="max_side"):
         run_verification(rounds=1, max_side=3)
     with pytest.raises(ValidationError, match="max_side"):
