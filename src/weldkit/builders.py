@@ -474,7 +474,6 @@ class _Lattice:
         return keys
 
     def star_support(self, x: int, y: int, z: int) -> list[int]:
-        """Column (x, y) at levels z - 1 and z, and the rungs meeting it at z."""
         support = [self.vq(x, y, z - 1), self.vq(x, y, z)]
         if x > 0:
             support.append(self.hx(x - 1, y, z))
@@ -548,11 +547,16 @@ def _lattice_code(lay: _Lattice, meta: dict, horizontal: bool = False) -> CssCod
 # surface codes
 
 
-def _rough_region(lay: _Lattice, label: str) -> FlatRegionGraph:
-    """Flat-X: one region between lay's rough top and bottom layers."""
-    return _one_region(
-        "x", lay.n, label, (("rough top", lay.layer(0)), ("rough bottom", lay.layer(lay.dz - 1)))
-    )
+def _rough_region(lay: _Lattice, label: str) -> dict:
+    """Flat-X metadata: one region between lay's rough top and bottom layers.
+
+    With one vertical layer (dz = 1) the two rough boundaries coincide
+    and carry no X-particle bookkeeping, so the metadata stays empty.
+    """
+    if lay.dz < 2:
+        return {}
+    sides = (("rough top", lay.layer(0)), ("rough bottom", lay.layer(lay.dz - 1)))
+    return {"x": _one_region("x", lay.n, label, sides)}
 
 
 def _surface_region_metadata(spec: SurfaceSpec) -> dict:
@@ -568,10 +572,7 @@ def _surface_region_metadata(spec: SurfaceSpec) -> dict:
             ),
         )
     }
-    if spec.height >= 2:
-        # A one-row patch has a single vertical layer, so the two rough
-        # boundaries coincide and carry no X-particle bookkeeping.
-        meta["x"] = _rough_region(lay, "surface")
+    meta.update(_rough_region(lay, "surface"))
     return meta
 
 
@@ -739,9 +740,7 @@ def _sheet_region_graph(lay: _Lattice, n: int, lift) -> FlatRegionGraph:
 
 def _solid_region_metadata(spec: SolidSpec) -> dict:
     lay = _Lattice(spec.dx, spec.dy, spec.dz)
-    meta = {}
-    if spec.dz >= 2:
-        meta["x"] = _rough_region(lay, "solid")
+    meta = _rough_region(lay, "solid")
     if not spec.horizontal_plaquettes:
         # With horizontal plaquettes generated, Z particles can no longer
         # cross a sheet silently, so the sheet decomposition only holds
@@ -838,11 +837,10 @@ def _weld_strips(lay: _Lattice, piece: CssCode) -> CssCode:
         (strip.column(0, 0), strip.column(1, 0)),
         "x",
     )
-    # the strip is one sheet, which lands on the sheet of its grid edge
-    whole = strip.sheet("x", 0, 0)
     perm = [-1] * asm.code.n
+    # the strip is one sheet, which lands on the sheet of its grid edge
     for ((x, y), (xv, _)), embed in asm.piece_embeddings:
-        for q, target in zip(whole, lay.sheet("x" if xv > x else "y", x, y)):
+        for q, target in zip(strip.sheet("x", 0, 0), lay.sheet("x" if xv > x else "y", x, y)):
             perm[embed[q]] = target
     if sorted(perm) != list(range(asm.code.n)):
         raise AssertionError("strip welding did not cover the lattice exactly once")
@@ -929,8 +927,8 @@ def build_welded_surface(
     return code
 
 
-def _repick_solid_layer(code: CssCode, lay: _Lattice, z: int) -> CssCode:
-    """Make the boundary-layer half-plaquettes independent on the weld.
+def _repick_solid_layers(gens: GeneratingSet, lay: _Lattice, layers) -> CssCode:
+    """Make the half-plaquettes of each given rough layer independent on its weld.
 
     The half-plaquettes at one rough layer restrict to the edges of the
     (dx+1) x (dy+1) column grid, which has cycles, so products of them
@@ -938,16 +936,17 @@ def _repick_solid_layer(code: CssCode, lay: _Lattice, z: int) -> CssCode:
     the y edges at x=0) and multiplying each remaining y-edge plaquette
     by its comb cycle clears that plaquette off the layer entirely.
     """
-    at = {key[:3]: i for i, key in enumerate(lay.faces()) if key[3] == z}
-    z_rows = list(code.gens.z_packed)
-    for x, y in lay.edges("y"):
-        if x == 0:
-            cycle = z_rows[at["y", 0, y]]
-        else:
-            # the comb cycle closed by the y edge at x
-            cycle ^= z_rows[at["x", x - 1, y]] ^ z_rows[at["x", x - 1, y + 1]]
-            z_rows[at["y", x, y]] ^= cycle
-    return CssCode(GeneratingSet._packed(code.n, code.gens.x_packed, z_rows))
+    at = {key: i for i, key in enumerate(lay.faces())}
+    z_rows = list(gens.z_packed)
+    for z in layers:
+        for x, y in lay.edges("y"):
+            if x == 0:
+                cycle = z_rows[at["y", 0, y, z]]
+            else:
+                # the comb cycle closed by the y edge at x
+                cycle ^= z_rows[at["x", x - 1, y, z]] ^ z_rows[at["x", x - 1, y + 1, z]]
+                z_rows[at["y", x, y, z]] ^= cycle
+    return CssCode(GeneratingSet._packed(gens.n, gens.x_packed, z_rows))
 
 
 def _phantom_welded_faces(graph: WeldGraph, asm: _Assembly, lay: _Lattice) -> list[int]:
@@ -998,12 +997,8 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     def variant(top: bool, bottom: bool) -> CssCode:
         # top and bottom say which of its rough layers meet other pieces;
         # the folded string is the last row, which the re-picks never touch
-        piece = CssCode(_lattice_gens(lay, "z"))
-        if top:
-            piece = _repick_solid_layer(piece, lay, 0)
-        if bottom:
-            piece = _repick_solid_layer(piece, lay, spec.dz - 1)
-        return piece
+        layers = [z for z, meets in ((0, top), (spec.dz - 1, bottom)) if meets]
+        return _repick_solid_layers(_lattice_gens(lay, "z"), lay, layers)
 
     ends = (lay.layer(0), lay.layer(spec.dz - 1))
     asm = _weld_along_graph(graph, lambda e: variant(shared[e[0]], shared[e[1]]), ends, "z")
