@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from . import gf2
@@ -465,13 +466,13 @@ class _Lattice:
         sx, sy, _ = self._AXES[axis]
         return [(x, y) for x, y in self.grid if x + sx <= self.dx and y + sy <= self.dy]
 
-    def faces(self) -> list[tuple[str, int, int, int]]:
+    def faces(self) -> Iterator[tuple[str, int, int, int]]:
         """Every half-plaquette key (axis, x, y, z), in generator-row order."""
-        keys = []
         for axis in "xy":
             edges = self.edges(axis)
-            keys += [(axis, x, y, z) for z in range(self.dz) for x, y in edges]
-        return keys
+            for z in range(self.dz):
+                for x, y in edges:
+                    yield axis, x, y, z
 
     def star_support(self, x: int, y: int, z: int) -> list[int]:
         support = [self.vq(x, y, z - 1), self.vq(x, y, z)]
@@ -837,10 +838,11 @@ def _weld_strips(lay: _Lattice, piece: CssCode) -> CssCode:
         (strip.column(0, 0), strip.column(1, 0)),
         "x",
     )
-    perm = [-1] * asm.code.n
     # the strip is one sheet, which lands on the sheet of its grid edge
+    whole = strip.sheet("x", 0, 0)
+    perm = [-1] * asm.code.n
     for ((x, y), (xv, _)), embed in asm.piece_embeddings:
-        for q, target in zip(strip.sheet("x", 0, 0), lay.sheet("x" if xv > x else "y", x, y)):
+        for q, target in zip(whole, lay.sheet("x" if xv > x else "y", x, y)):
             perm[embed[q]] = target
     if sorted(perm) != list(range(asm.code.n)):
         raise AssertionError("strip welding did not cover the lattice exactly once")
