@@ -423,7 +423,7 @@ class _Lattice:
     The vertical columns form a (dx+1) x (dy+1) grid, listed x fastest
     in grid, and edges(axis) is the one enumeration of its edges along
     an axis, in grid order.  A half-plaquette hangs off one grid edge at
-    one level, and faces() lists their keys (axis, x, y, z), x edges
+    one level, and faces() yields their keys (axis, x, y, z), x edges
     then y edges, level by level within each axis: the one enumeration
     that fixes the order of the Z generator rows.
 
