@@ -393,6 +393,7 @@ def build_two_qubit() -> CssCode:
 
 def build_repetition(length: int) -> CssCode:
     """Length-n repetition code: XX on neighbors, logical Z across all."""
+    (length,) = _sizes((length,), "repetition length")
     if length < 2:
         raise ValidationError("repetition code needs at least 2 qubits")
     gens = GeneratingSet._packed(length, [3 << i for i in range(length - 1)], ())

@@ -24,6 +24,7 @@ from .builders import (
     FlatRegionGraph,
     SolidSpec,
     WeldGraph,
+    _sizes,
     build_solid,
     build_welded_solid,
     flat_region_graph,
@@ -526,7 +527,7 @@ def tune_scaling(side_length=None, qubit_budget=None) -> ScalingPlan:
         raise ValidationError("give exactly one of side_length or qubit_budget")
     candidates = []
     if qubit_budget is not None:
-        budget = int(qubit_budget)
+        (budget,) = _sizes((qubit_budget,), "qubit_budget")
         if budget < 1:
             raise ValidationError("qubit_budget must be at least 1")
         pieces = 1
@@ -541,7 +542,7 @@ def tune_scaling(side_length=None, qubit_budget=None) -> ScalingPlan:
                 candidates.append((size, pieces))
             pieces += 1
     else:
-        length = int(side_length)
+        (length,) = _sizes((side_length,), "side_length")
         if length < 1:
             raise ValidationError("side_length must be at least 1")
         for pieces in range(1, length + 1):

@@ -24,6 +24,7 @@ from .builders import (
     build_two_qubit,
     build_welded_solid,
     build_welded_surface,
+    _sizes,
     path,
     surface_welding_chain,
 )
@@ -159,6 +160,7 @@ def random_weld_case(rng, max_side: int = 12):
     kernel oracle on the result.  Each side needs room for up to three
     shared qubits and one interior qubit, so max_side is at least 4.
     """
+    (max_side,) = _sizes((max_side,), "max_side")
     if max_side < 4:
         raise ValidationError(f"max_side must be at least 4, got {max_side}")
     weld_type = "z" if rng.integers(0, 2) else "x"
@@ -210,6 +212,7 @@ def run_verification(
         raise ValidationError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValidationError(f"seed must not be negative, got {seed}")
+    rounds, max_side = _sizes((rounds, max_side), "rounds and max_side")
     if rounds < 0:
         raise ValidationError(f"rounds must not be negative, got {rounds}")
     checks = _golden_checks()

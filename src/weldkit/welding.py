@@ -6,7 +6,7 @@ opposite-type generators of both codes carry over unchanged, weld-type
 generators that avoid the shared qubits carry over individually, and
 weld-type generators that touch the shared qubits are combined in
 matched pairs, one from each side.  Two precondition checks make the
-pairing sound, and both return explicit witnesses on failure.  A
+pairing sound; weld runs both and raises WeldError with a witness.  A
 kernel-based construction of the same group serves as an independent
 ground truth in tests.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -102,31 +101,26 @@ class WeldLayout:
     Code-1 qubits keep their indices and unshared code-2 qubits are
     appended in code-2 order, so layouts are deterministic and
     round-trippable.  The two embeddings agree exactly on the
-    identified pairs.
+    identified pairs; code 1's is the identity, so it is derived.
     """
 
     n: int
-    embed1: tuple[int, ...]
     embed2: tuple[int, ...]
     shared: tuple[int, ...]
 
-    def _embedding(self, side: int) -> tuple[int, ...]:
-        if side == 1:
-            return self.embed1
-        if side == 2:
-            return self.embed2
-        raise ValidationError(f"side must be 1 or 2, got {side!r}")
+    @property
+    def embed1(self) -> tuple[int, ...]:
+        return tuple(range(self.n - len(self.embed2) + len(self.shared)))
 
-    def embed_gens(self, gens: GeneratingSet, side: int) -> GeneratingSet:
-        emb = self._embedding(side)
-        if gens.n != len(emb):
-            raise ValidationError(f"set acts on {gens.n} qubits, side {side} has {len(emb)}")
-        return GeneratingSet._packed(
-            self.n, gf2._relabel(gens.x_packed, emb), gf2._relabel(gens.z_packed, emb)
-        )
+    @property
+    def mask(self) -> int:
+        """The shared qubits as an int row, bit q = qubit q."""
+        return sum(1 << q for q in self.shared)  # the qubits are distinct
 
     def embed_operator(self, op: PauliOperator, side: int) -> PauliOperator:
-        emb = self._embedding(side)
+        if side not in (1, 2):
+            raise ValidationError(f"side must be 1 or 2, got {side!r}")
+        emb = self.embed1 if side == 1 else self.embed2
         if op.n != len(emb):
             raise ValidationError(f"operator acts on {op.n} qubits, side {side} has {len(emb)}")
         return PauliOperator._packed(self.n, *gf2._relabel((op.x, op.z), emb))
@@ -147,7 +141,7 @@ def _layout(n1: int, n2: int, ident) -> WeldLayout:
     n = n1 + n2 - len(pair_map)
     fresh = iter(range(n1, n))
     embed2 = tuple(pair_map[j] if j in pair_map else next(fresh) for j in range(n2))
-    return WeldLayout(n, tuple(range(n1)), embed2, tuple(pair_map.values()))
+    return WeldLayout(n, embed2, tuple(pair_map.values()))
 
 
 def contract(
@@ -161,8 +155,12 @@ def contract(
     gens1 = code1.gens if isinstance(code1, CssCode) else code1
     gens2 = code2.gens if isinstance(code2, CssCode) else code2
     layout = _layout(gens1.n, gens2.n, ident)
+    embed = layout.embed2
+    set2 = GeneratingSet._packed(
+        layout.n, gf2._relabel(gens2.x_packed, embed), gf2._relabel(gens2.z_packed, embed)
+    )
     # code-1 qubits keep their indices, so its rows carry over as they are
-    return layout, gens1._widened(layout.n), layout.embed_gens(gens2, 2)
+    return layout, gens1._widened(layout.n), set2
 
 
 def _typed_rows(gens: GeneratingSet, kind: str) -> tuple[int, ...]:
@@ -173,124 +171,64 @@ def _format_row(row: int, kind: str, n: int) -> str:
     return format_operator(_row_operator(n, kind, row))
 
 
-def _shared_mask(n: int, shared) -> int:
-    """The shared qubits as an int row, bit q = qubit q."""
-    mask = 0
-    for q in shared:
-        if not 0 <= int(q) < n:
-            raise ValidationError(f"shared qubit {q} is outside the {n}-qubit register")
-        mask |= 1 << int(q)
-    return mask
+def _require_seam(sides, mask: int, kind: str, n: int):
+    """Raise WeldError unless the weld-type rows are well matched and independent.
 
-
-class _Split(NamedTuple):
-    """One side's weld-type rows as ints, split by the shared-qubit mask once.
-
-    first maps each restriction to the shared qubits to the first row
-    that has it; untouched holds the rows that avoid the shared qubits.
+    sides holds (rows, touching, first) per side: touching lists the
+    indices of the rows that meet the shared qubits and first maps each
+    restriction to the lowest such row.  Well matched: every restriction
+    of one side is one of the other side's; the witness names the first
+    row without a partner.  Independent: no product of a side's touching
+    rows avoids the weld without vanishing, a rank comparison of their
+    restrictions against the full rows; the witness lists such a subset,
+    shrunk greedily, best effort.
     """
-
-    rows: list[int]
-    touching: list[int]
-    untouched: list[int]
-    first: dict[int, int]
-
-
-def _split(rows: list[int], mask: int) -> _Split:
-    touching: list[int] = []
-    untouched: list[int] = []
-    first: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        hit = row & mask
-        if hit:
-            touching.append(i)
-            first.setdefault(hit, i)
-        else:
-            untouched.append(row)
-    return _Split(rows, touching, untouched, first)
-
-
-def _unmatched(split1: _Split, split2: _Split, kind: str, n: int):
-    """Witness naming the first weld-touching row without a partner, or None."""
-    for side, split, other in ((1, split1, split2), (2, split2, split1)):
+    for side, (rows, _, first) in enumerate(sides, start=1):
+        partners = sides[2 - side][2]
         # first is in row order, so the first missing key is the lowest row
-        for key, i in split.first.items():
-            if key not in other.first:
-                return {
+        for key, i in first.items():
+            if key not in partners:
+                witness = {
                     "side": side,
                     "index": i,
-                    "generator": _format_row(split.rows[i], kind, n),
+                    "generator": _format_row(rows[i], kind, n),
                     "shared_restriction": _format_row(key, kind, n),
                 }
-    return None
-
-
-def _dependent(split: _Split, mask: int, kind: str, n: int):
-    """Witness for touching rows whose product avoids the weld, or None."""
-    rows = [split.rows[i] for i in split.touching]
-    if len(gf2._echelon([row & mask for row in rows])) == len(gf2._echelon(rows)):
-        return None
-    chosen = gf2._vanishing_subset(rows, mask, n)
-    product = functools.reduce(operator.xor, (rows[j] for j in chosen))
-    return {
-        "subset": tuple(split.touching[j] for j in chosen),
-        "product": _format_row(product, kind, n),
-    }
-
-
-def check_well_matched(set1, set2, layout: WeldLayout, weld_type: str):
-    """Does every weld-touching generator have a partner across the weld?
-
-    Only generators of the weld type matter.  A generator touching the
-    shared qubits is matched when the other side has a generator with
-    the same restriction to the shared qubits.  Returns (True, None) or
-    (False, witness) with the first unmatched generator named.  Both
-    sets must lie on the layout's register.
-    """
-    kind = _norm_type(weld_type)
-    mask = _shared_mask(layout.n, layout.shared)
-    sets = [s.gens if isinstance(s, CssCode) else s for s in (set1, set2)]
-    for side, gens in enumerate(sets, start=1):
-        if gens.n != layout.n:
-            raise ValidationError(f"set {side} acts on {gens.n} qubits, the layout has {layout.n}")
-    splits = (_split(_typed_rows(gens, kind), mask) for gens in sets)
-    witness = _unmatched(*splits, kind, layout.n)
-    return witness is None, witness
-
-
-def check_weld_independence(gens, shared, weld_type: str):
-    """Can weld-touching generators multiply to something trivial on the weld?
-
-    Passes when every product of weld-touching weld-type generators
-    that acts trivially on the shared qubits is the identity outright,
-    implemented as a rank comparison of the shared-qubit restrictions
-    against the full rows.  On failure the witness lists a generator
-    subset whose product avoids the weld without vanishing; its support
-    is shrunk greedily, best effort.
-    """
-    kind = _norm_type(weld_type)
-    if isinstance(gens, CssCode):
-        gens = gens.gens
-    mask = _shared_mask(gens.n, shared)
-    split = _split(_typed_rows(gens, kind), mask)
-    witness = _dependent(split, mask, kind, gens.n)
-    return witness is None, witness
+                raise WeldError(
+                    "well_matched", witness, f"unmatched weld-touching generator: {witness}"
+                )
+    for side, (rows, touching, _) in enumerate(sides, start=1):
+        hits = [rows[i] for i in touching]
+        if len(gf2._echelon([row & mask for row in hits])) == len(gf2._echelon(hits)):
+            continue
+        chosen = gf2._vanishing_subset(hits, mask, n)
+        product = functools.reduce(operator.xor, (hits[j] for j in chosen))
+        witness = {
+            "subset": tuple(touching[j] for j in chosen),
+            "product": _format_row(product, kind, n),
+        }
+        raise WeldError(
+            "weld_independence",
+            witness,
+            f"code {side} generators multiply to identity on the weld: {witness}",
+        )
 
 
 def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     """Weld gens2 onto an n1-qubit code held as int rows, bit q = qubit q.
 
     rows maps "x" and "z" to code 1's rows and is updated in place to
-    the output's; returns the layout, the pairs (i, j) of weld-type row
-    indices, and gens2's rows on the output register as a map like rows.
+    the output's: the opposite-type rows of code 1 then code 2, and the
+    weld-type rows that avoid the weld, code 1's then code 2's, then one
+    a ^ b ^ (a & mask) per matched pair (a, b).  Returns the layout and
+    the seam (untouched1, untouched2, matched) those rows came from.
     contract keeps code-1 qubits and appends code 2's unshared ones, so
     only gens2's rows are relabelled, at a cost of their weight.  Each
-    side's weld-type rows are restricted to the shared qubits once, for
-    both checks and the pairing; a failed check raises WeldError with a
-    witness.  The weld-type output is each side's rows that avoid the
-    weld, in order, then one a ^ b ^ (a & mask) per pair: the first row
-    of each side with one restriction, ordered as the restrictions' 0/1
-    arrays compare as bytes.
+    side's weld-type rows are split by their restriction to the shared
+    qubits once, here, for both checks (_require_seam) and the pairing:
+    a is the first row of side 1 with a restriction and b the first of
+    side 2, and pairs are ordered as the restrictions' 0/1 arrays
+    compare as bytes.
 
     With both checks passed, two rows of one side share a restriction
     only if they are equal (their product would avoid the weld), so a
@@ -299,33 +237,30 @@ def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
     commutant of the adopted block, so k=0 inputs give a valid k=0 output.
     """
     layout = _layout(n1, gens2.n, ident)
-    n = layout.n
-    mask = _shared_mask(n, layout.shared)
+    n, mask = layout.n, layout.mask
     other = "x" if kind == "z" else "z"
-    rows2 = {kind: gf2._relabel(_typed_rows(gens2, kind), layout.embed2)}
-    split1 = _split(rows[kind], mask)
-    split2 = _split(rows2[kind], mask)
-    witness = _unmatched(split1, split2, kind, n)
-    if witness is not None:
-        raise WeldError(
-            "well_matched", witness, f"unmatched weld-touching generator: {witness}"
-        )
-    for side, split in ((1, split1), (2, split2)):
-        witness = _dependent(split, mask, kind, n)
-        if witness is not None:
-            raise WeldError(
-                "weld_independence",
-                witness,
-                f"code {side} generators multiply to identity on the weld: {witness}",
-            )
+    sides, untouched = [], []
+    for side_rows in (rows[kind], gf2._relabel(_typed_rows(gens2, kind), layout.embed2)):
+        touching: list[int] = []
+        avoiding: list[int] = []
+        first: dict[int, int] = {}
+        for i, row in enumerate(side_rows):
+            hit = row & mask
+            if hit:
+                touching.append(i)
+                first.setdefault(hit, i)
+            else:
+                avoiding.append(row)
+        sides.append((side_rows, touching, first))
+        untouched.append(avoiding)
+    _require_seam(sides, mask, kind, n)
+    (weld1, _, first1), (weld2, _, first2) = sides
     # bit q of a restriction is character q of its key
-    keys = sorted(split1.first, key=lambda r: format(r, f"0{n}b")[::-1])
-    pairs = [(split1.first[key], split2.first[key]) for key in keys]
-    welded = [split1.rows[i] ^ split2.rows[j] ^ (split1.rows[i] & mask) for i, j in pairs]
-    rows[kind] = split1.untouched + split2.untouched + welded
-    rows2[other] = gf2._relabel(_typed_rows(gens2, other), layout.embed2)
-    rows[other] += rows2[other]
-    return layout, pairs, rows2
+    keys = sorted(first1, key=lambda r: format(r, f"0{n}b")[::-1])
+    matched = [(weld1[first1[key]], weld2[first2[key]]) for key in keys]
+    rows[kind] = untouched[0] + untouched[1] + [a ^ b ^ (a & mask) for a, b in matched]
+    rows[other] += gf2._relabel(_typed_rows(gens2, other), layout.embed2)
+    return layout, (*untouched, matched)
 
 
 @dataclass(frozen=True)
@@ -362,12 +297,12 @@ class WeldTrace:
 
 
 def _trace(
-    layout: WeldLayout, kind: str, gens1: GeneratingSet, rows2: dict, pairs
+    layout: WeldLayout, kind: str, gens1: GeneratingSet, gens: GeneratingSet, seam
 ) -> WeldTrace:
     """The dense decomposition of weld's output, row by row.
 
-    gens1 is code 1, whose rows keep their bits on the output register;
-    rows2 maps "x" and "z" to code 2's rows there, as _weld_core returns it.
+    gens1 is code 1, whose rows keep their bits on the output register,
+    and gens the output; seam is what _weld_core returned with it.
 
     Each operator is built from its packed row, and its x_bits and z_bits
     views are seeded from one bulk unpack plus one shared zero row: the
@@ -376,20 +311,19 @@ def _trace(
     goes once the trace holds row indices instead of operators (ROADMAP
     item 2), after the benchmark revision (item 1) resizes that probe.
     """
-    n = layout.n
-    mask = _shared_mask(n, layout.shared)
+    n, mask = layout.n, layout.mask
     other = "x" if kind == "z" else "z"
-    weld1, weld2 = _typed_rows(gens1, kind), rows2[kind]
+    untouched1, untouched2, matched = seam
+    adopted1 = _typed_rows(gens1, other)
     # (label, block, side, rows): each of these rows sits alone in its side's slot
     carried = [
-        ("adopted", other, 1, _typed_rows(gens1, other)),
-        ("adopted", other, 2, rows2[other]),
-        ("untouched", kind, 1, [row for row in weld1 if not row & mask]),
-        ("untouched", kind, 2, [row for row in weld2 if not row & mask]),
+        ("adopted", other, 1, adopted1),
+        ("adopted", other, 2, _typed_rows(gens, other)[len(adopted1):]),
+        ("untouched", kind, 1, untouched1),
+        ("untouched", kind, 2, untouched2),
     ]
     flat = [row for *_, rows in carried for row in rows]
-    for i, j in pairs:
-        a, b = weld1[i], weld2[j]
+    for a, b in matched:
         flat += (a ^ b ^ (a & mask), a, b, a & mask)
     dense = gf2._unpack(flat, n)
     zero = np.zeros(n, dtype=np.uint8)
@@ -415,7 +349,7 @@ def _trace(
             parts = (op, identity) if side == 1 else (identity, op)
             entries.append(TraceEntry(label, block, row[block], op, *parts, identity))
             row[block] += 1
-    for _ in pairs:
+    for _ in matched:
         entries.append(TraceEntry("welded", kind, row[kind], *(typed(kind) for _ in range(4))))
         row[kind] += 1
     return WeldTrace(kind, layout, tuple(entries))
@@ -465,9 +399,9 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     kind = _norm_type(weld_type)
     _require_stabilizer_inputs(code1, code2)
     rows = {"x": list(code1.gens.x_packed), "z": list(code1.gens.z_packed)}
-    layout, pairs, rows2 = _weld_core(rows, code1.n, code2.gens, ident, kind)
+    layout, seam = _weld_core(rows, code1.n, code2.gens, ident, kind)
     gens = GeneratingSet._packed(layout.n, rows["x"], rows["z"])
-    return CssCode(gens, (), None, _trace(layout, kind, code1.gens, rows2, pairs))
+    return CssCode(gens, (), None, _trace(layout, kind, code1.gens, gens, seam))
 
 
 def weld_oracle(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:

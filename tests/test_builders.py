@@ -783,6 +783,11 @@ def test_spec_validation():
         build_solid(SolidSpec(1, 0, 1))
     with pytest.raises(ValidationError):
         build_repetition(1)
+    for length in (2.5, "3"):
+        with pytest.raises(ValidationError, match="must be integers"):
+            build_repetition(length)
+    code = build_repetition(np.int64(3))
+    assert type(code.n) is int and code.gens.x_packed == build_repetition(3).gens.x_packed
     for make in (lambda: SolidSpec(1.5, 1, 2), lambda: SolidSpec(1, 1, 2.0), lambda: SurfaceSpec("2", 2)):
         with pytest.raises(ValidationError, match="must be integers"):
             make()

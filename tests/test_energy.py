@@ -260,6 +260,10 @@ def test_tune_scaling_balances_piece_size_against_count():
         tune_scaling(side_length=5, qubit_budget=100)
     with pytest.raises(ValidationError):
         tune_scaling(qubit_budget=0)
+    for sizes in ({"side_length": 8.7}, {"side_length": "10"}, {"qubit_budget": 1e9}):
+        with pytest.raises(ValidationError, match="must be integers"):
+            tune_scaling(**sizes)
+    assert tune_scaling(side_length=np.int64(10)) == small
 
 
 def test_barrier_result_shape():

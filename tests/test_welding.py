@@ -32,8 +32,6 @@ from weldkit.verify import _spoiled_cases, random_weld_case, run_verification
 from weldkit.welding import (
     QubitIdentification,
     anticommuting_entries,
-    check_weld_independence,
-    check_well_matched,
     contract,
     parse_identification,
     trace_successor,
@@ -307,29 +305,30 @@ def test_rejected_inputs_raise_on_every_call(monkeypatch):
     assert calls == [encoding] * 3 + [surface] * 3
 
 
-def test_public_checks_return_the_witnesses_weld_raises():
+def test_weld_raises_the_witnesses_of_the_reference_checks():
     for (code1, code2, ident, kind), check in _spoiled_cases(np.random.default_rng(3)):
         if check == "self_weld":
             continue
         with pytest.raises(WeldError) as exc:
             weld(code1, code2, ident, kind)
         assert exc.value.check == check
+        witness = exc.value.witness
         layout, set1, set2 = contract(code1, code2, ident)
         if check == "well_matched":
-            got = check_well_matched(set1, set2, layout, kind)
-            assert got == reference_check_well_matched(set1, set2, layout, kind)
+            assert reference_check_well_matched(set1, set2, layout, kind) == (False, witness)
+            continue
+        # the witness indexes the first side whose touching rows lose rank on the weld
+        mask = shared_mask(layout)
+        for gens in (set1, set2):
+            rows = gens.z_rows if kind == "z" else gens.x_rows
+            touching = rows[(rows & mask).any(axis=1)]
+            if len(ref.rref(touching & mask)[0]) < len(ref.rref(touching)[0]):
+                break
         else:
-            sides = (set1, set2)
-            results = (check_weld_independence(s, layout.shared, kind) for s in sides)
-            got = next(result for result in results if not result[0])
-        assert got == (False, exc.value.witness)
-
-
-def test_weld_independence_range_checks_shared_qubits():
-    gens = build_two_qubit().gens
-    for shared in ((-1,), (2,)):
-        with pytest.raises(ValidationError, match="shared qubit .* 2-qubit register"):
-            check_weld_independence(gens, shared, "z")
+            pytest.fail("neither side is dependent on the weld")
+        product = np.bitwise_xor.reduce(rows[list(witness["subset"])])
+        assert product.any() and not (product & mask).any()
+        assert format_operator(typed_op(product, kind)) == witness["product"]
 
 
 def test_weld_is_symmetric_up_to_relabeling():
@@ -455,15 +454,6 @@ def test_contract_range_checks():
         contract(build_two_qubit(), build_two_qubit(), [(0, 5)])
 
 
-def test_check_well_matched_rejects_sets_off_the_layout_register():
-    layout, set1, _ = contract(build_two_qubit(), build_two_qubit(), [(1, 0)])
-    bare = build_two_qubit().gens
-    with pytest.raises(ValidationError, match="set 2 acts on 2 qubits, the layout has 3"):
-        check_well_matched(set1, bare, layout, "z")
-    with pytest.raises(ValidationError, match="set 1 acts on 2 qubits, the layout has 3"):
-        check_well_matched(bare, set1, layout, "z")
-
-
 @pytest.mark.parametrize("pairs", [((1.7, 0),), ((1.0, 0),), ((0, "3"),), (("1", "0"),)])
 def test_identification_rejects_non_integers(pairs):
     with pytest.raises(ValidationError, match="must be integers"):
@@ -507,6 +497,12 @@ def test_verification_rejects_bad_arguments():
         run_verification(rounds=1, max_side=3)
     with pytest.raises(ValidationError, match="max_side"):
         random_weld_case(np.random.default_rng(0), max_side=3)
+    for sizes in ({"rounds": 2.5}, {"rounds": "3"}, {"rounds": 3, "max_side": 6.5}):
+        with pytest.raises(ValidationError, match="rounds and max_side must be integers"):
+            run_verification(**sizes)
+    with pytest.raises(ValidationError, match="max_side must be integers"):
+        random_weld_case(np.random.default_rng(0), 6.5)
+    assert run_verification(rounds=np.int64(2), max_side=np.uint8(6)).ok
     # the smallest side that always fits three shared qubits and an interior one
     rng = np.random.default_rng(0)
     for _ in range(50):
