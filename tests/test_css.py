@@ -172,6 +172,70 @@ def test_groups_equal_ignores_presentation():
     assert not groups_equal(a, c)
 
 
+def _reference_equal(a, b):
+    """True iff both blocks of a and b have the same dense reduced rows."""
+    return all(
+        np.array_equal(ref.rref(ra)[0], ref.rref(rb)[0])
+        for ra, rb in ((a.x_rows, b.x_rows), (a.z_rows, b.z_rows))
+    )
+
+
+def _same_span(rng, block):
+    """block's span in another presentation: mixed rows, shuffled, a zero row added."""
+    mixed = block.copy()
+    for i in range(1, len(mixed)):
+        for j in np.flatnonzero(rng.integers(0, 2, size=i)):
+            mixed[i] ^= block[j]  # a unitriangular mix keeps the span
+    zero = np.zeros((1, block.shape[1]), np.uint8)
+    return rng.permutation(np.concatenate([mixed, zero]))
+
+
+def _block_pairs(rng, n):
+    """Pairs of (rows, n) blocks: same rows, same span, random, one rank less, empty."""
+    a = rng.integers(0, 2, size=(int(rng.integers(0, 6)), n), dtype=np.uint8)
+    if len(a) and rng.integers(0, 2):  # a zero row and a repeated row
+        a = np.concatenate([a, np.zeros((1, n), np.uint8), a[:1]])
+    empty = np.zeros((0, n), np.uint8)
+    yield a, a.copy()
+    yield a, _same_span(rng, a)
+    yield a, rng.integers(0, 2, size=a.shape, dtype=np.uint8)
+    yield a, ref.rref(a)[0][1:]
+    yield a, empty
+    yield empty, a
+
+
+def test_groups_equal_matches_the_reference_on_random_blocks():
+    rng = np.random.default_rng(22)
+    seen = dict.fromkeys(("same rows", "same span", "same rank", "other rank", "empty"), 0)
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        for a, b in _block_pairs(rng, n):
+            ranks = len(ref.rref(a)[0]), len(ref.rref(b)[0])
+            other = rng.integers(0, 2, size=(int(rng.integers(0, 4)), n), dtype=np.uint8)
+            for blocks in ((a, b, other, other), (other, other, a, b)):
+                x1, x2, z1, z2 = blocks
+                g1, g2 = GeneratingSet(n, x1, z1), GeneratingSet(n, x2, z2)
+                want = _reference_equal(g1, g2)
+                assert groups_equal(g1, g2) is want
+                assert groups_equal(g2, g1) is want
+                assert groups_equal(CssCode(g1), g2) is want
+            if not (len(a) and len(b)):
+                seen["empty"] += 1
+            elif np.array_equal(a, b):
+                seen["same rows"] += 1
+            elif ranks[0] != ranks[1]:
+                seen["other rank"] += 1
+            else:
+                same = np.array_equal(ref.rref(a)[0], ref.rref(b)[0])
+                seen["same span" if same else "same rank"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_groups_equal_rejects_sets_on_different_registers():
+    with pytest.raises(ValidationError, match="qubit count mismatch: 2 vs 3"):
+        groups_equal(GeneratingSet(2, [[1, 1]], []), GeneratingSet(3, [[1, 1, 0]], []))
+
+
 def test_promote_and_fold_round_trip():
     code = CssCode(
         GeneratingSet(3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1, 1, 1]])

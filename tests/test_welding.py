@@ -233,6 +233,36 @@ def test_weld_matches_kernel_oracle_on_random_cases():
             assert validate(merged) is None
 
 
+def test_weld_and_oracle_return_the_same_adopted_rows():
+    # groups_equal compares equal row tuples for free; its other blocks still count
+    rng = np.random.default_rng(2212)
+    seen = {"x": 0, "z": 0}
+    dropped = 0
+    while min(seen.values()) < 200:
+        code1, code2, ident, kind = random_weld_case(rng, max_side=24)
+        if seen[kind] == 200:
+            continue
+        seen[kind] += 1
+        merged = weld(code1, code2, ident, kind)
+        oracle = weld_oracle(code1, code2, ident, kind)
+        adopted = "x_packed" if kind == "z" else "z_packed"
+        assert getattr(merged.gens, adopted) == getattr(oracle.gens, adopted)
+        # drop one weld-type row that the others do not span
+        rows = merged.z_rows if kind == "z" else merged.x_rows
+        rank = len(ref.rref(rows)[0])
+        lone = [i for i in range(len(rows)) if len(ref.rref(np.delete(rows, i, 0))[0]) < rank]
+        if not lone:
+            continue
+        fewer = np.delete(rows, lone[0], 0)
+        x_rows, z_rows = (merged.x_rows, fewer) if kind == "z" else (fewer, merged.z_rows)
+        thinned = GeneratingSet(merged.n, x_rows, z_rows)
+        assert getattr(thinned, adopted) == getattr(oracle.gens, adopted)
+        assert not groups_equal(thinned, oracle)
+        assert not groups_equal(oracle, thinned)
+        dropped += 1
+    assert dropped >= 300
+
+
 def test_weld_reproduces_the_reference_pairing():
     rng = np.random.default_rng(5)
     for rounds, max_side in ((100, 12), (100, 24)):
