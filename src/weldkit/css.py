@@ -10,6 +10,7 @@ syndromes.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -231,9 +232,19 @@ def groups_equal(a, b) -> bool:
     gb = b.gens if isinstance(b, CssCode) else b
     if ga.n != gb.n:
         raise ValidationError(f"qubit count mismatch: {ga.n} vs {gb.n}")
-    return gf2._reduced(ga.x_packed) == gf2._reduced(gb.x_packed) and (
-        gf2._reduced(ga.z_packed) == gf2._reduced(gb.z_packed)
-    )
+    return _same_span(ga.x_packed, gb.x_packed) and _same_span(ga.z_packed, gb.z_packed)
+
+
+def _same_span(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True iff the packed rows a and b span the same space.
+
+    Equal tuples need no elimination, as for the adopted block of a weld
+    and its oracle.  Otherwise b's span lies in a's and has its rank.
+    """
+    if a == b:
+        return True
+    basis = gf2._echelon(a)
+    return len(gf2._echelon(b)) == len(basis) and not any(gf2._residual(basis, row) for row in b)
 
 
 def syndrome(code: CssCode | GeneratingSet, error: PauliOperator) -> Syndrome:
@@ -361,6 +372,17 @@ def _coset_min_weight(base: int, reduced_masks: list[int]) -> int:
     return best
 
 
+def _cap(value, what: str) -> int:
+    """A search cap as an int, through operator.index, or ValidationError unless >= 1."""
+    try:
+        cap = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if cap < 1:
+        raise ValidationError(f"{what} must be at least 1, got {cap}")
+    return cap
+
+
 def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int]:
     """Exhaustive per-type distances (d_x, d_z).
 
@@ -368,6 +390,7 @@ def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int
     coset of that type.  Enumeration covers the whole same-type
     stabilizer span, so the same-type ranks are capped.
     """
+    rank_cap = _cap(rank_cap, "rank_cap")
     if not code.logicals:
         raise ValidationError("distance needs at least one promoted logical class")
     results = []

@@ -29,7 +29,7 @@ from .builders import (
     build_welded_solid,
     flat_region_graph,
 )
-from .css import CssCode, _logical, syndrome
+from .css import CssCode, _cap, _logical, syndrome
 from .errors import FeasibilityError, MetadataError, ValidationError
 from .pauli import PauliOperator
 
@@ -331,6 +331,7 @@ def exact_barrier(
     some representative of rep's class, not necessarily rep itself.
     Raises FeasibilityError when the coset space outgrows cap.
     """
+    cap = _cap(cap, "state cap")
     if kind not in ("x", "z"):
         raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
     if rep.n != code.n:
@@ -366,6 +367,7 @@ def operator_barrier(
     this is for cross-checks on small codes.  op may violate the
     group; the endpoint's own cost then counts toward the peak.
     """
+    cap = _cap(cap, "state cap")
     if op.n != code.n:
         raise ValidationError(f"operator is on {op.n} qubits, code has {code.n}")
     if op.is_z_type:
@@ -394,6 +396,7 @@ def parity_lower_bound(
     state is one spin per boundary; any qubit flip toggles at most one
     spin because boundaries are disjoint.
     """
+    cap = _cap(cap, "state cap")
     kind = "z" if region_graph.particle_type == "x" else "x"
     if rep.n != region_graph.n:
         raise ValidationError(

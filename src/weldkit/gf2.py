@@ -11,9 +11,9 @@ kernel basis, both on packed rows.
 Dense 0/1 arrays appear only at the library's edge.  _packed_block packs
 and validates array-likes in the two array constructors, GeneratingSet
 and PauliOperator, through as_matrix and _pack; _view gives the
-read-only uint8 views of packed rows, and welding._trace seeds the weld
-trace's views from one bulk _unpack.  _check_packed validates rows built
-inside.
+read-only uint8 views of packed rows.  _check_packed validates rows built
+inside.  welding._trace builds the weld trace's operators from rows it
+checks once, in bulk, and seeds their views from one bulk _unpack.
 """
 
 from __future__ import annotations

@@ -54,7 +54,9 @@ class PauliOperator:
         op.__post_init__()
         return op
 
-    def __post_init__(self):  # every construction ends here; bench/tracer.py counts these calls
+    # Every construction but the weld trace's ends here, and bench/tracer.py
+    # counts these calls; welding._trace checks its rows once, in bulk.
+    def __post_init__(self):
         gf2._check_packed((self.x, self.z), self.n)
 
     def __reduce__(self):  # copies and pickles rebuild the views read-only

@@ -279,6 +279,18 @@ def test_barrier_state_cap_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["barrier", "bound", "sweep"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_a_state_cap_below_one_is_a_usage_error(verb, cap, capsys):
+    argv = [verb, "--max-states", cap]
+    if verb != "sweep":
+        argv += ["--family", "solid", "--kind", "z"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: state cap must be at least 1, got {cap}\n"
+    assert captured.out == ""
+
+
 def test_verify_rejects_negative_rounds(capsys):
     assert main(["verify", "--rounds", "-1"]) == 1
     captured = capsys.readouterr()

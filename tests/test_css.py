@@ -377,6 +377,9 @@ def test_distance_of_known_codes():
     with pytest.raises(FeasibilityError) as exc:
         distance(square, rank_cap=4)
     assert exc.value.required > exc.value.cap == 4
+    for rank_cap, complaint in ((2.5, "an integer, got 2.5"), (0, "at least 1, got 0")):
+        with pytest.raises(ValidationError, match=f"rank_cap must be {complaint}"):
+            distance(square, rank_cap=rank_cap)
 
 
 def test_permute_qubits_preserves_structure():

@@ -147,6 +147,36 @@ def test_feasibility_cap_is_enforced():
     assert (exc.value.required, exc.value.cap) == (2 ** len(graph.boundaries), 4)
 
 
+@pytest.mark.parametrize(
+    "cap, complaint",
+    [
+        (2.5, "state cap must be an integer, got 2.5"),
+        ("5", "state cap must be an integer, got '5'"),
+        (0, "state cap must be at least 1, got 0"),
+        (-1, "state cap must be at least 1, got -1"),
+    ],
+)
+def test_searches_reject_a_bad_state_cap(cap, complaint):
+    code = build_solid(SolidSpec(1, 1, 2))
+    rep = code.logicals[0]
+    graph = flat_region_graph(code, "z")
+    searches = (
+        lambda: exact_barrier(code, rep.z_rep, "z", cap=cap),
+        lambda: operator_barrier(code, rep.z_rep, cap=cap),
+        lambda: parity_lower_bound(graph, rep.x_rep, cap=cap),
+    )
+    for search in searches:
+        with pytest.raises(ValidationError) as exc:
+            search()
+        assert str(exc.value) == complaint
+
+
+def test_searches_take_numpy_integer_caps():
+    code = build_solid(SolidSpec(1, 1, 2))
+    rep = code.logicals[0].z_rep
+    assert exact_barrier(code, rep, "z", cap=np.int64(1 << 20)) == exact_barrier(code, rep, "z")
+
+
 def test_bound_never_exceeds_exact():
     cases = [
         (build_solid(SolidSpec(1, 1, 1)), "x"),
