@@ -17,7 +17,6 @@ level over its column grid, the Z rows the half-plaquettes of faces().
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -31,7 +30,7 @@ from .css import (
     promote_to_logical,
     validate_or_raise,
 )
-from .errors import MetadataError, ValidationError
+from .errors import MetadataError, ValidationError, _integers, _kind
 from .pauli import PauliOperator
 from .welding import _require_weldable, _weld_core
 
@@ -64,20 +63,11 @@ __all__ = [
 # specs
 
 
-def _sizes(values, what: str) -> list[int]:
-    """values as ints, through operator.index, or raise ValidationError."""
-    try:
-        return [operator.index(value) for value in values]
-    except TypeError:
-        raise ValidationError(f"{what} must be integers, got {tuple(values)!r}") from None
-
-
-def _integer_sizes(spec, fields: tuple[str, ...], what: str) -> list[int]:
-    """Set each named field of a frozen spec to its int, or raise ValidationError."""
-    sizes = _sizes([getattr(spec, field) for field in fields], what)
+def _integer_sizes(spec, fields: tuple[str, ...], what: str):
+    """Set each named field of a frozen spec to its int, at least 1, or raise ValidationError."""
+    sizes = _integers(tuple(getattr(spec, field) for field in fields), what, 1)
     for field, size in zip(fields, sizes):
         object.__setattr__(spec, field, size)
-    return sizes
 
 
 @dataclass(frozen=True)
@@ -88,8 +78,7 @@ class SurfaceSpec:
     height: int
 
     def __post_init__(self):
-        if min(_integer_sizes(self, ("width", "height"), "surface width and height")) < 1:
-            raise ValidationError("surface width and height must be at least 1")
+        _integer_sizes(self, ("width", "height"), "surface width and height")
 
 
 @dataclass(frozen=True)
@@ -102,8 +91,7 @@ class SolidSpec:
     horizontal_plaquettes: bool = False
 
     def __post_init__(self):
-        if min(_integer_sizes(self, ("dx", "dy", "dz"), "solid cell counts")) < 1:
-            raise ValidationError("solid cell counts must be at least 1")
+        _integer_sizes(self, ("dx", "dy", "dz"), "solid cell counts")
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +150,7 @@ class WeldGraph:
 
 def path(n: int) -> WeldGraph:
     """Path with n vertices (n - 1 edges)."""
-    (n,) = _sizes((n,), "path length")
-    if n < 1:
-        raise ValidationError("path needs at least one vertex")
+    (n,) = _integers((n,), "path length", 1)
     return WeldGraph(
         tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)), f"path({n})"
     )
@@ -172,9 +158,7 @@ def path(n: int) -> WeldGraph:
 
 def star(leaves: int) -> WeldGraph:
     """Star with one center (label 0) and the given number of leaves."""
-    (leaves,) = _sizes((leaves,), "star leaf count")
-    if leaves < 1:
-        raise ValidationError("star needs at least one leaf")
+    (leaves,) = _integers((leaves,), "star leaf count", 1)
     return WeldGraph(
         tuple(range(leaves + 1)),
         tuple((0, i) for i in range(1, leaves + 1)),
@@ -188,9 +172,7 @@ def _mesh(kind: str, dims) -> WeldGraph:
     Vertices are coordinate tuples, first axis fastest; each vertex
     lists its edges to the next vertex along each axis, in axis order.
     """
-    sides = _sizes(dims, f"{kind} sides")
-    if min(sides) < 1:
-        raise ValidationError(f"{kind} sides must be at least 1")
+    sides = _integers(dims, f"{kind} sides", 1)
     vertices = [()]
     strides = []  # per axis, how far the next vertex along it is in the list
     for side in sides:
@@ -266,11 +248,8 @@ class QubitPatch:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            qubits = sorted({operator.index(q) for q in self.qubits})
-        except TypeError:
-            raise ValidationError(f"{self.label}: qubits must be integers") from None
-        object.__setattr__(self, "qubits", tuple(qubits))
+        qubits = set(_integers(self.qubits, f"{self.label}: qubits"))
+        object.__setattr__(self, "qubits", tuple(sorted(qubits)))
 
 
 @dataclass(frozen=True)
@@ -290,14 +269,12 @@ class FlatRegionGraph:
     incidence: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.particle_type not in ("x", "z"):
-            raise ValidationError("particle_type must be 'x' or 'z'")
+        _kind(self.particle_type, "particle_type")
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        try:
-            incidence = tuple(tuple(sorted(map(operator.index, row))) for row in self.incidence)
-        except TypeError:
-            raise ValidationError("incidence rows must hold integer boundary indices") from None
+        incidence = tuple(
+            tuple(sorted(_integers(row, "incidence boundary indices"))) for row in self.incidence
+        )
         object.__setattr__(self, "incidence", incidence)
         if len(self.incidence) != len(self.regions):
             raise ValidationError("incidence must list boundaries per region")
@@ -330,9 +307,7 @@ class FlatRegionGraph:
 
 def flat_region_graph(code: CssCode, particle_type: str) -> FlatRegionGraph:
     """Look up the builder-attached region graph for one particle type."""
-    kind = str(particle_type).lower()
-    if kind not in ("x", "z"):
-        raise ValidationError("particle_type must be 'x' or 'z'")
+    kind = _kind(str(particle_type).lower(), "particle_type")
     meta = code.region_metadata
     if not meta or kind not in meta:
         raise MetadataError(
@@ -393,9 +368,7 @@ def build_two_qubit() -> CssCode:
 
 def build_repetition(length: int) -> CssCode:
     """Length-n repetition code: XX on neighbors, logical Z across all."""
-    (length,) = _sizes((length,), "repetition length")
-    if length < 2:
-        raise ValidationError("repetition code needs at least 2 qubits")
+    (length,) = _integers((length,), "repetition length", 2)
     gens = GeneratingSet._packed(length, [3 << i for i in range(length - 1)], ())
     code = CssCode(
         gens,

@@ -10,14 +10,13 @@ syndromes.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import gf2
-from .errors import FeasibilityError, ValidationError
+from .errors import FeasibilityError, ValidationError, _integer, _integers, _kind
 from .pauli import PauliOperator, format_operator, parse_operator
 
 # distance() enumerates an entire stabilizer coset, so it refuses groups
@@ -39,7 +38,7 @@ class GeneratingSet:
     z_packed: tuple[int, ...]
 
     def __init__(self, n: int, x_rows, z_rows):
-        n = gf2._width(n)
+        n = _integer(n, "qubit count", 0)
         self.__dict__.update(
             n=n,
             x_packed=gf2._packed_block("x generator", x_rows, n),
@@ -73,9 +72,7 @@ class GeneratingSet:
 
     def columns(self, kind: str) -> tuple[int, ...]:
         """Per-qubit masks of one block, cached: bit i of entry q is bit q of row i."""
-        if kind not in ("x", "z"):
-            raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
-        key = f"_{kind}_columns"
+        key = f"_{_kind(kind)}_columns"
         if key not in self.__dict__:
             self.__dict__[key] = tuple(gf2._transpose(getattr(self, f"{kind}_packed"), self.n))
         return self.__dict__[key]
@@ -272,10 +269,9 @@ def promote_to_logical(
     checks them.  The weld trace is dropped, since the rows change.
     """
     n = code.n
-    if kind not in ("x", "z"):
-        raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
+    index = _integer(index, "generator index")
     blocks = {"x": list(code.gens.x_packed), "z": list(code.gens.z_packed)}
-    remaining = blocks[kind]
+    remaining = blocks[_kind(kind)]
     if not 0 <= index < len(remaining):
         raise ValidationError(f"generator index {index} out of range")
     row = remaining.pop(index)
@@ -300,6 +296,7 @@ def promote_to_logical(
 
 def _logical(code: CssCode, index: int) -> LogicalClass:
     """The code's logical class at index, which must be in range."""
+    index = _integer(index, "logical class index")
     if not 0 <= index < len(code.logicals):
         raise ValidationError(
             f"logical class {index} out of range, the code has {len(code.logicals)}"
@@ -314,15 +311,14 @@ def fold_logical(code: CssCode, class_index: int, kind: str) -> CssCode:
     logical operator once its partner joins the group.  The weld trace is
     dropped, since the rows change.
     """
+    class_index = _integer(class_index, "logical class index")
     cls = _logical(code, class_index)
     logicals = code.logicals[:class_index] + code.logicals[class_index + 1 :]
     x, z = code.gens.x_packed, code.gens.z_packed
-    if kind == "x":
+    if _kind(kind) == "x":
         x += (cls.x_rep.x,)
-    elif kind == "z":
-        z += (cls.z_rep.z,)
     else:
-        raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
+        z += (cls.z_rep.z,)
     gens = GeneratingSet._packed(code.n, x, z)
     return CssCode(gens, logicals, code.region_metadata)
 
@@ -372,17 +368,6 @@ def _coset_min_weight(base: int, reduced_masks: list[int]) -> int:
     return best
 
 
-def _cap(value, what: str) -> int:
-    """A search cap as an int, through operator.index, or ValidationError unless >= 1."""
-    try:
-        cap = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-    if cap < 1:
-        raise ValidationError(f"{what} must be at least 1, got {cap}")
-    return cap
-
-
 def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int]:
     """Exhaustive per-type distances (d_x, d_z).
 
@@ -390,7 +375,7 @@ def distance(code: CssCode, rank_cap: int = DISTANCE_RANK_CAP) -> tuple[int, int
     coset of that type.  Enumeration covers the whole same-type
     stabilizer span, so the same-type ranks are capped.
     """
-    rank_cap = _cap(rank_cap, "rank_cap")
+    rank_cap = _integer(rank_cap, "rank_cap", 1)
     if not code.logicals:
         raise ValidationError("distance needs at least one promoted logical class")
     results = []
@@ -425,7 +410,7 @@ def permute_qubits(code: CssCode, perm) -> CssCode:
     relabeling.  Builder region metadata and the weld trace are dropped,
     because their qubit sets are positional.
     """
-    perm = list(int(p) for p in perm)
+    perm = _integers(perm, "perm")
     n = code.n
     if sorted(perm) != list(range(n)):
         raise ValidationError("perm must be a permutation of all qubit indices")

@@ -12,7 +12,6 @@ dimensions that trade barrier height against qubit count.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
@@ -24,13 +23,12 @@ from .builders import (
     FlatRegionGraph,
     SolidSpec,
     WeldGraph,
-    _sizes,
     build_solid,
     build_welded_solid,
     flat_region_graph,
 )
-from .css import CssCode, _cap, _logical, syndrome
-from .errors import FeasibilityError, MetadataError, ValidationError
+from .css import CssCode, _logical, syndrome
+from .errors import FeasibilityError, MetadataError, ValidationError, _integer, _integers, _kind
 from .pauli import PauliOperator
 
 __all__ = [
@@ -68,15 +66,12 @@ class PauliWalk:
 
     def __post_init__(self):
         try:
-            steps = tuple((operator.index(q), str(kind)) for q, kind in self.steps)
-        except TypeError:
-            raise ValidationError(f"walk qubits must be integers: {self.steps!r}") from None
-        for q, kind in steps:
-            if q < 0:
-                raise ValidationError(f"negative qubit {q} in walk")
-            if kind not in ("x", "z"):
-                raise ValidationError(f"walk step kind must be 'x' or 'z', got {kind!r}")
-        object.__setattr__(self, "steps", steps)
+            steps = [(q, kind) for q, kind in self.steps]
+        except (TypeError, ValueError):  # a step that is not a pair
+            raise ValidationError(f"walk steps must be pairs, got {self.steps!r}") from None
+        qubits = _integers([q for q, _ in steps], "walk qubits", 0)
+        kinds = [_kind(str(kind), "walk step kind") for _, kind in steps]
+        object.__setattr__(self, "steps", tuple(zip(qubits, kinds)))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -331,9 +326,8 @@ def exact_barrier(
     some representative of rep's class, not necessarily rep itself.
     Raises FeasibilityError when the coset space outgrows cap.
     """
-    cap = _cap(cap, "state cap")
-    if kind not in ("x", "z"):
-        raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
+    cap = _integer(cap, "state cap", 1)
+    _kind(kind)
     if rep.n != code.n:
         raise ValidationError(f"operator is on {rep.n} qubits, code has {code.n}")
     if not (rep.is_z_type if kind == "z" else rep.is_x_type):
@@ -367,7 +361,7 @@ def operator_barrier(
     this is for cross-checks on small codes.  op may violate the
     group; the endpoint's own cost then counts toward the peak.
     """
-    cap = _cap(cap, "state cap")
+    cap = _integer(cap, "state cap", 1)
     if op.n != code.n:
         raise ValidationError(f"operator is on {op.n} qubits, code has {code.n}")
     if op.is_z_type:
@@ -396,7 +390,7 @@ def parity_lower_bound(
     state is one spin per boundary; any qubit flip toggles at most one
     spin because boundaries are disjoint.
     """
-    cap = _cap(cap, "state cap")
+    cap = _integer(cap, "state cap", 1)
     kind = "z" if region_graph.particle_type == "x" else "x"
     if rep.n != region_graph.n:
         raise ValidationError(
@@ -442,8 +436,7 @@ def verify_bound(
     A kind-z walk pays in violated x-type generators, so the bound
     comes from the flat graph of the opposite particle type.
     """
-    if kind not in ("x", "z"):
-        raise ValidationError(f"kind must be 'x' or 'z', got {kind!r}")
+    _kind(kind)
     logical = _logical(code, class_index)
     rep = logical.z_rep if kind == "z" else logical.x_rep
     graph = flat_region_graph(code, "x" if kind == "z" else "z")
@@ -530,9 +523,7 @@ def tune_scaling(side_length=None, qubit_budget=None) -> ScalingPlan:
         raise ValidationError("give exactly one of side_length or qubit_budget")
     candidates = []
     if qubit_budget is not None:
-        (budget,) = _sizes((qubit_budget,), "qubit_budget")
-        if budget < 1:
-            raise ValidationError("qubit_budget must be at least 1")
+        (budget,) = _integers((qubit_budget,), "qubit_budget", 1)
         pieces = 1
         while pieces**3 <= budget:
             room = budget // pieces**3
@@ -545,9 +536,7 @@ def tune_scaling(side_length=None, qubit_budget=None) -> ScalingPlan:
                 candidates.append((size, pieces))
             pieces += 1
     else:
-        (length,) = _sizes((side_length,), "side_length")
-        if length < 1:
-            raise ValidationError("side_length must be at least 1")
+        (length,) = _integers((side_length,), "side_length", 1)
         for pieces in range(1, length + 1):
             size = length // pieces
             if size < 1:

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how arguments are read.
+
+Every module reads its caller's integers and Pauli kinds through the
+three private helpers below, so the rule lives here alone: an integer
+goes through operator.index, is never truncated from a float or parsed
+from a string, and is checked against its lower bound; a kind is "x" or
+"z".  A bad argument raises ValidationError naming it.  This module
+imports nothing from weldkit, so every other module can use it.
+"""
 
 from __future__ import annotations
+
+import operator
 
 
 class WeldkitError(Exception):
@@ -35,3 +45,33 @@ class FeasibilityError(WeldkitError):
 
 class MetadataError(WeldkitError):
     """The code lacks builder-attached region metadata for this query."""
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """value as an int, at least least when given, or ValidationError naming what."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        rule = "must not be negative" if least == 0 else f"must be at least {least}"
+        raise ValidationError(f"{what} {rule}, got {value}")
+    return value
+
+
+def _integers(values, what: str, least: int | None = None) -> list[int]:
+    """values as ints, each at least least when given, or ValidationError naming what."""
+    try:
+        ints = list(map(operator.index, values))
+    except TypeError:
+        raise ValidationError(f"{what} must be integers, got {values!r}") from None
+    if least is not None and ints:
+        _integer(min(ints), what, least)
+    return ints
+
+
+def _kind(value, what: str = "kind") -> str:
+    """value if it names a Pauli kind, "x" or "z", or ValidationError naming what."""
+    if value not in ("x", "z"):
+        raise ValidationError(f"{what} must be 'x' or 'z', got {value!r}")
+    return value

@@ -51,13 +51,6 @@ def _unpack(rows: list[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
-def _width(n) -> int:
-    """n as a register size, or ValidationError if it is not one."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValidationError(f"qubit count must be a non-negative integer, got {n!r}")
-    return int(n)
-
-
 def _packed_block(name: str, rows, width: int) -> tuple[int, ...]:
     """Rows of width columns given as any 0/1 array-like, packed."""
     try:

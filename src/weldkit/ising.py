@@ -10,7 +10,17 @@ nothing from weldkit, shares no code with the bottleneck engine in
 energy.py and uses no syndrome masks.
 """
 
+import operator
+
 MAX_SPINS = 24
+
+
+def _index(value, what):
+    """value as an int through operator.index, never truncated, or ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def spin_flip_barrier(n_spins, edges, target_mask, start_mask=0):
@@ -19,19 +29,19 @@ def spin_flip_barrier(n_spins, edges, target_mask, start_mask=0):
     Masks hold one spin per bit.  The peak is measured at every
     configuration the path visits, endpoints included.
     """
-    n = int(n_spins)
+    n = _index(n_spins, "n_spins")
     if not 0 < n <= MAX_SPINS:
         raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
     bonds = []
     for u, v in edges:
-        u, v = int(u), int(v)
+        u, v = _index(u, "bond end"), _index(v, "bond end")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"bond ({u},{v}) leaves the spin range")
         if u == v:
             raise ValueError(f"bond ({u},{v}) ties a spin to itself")
         bonds.append((u, v))
-    start = int(start_mask)
-    target = int(target_mask)
+    start = _index(start_mask, "start_mask")
+    target = _index(target_mask, "target_mask")
     if not (0 <= start < 1 << n and 0 <= target < 1 << n):
         raise ValueError("spin masks must fit in n_spins bits")
 

@@ -11,14 +11,13 @@ read-only uint8 views for readers that want arrays.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import gf2
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _integers
 
 # Dense strings stay readable only for small registers; beyond this the
 # sparse rendering is used.
@@ -40,7 +39,7 @@ class PauliOperator:
     z: int
 
     def __init__(self, n: int, x_bits, z_bits):
-        n = gf2._width(n)
+        n = _integer(n, "qubit count", 0)
         (x,) = gf2._packed_block("x_bits", [x_bits], n)
         (z,) = gf2._packed_block("z_bits", [z_bits], n)
         self.__dict__.update(n=n, x=x, z=z)
@@ -76,7 +75,7 @@ class PauliOperator:
 
     @staticmethod
     def from_support(n: int, x=(), z=()) -> PauliOperator:
-        n = gf2._width(n)
+        n = _integer(n, "qubit count", 0)
         xb = zb = 0
         for q in x:
             xb ^= _bit(q, n)
@@ -124,10 +123,7 @@ def _qubits(row: int) -> tuple[int, ...]:
 
 def _bit(q: int, n: int) -> int:
     """The packed row of qubit q alone."""
-    try:
-        q = operator.index(q)
-    except TypeError:
-        raise ValidationError(f"qubit must be an integer, got {q!r}") from None
+    q = _integer(q, "qubit")
     if not 0 <= q < n:
         raise ValidationError(f"qubit {q} out of range for {n} qubits")
     return 1 << q
@@ -175,7 +171,7 @@ def restrict(p: PauliOperator, support) -> PauliOperator:
 
 def permute_operator(p: PauliOperator, perm) -> PauliOperator:
     """Relabel qubits: the factor on qubit q moves to qubit perm[q]."""
-    perm = [int(q) for q in perm]
+    perm = _integers(perm, "perm")
     if sorted(perm) != list(range(p.n)):
         raise ValidationError("perm must be a permutation of all qubit indices")
     return PauliOperator._packed(p.n, *gf2._relabel((p.x, p.z), perm))

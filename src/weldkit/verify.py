@@ -10,8 +10,7 @@ takes a seed at all.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +23,11 @@ from .builders import (
     build_two_qubit,
     build_welded_solid,
     build_welded_surface,
-    _sizes,
     path,
     surface_welding_chain,
 )
 from .css import CssCode, GeneratingSet, encoded_qubits, groups_equal
-from .errors import ValidationError, WeldError
+from .errors import ValidationError, WeldError, _integer, _integers
 from .pauli import parse_operator
 from .welding import weld, weld_oracle
 
@@ -160,9 +158,7 @@ def random_weld_case(rng, max_side: int = 12):
     kernel oracle on the result.  Each side needs room for up to three
     shared qubits and one interior qubit, so max_side is at least 4.
     """
-    (max_side,) = _sizes((max_side,), "max_side")
-    if max_side < 4:
-        raise ValidationError(f"max_side must be at least 4, got {max_side}")
+    (max_side,) = _integers((max_side,), "max_side", 4)
     weld_type = "z" if rng.integers(0, 2) else "x"
     shared = int(rng.integers(1, 4))
     count = int(rng.integers(1, shared + 1))
@@ -206,15 +202,9 @@ def run_verification(
     seed: int = 0, rounds: int = 200, max_side: int = 12
 ) -> VerificationReport:
     """Golden welds, oracle agreement rounds, and rejection checks."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValidationError(f"seed must not be negative, got {seed}")
-    rounds, max_side = _sizes((rounds, max_side), "rounds and max_side")
-    if rounds < 0:
-        raise ValidationError(f"rounds must not be negative, got {rounds}")
+    seed = _integer(seed, "seed", 0)
+    rounds, max_side = _integers((rounds, max_side), "rounds and max_side")
+    _integer(rounds, "rounds", 0)
     checks = _golden_checks()
     rng = np.random.default_rng(seed)
 

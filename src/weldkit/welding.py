@@ -21,14 +21,8 @@ import numpy as np
 
 from . import gf2
 from .css import CssCode, GeneratingSet, _row_operator, encoded_qubits, validate_or_raise
-from .errors import MetadataError, ValidationError, WeldError
+from .errors import MetadataError, ValidationError, WeldError, _integers, _kind
 from .pauli import PauliOperator, commutes, format_operator
-
-
-def _norm_type(weld_type: str) -> str:
-    if isinstance(weld_type, str) and weld_type.lower() in ("x", "z"):
-        return weld_type.lower()
-    raise ValidationError(f"weld_type must be 'z' or 'x', got {weld_type!r}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +39,12 @@ class QubitIdentification:
 
     def __post_init__(self):
         try:
-            norm = tuple((operator.index(a), operator.index(b)) for a, b in self.pairs)
-        except TypeError:
-            raise ValidationError(f"identified qubits must be integers: {self.pairs!r}") from None
-        object.__setattr__(self, "pairs", norm)
-        firsts = [a for a, _ in norm]
-        seconds = [b for _, b in norm]
+            pairs = [(a, b) for a, b in self.pairs]
+        except (TypeError, ValueError):  # an entry that is not a pair
+            raise ValidationError(f"identified qubits must be pairs, got {self.pairs!r}") from None
+        firsts = _integers([a for a, _ in pairs], "identified qubits")
+        seconds = _integers([b for _, b in pairs], "identified qubits")
+        object.__setattr__(self, "pairs", tuple(zip(firsts, seconds)))
         if len(set(firsts)) != len(firsts):
             raise ValidationError("a code-1 qubit appears in two identification pairs")
         if len(set(seconds)) != len(seconds):
@@ -70,7 +64,7 @@ class QubitIdentification:
 def as_identification(ident) -> QubitIdentification:
     if isinstance(ident, QubitIdentification):
         return ident
-    return QubitIdentification(tuple(tuple(pair) for pair in ident))
+    return QubitIdentification(ident)
 
 
 def parse_identification(text: str) -> QubitIdentification:
@@ -407,7 +401,7 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     with that restriction on each side.  A trace mapping output
     generators to their per-side parts is attached.
     """
-    kind = _norm_type(weld_type)
+    kind = _kind(weld_type.lower() if isinstance(weld_type, str) else weld_type, "weld_type")
     _require_stabilizer_inputs(code1, code2)
     rows = {"x": list(code1.gens.x_packed), "z": list(code1.gens.z_packed)}
     layout, seam = _weld_core(rows, code1.n, code2.gens, ident, kind)
@@ -424,7 +418,7 @@ def weld_oracle(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCod
     pairing and no matching or independence preconditions, so it serves
     as an independent definition to test weld against.
     """
-    kind = _norm_type(weld_type)
+    kind = _kind(weld_type.lower() if isinstance(weld_type, str) else weld_type, "weld_type")
     _require_stabilizer_inputs(code1, code2)
     layout, set1, set2 = contract(code1, code2, ident)
     if kind == "z":

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from weldkit.ising import MAX_SPINS, spin_flip_barrier
@@ -67,6 +68,17 @@ def test_input_validation():
         spin_flip_barrier(3, [(1, 1)], 0)
     with pytest.raises(ValueError):
         spin_flip_barrier(3, [], 1 << 3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2.5, [(0, 1)], 3), ("3", [(0, 1)], 3), (3, [(0, 1.5)], 3), (3, [(0, 1)], 3.0), (3, [(0, 1)], 3, "1")],
+    ids=["n_spins-float", "n_spins-str", "bond-float", "target-float", "start-str"],
+)
+def test_integers_are_never_truncated(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        spin_flip_barrier(*args)
+    assert spin_flip_barrier(np.int64(3), [(np.int32(0), 1)], np.uint8(3), np.int64(0)) == 1
 
 
 def _reference_spin_flip_barrier(n_spins, edges, target_mask, start_mask=0):
