@@ -124,11 +124,12 @@ def _add_family_options(parser, required: bool):
 
 
 def _load_code(path_arg: str):
+    with _open(path_arg, "read code file") as handle:
+        text = handle.read()
     try:
-        with _open(path_arg, "read code file") as handle:
-            return loads(handle.read())
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"bad JSON in {path_arg!r}: {err}")
+        return loads(text)
+    except ValidationError as err:
+        raise ValidationError(f"{path_arg}: {err}") from None
 
 
 def _code_for_analysis(args):

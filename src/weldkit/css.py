@@ -529,5 +529,9 @@ def dumps(code: CssCode, fmt: str = "text") -> str:
 def loads(text: str) -> CssCode:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"bad JSON: {err}") from None
+        return from_json_dict(data)
     return from_text(text)

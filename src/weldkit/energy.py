@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -147,26 +147,32 @@ def _bottleneck_search(masks, flips, target, steps, method):
     order, so witnesses are deterministic; a state's cost is the
     popcount of the syndrome that rides along with it.
 
+    A stored state costs one int: its key shifted past the move that
+    reached it.  The previous state is the state XOR that move's flip,
+    so the witness is rebuilt from the moves back to the start, and a
+    candidate is admitted by one int comparison with that value.
+
     The queue is a bucket queue (Dial, CACM 1969): (peak, length) packs
-    into one int key, each key holds a FIFO bucket of (state, syndrome)
-    and a heap holds each pending key once.  A move out of a bucket adds
-    one to the length, so it lands in a strictly larger key and a bucket
-    never grows while it drains; states therefore pop in (peak, length,
-    push order), the order of a heap with a tie-breaking counter.
+    into one int key, each key holds a FIFO bucket, two parallel lists
+    of states and syndromes, and a heap holds each pending key once.  A
+    move out of a bucket adds one to the length, so it lands in a
+    strictly larger key and a bucket never grows while it drains; states
+    therefore pop in (peak, length, push order), the order of a heap
+    with a tie-breaking counter.
 
     Only states the current peak level can reach are stored.  A state
     popped at level P relaxes its moves of cost at most P; its dearer
-    moves wait under their smallest cost, in that cost level's list of
-    (pop index, state, syndrome).  When level P drains, the least
-    waiting level P' opens: its list, sorted by pop index, rescans, its
-    states apply just their moves of cost P' and wait again under their
-    next dearer cost, in a higher level's list.  Every such candidate
-    was known before level P' opened, in parent pop order and then move
-    order, so each state keeps the same earliest push of its smallest
-    key as if every move had been pushed at once.  Pop indices are
-    unique, so the sort gives the order of a heap on (cost, pop index):
-    a list can hold fresher states ahead of older ones that a rescan at
-    a lower level sent on.
+    moves wait under their smallest cost, in that cost level's three
+    parallel lists of pop indices, states and syndromes.  When level P
+    drains, the least waiting level P' opens: its lists, sorted by pop
+    index, rescan, its states apply just their moves of cost P' and
+    wait again under their next dearer cost, in a higher level's lists.
+    Every such candidate was known before level P' opened, in parent pop
+    order and then move order, so each state keeps the same earliest
+    push of its smallest key as if every move had been pushed at once.
+    Pop indices are unique, so the sort gives the order of a heap on
+    (cost, pop index): a level can hold fresher states ahead of older
+    ones that a rescan at a lower level sent on.
 
     States relax in batches: one popped bucket, or one rescan group.
     numpy prices every (state, move) pair of a batch at once, and a
@@ -204,17 +210,27 @@ def _bottleneck_search(masks, flips, target, steps, method):
     width = max(1, -(-bits.bit_length() // 64))
     mask_words = None  # made by the first batch priced in numpy
     cost_type = np.min_scalar_type(ceiling)
-    # state -> (key, previous state, move)
-    best = {0: (0, 0, -1)}
-    buckets = {0: [(0, 0)]}
+    # state -> key << b | move that reached it, the previous state being
+    # state ^ flips[move]; a move is below ones, so a candidate's bound
+    # (nkey << b) | ones is below a stored value exactly when nkey is below
+    # its key, and top is above every stored value
+    b = len(moves).bit_length()
+    ones = (1 << b) - 1
+    top = ceiling << (shift + b)
+    best = {0: 0}
+    # key -> FIFO bucket as parallel lists (states, syndromes)
+    buckets = {0: ([0], [0])}
     keys = [0]
-    # smallest cost above the level it was left at -> [(pop index, state, syndrome)]
+    # smallest cost above the level it was left at -> parallel lists
+    # (pop indices, states, syndromes)
     waiting = {}
 
     def relax(state, syn, low, level, index):
         # apply the moves costing low..level, one step past the state's
         # stored walk; wait under index at the least dearer cost
-        nkey = (level << shift) | ((best[state][0] & length_mask) + 1)
+        nkey = (level << shift) | (((best[state] >> b) & length_mask) + 1)
+        base = nkey << b
+        bound = base | ones
         above = ceiling
         for j, (mask, flip) in moves:
             nsyn = syn ^ mask
@@ -224,96 +240,111 @@ def _bottleneck_search(masks, flips, target, steps, method):
                     above = cost
             elif cost >= low:
                 nstate = state ^ flip
-                old = best.get(nstate)
-                if old is None or nkey < old[0]:
-                    best[nstate] = (nkey, state, j)
+                if bound < best.get(nstate, top):
+                    best[nstate] = base | j
                     bucket = buckets.get(nkey)
                     if bucket is None:
-                        buckets[nkey] = [(nstate, nsyn)]
+                        buckets[nkey] = ([nstate], [nsyn])
                         heapq.heappush(keys, nkey)
                     else:
-                        bucket.append((nstate, nsyn))
+                        bucket[0].append(nstate)
+                        bucket[1].append(nsyn)
         if above < ceiling:
             later = waiting.get(above)
             if later is None:
-                waiting[above] = [(index, state, syn)]
+                waiting[above] = ([index], [state], [syn])
             else:
-                later.append((index, state, syn))
+                later[0].append(index)
+                later[1].append(state)
+                later[2].append(syn)
 
-    def relax_batch(batch, indices, low, level, key=None):
-        # relax (state, syndrome) pairs in order, the i-th waiting under
-        # the i-th index; a popped bucket passes its key, and every move
-        # out of it lands at key + 1
+    def relax_batch(states, syns, indices, low, level, key=None):
+        # relax the i-th state and syndrome in order, waiting under the
+        # i-th index; a popped bucket passes its key, and every move out
+        # of it lands at key + 1
         nonlocal mask_words
-        if len(batch) * len(moves) < _NUMPY_MIN_CELLS:
-            for (state, syn), index in zip(batch, indices):
+        if len(states) * len(moves) < _NUMPY_MIN_CELLS:
+            for state, syn, index in zip(states, syns, indices):
                 relax(state, syn, low, level, index)
             return
         if mask_words is None:
             mask_words = _words(masks, width)
         indices = iter(indices)
-        for start in range(0, len(batch), _BATCH_STATES):
-            states, syns = zip(*batch[start : start + _BATCH_STATES])
-            cost = np.bitwise_count(_words(syns, width)[:, None, :] ^ mask_words)
+        for start in range(0, len(states), _BATCH_STATES):
+            chunk = states[start : start + _BATCH_STATES]
+            chunk_syns = syns[start : start + _BATCH_STATES]
+            cost = np.bitwise_count(_words(chunk_syns, width)[:, None, :] ^ mask_words)
             cost = cost.sum(axis=2, dtype=cost_type)
             dear = cost > level
             aboves = np.where(dear, cost, ceiling).min(axis=1).tolist()
-            for state, syn, above, index in zip(states, syns, aboves, indices):
+            for state, syn, above, index in zip(chunk, chunk_syns, aboves, indices):
                 if above < ceiling:
                     later = waiting.get(above)
                     if later is None:
-                        waiting[above] = [(index, state, syn)]
+                        waiting[above] = ([index], [state], [syn])
                     else:
-                        later.append((index, state, syn))
+                        later[0].append(index)
+                        later[1].append(state)
+                        later[2].append(syn)
             fits = (cost >= low) & ~dear if low else ~dear
             rows, cols = (axis.tolist() for axis in np.nonzero(fits))
             if key is None:
                 base = level << shift
-                nkeys = [base | ((best[state][0] & length_mask) + 1) for state in states]
-                nkeys = map(nkeys.__getitem__, rows)
+                bounds = [
+                    ((base | (((best[state] >> b) & length_mask) + 1)) << b) | ones
+                    for state in chunk
+                ]
+                bounds = map(bounds.__getitem__, rows)
             else:
-                nkeys = repeat(key + 1)
-            for i, j, nkey in zip(rows, cols, nkeys):
-                state = states[i]
-                nstate = state ^ flips[j]
-                old = best.get(nstate)
-                if old is None or nkey < old[0]:
-                    best[nstate] = (nkey, state, j)
-                    nsyn = syns[i] ^ masks[j]
+                bounds = repeat(((key + 1) << b) | ones)
+            for i, j, bound in zip(rows, cols, bounds):
+                nstate = chunk[i] ^ flips[j]
+                if bound < best.get(nstate, top):
+                    best[nstate] = bound - ones | j
+                    nkey = bound >> b
+                    nsyn = chunk_syns[i] ^ masks[j]
                     bucket = buckets.get(nkey)
                     if bucket is None:
-                        buckets[nkey] = [(nstate, nsyn)]
+                        buckets[nkey] = ([nstate], [nsyn])
                         heapq.heappush(keys, nkey)
                     else:
-                        bucket.append((nstate, nsyn))
+                        bucket[0].append(nstate)
+                        bucket[1].append(nsyn)
 
     explored = 0
     while True:
         while keys:
             key = heapq.heappop(keys)
             peak = key >> shift
-            live = [entry for entry in buckets.pop(key) if best[entry[0]][0] == key]
-            if best.get(target, (None,))[0] == key:
+            states, syns = buckets.pop(key)
+            live = [best[state] >> b == key for state in states]
+            if not all(live):
+                states = list(compress(states, live))
+                syns = list(compress(syns, live))
+            if best.get(target, top) >> b == key:
                 # the target pops in this bucket: stop where it does
-                found = [state for state, _ in live].index(target)
-                relax_batch(live[:found], count(explored + 1), 0, peak, key)
+                found = states.index(target)
+                relax_batch(states[:found], syns[:found], count(explored + 1), 0, peak, key)
                 trail = []
                 state = target
                 while state:
-                    _, state, j = best[state]
+                    j = best[state] & ones
                     trail.append(steps[j])
+                    state ^= flips[j]
                 walk = PauliWalk(tuple(reversed(trail)))
                 return BarrierResult(method, peak, walk, explored + found + 1, len(best))
-            relax_batch(live, count(explored + 1), 0, peak, key)
-            explored += len(live)
+            relax_batch(states, syns, count(explored + 1), 0, peak, key)
+            explored += len(states)
         if not waiting:
             raise AssertionError("flip space is connected, target must be reachable")
         peak = min(waiting)
-        group = waiting.pop(peak)
-        group.sort()
-        indices = [index for index, _, _ in group]
-        group = [(state, syn) for _, state, syn in group]
-        relax_batch(group, indices, peak, peak)
+        indices, states, syns = waiting.pop(peak)
+        order = sorted(range(len(indices)), key=indices.__getitem__)
+        indices.sort()
+        states = [states[i] for i in order]
+        syns = [syns[i] for i in order]
+        del order
+        relax_batch(states, syns, indices, peak, peak)
 
 
 def exact_barrier(
@@ -501,9 +532,12 @@ def barrier_exponents(alpha) -> tuple[Fraction, Fraction]:
     grow like d^(3(1+1/alpha)) and linear size like d^(1+1/alpha), so
     a barrier of order d gives the exponents returned here.
     """
-    a = Fraction(alpha)
+    try:
+        a = Fraction(alpha)
+    except (TypeError, ValueError, OverflowError):  # not a finite rational
+        raise ValidationError(f"alpha must be a rational number, got {alpha!r}") from None
     if a <= 0:
-        raise ValidationError("alpha must be positive")
+        raise ValidationError(f"alpha must be positive, got {alpha!r}")
     return a / (3 * (1 + a)), a / (1 + a)
 
 

@@ -451,6 +451,12 @@ def test_loads_detects_format():
     assert groups_equal(loads(dumps(code, "json")), code)
 
 
+@pytest.mark.parametrize("text", ['{"n": 1', "{not json", '{"n": 1}}'])
+def test_loads_reports_bad_json_as_a_validation_error(text):
+    with pytest.raises(ValidationError, match="bad JSON"):
+        loads(text)
+
+
 def test_from_text_rejects_malformed():
     with pytest.raises(ValidationError):
         from_text("n=two k=0\n")

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import count
 from math import comb
@@ -266,6 +267,10 @@ def test_barrier_exponents_are_exact_fractions():
         barrier_exponents(0)
     with pytest.raises(ValidationError):
         barrier_exponents(-3)
+    assert barrier_exponents("1/2") == (Fraction(1, 9), Fraction(1, 3))
+    for alpha in ("x", float("nan"), None, float("inf"), "0", "-1/2"):
+        with pytest.raises(ValidationError, match="alpha"):
+            barrier_exponents(alpha)
 
 
 def test_tune_scaling_balances_piece_size_against_count():
@@ -792,6 +797,24 @@ def test_stored_states_stay_near_the_explored_ones():
     assert (bound.barrier, bound.states_explored) == (8, 3043)
     assert bound.states_stored <= 3 * bound.states_explored
     assert _bottleneck_search([1], [1], 0, [(0, "x")], "exact").states_stored == 1
+
+
+def test_a_stored_state_costs_at_most_250_bytes_of_heap():
+    # the largest certify search: every stored state keeps one int in the
+    # best dict and one slot in each of its bucket's two parallel lists
+    graph = grid2d(4, 5)
+    region = region_graph_from_weld_graph(graph, "x")
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    target = _CERTIFY_TARGETS[(4, 5)][0]
+    rep = PauliOperator.from_support(region.n, z=sorted(index[v] for v in target))
+    tracemalloc.start()
+    try:
+        result = parity_lower_bound(region, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.states_stored > 30_000
+    assert peak / result.states_stored <= 250, (peak, result.states_stored)
 
 
 def test_engine_matches_the_reference_past_the_default_cap():
