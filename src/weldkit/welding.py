@@ -388,6 +388,18 @@ def _require_stabilizer_inputs(code1: CssCode, code2: CssCode):
     _require_weldable(code2, "code 2")
 
 
+def _weld_gens(code1: CssCode, code2: CssCode, ident, kind: str):
+    """weld's output generating set, layout and seam, without the trace.
+
+    kind is already read ("x" or "z").  Runs every check weld runs; only
+    the trace is left out, for callers that would throw it away.
+    """
+    _require_stabilizer_inputs(code1, code2)
+    rows = {"x": list(code1.gens.x_packed), "z": list(code1.gens.z_packed)}
+    layout, seam = _weld_core(rows, code1.n, code2.gens, ident, kind)
+    return GeneratingSet._packed(layout.n, rows["x"], rows["z"]), layout, seam
+
+
 def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     """Glue two codes along identified qubits.
 
@@ -399,13 +411,12 @@ def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:
     generator that avoids the shared qubits, and one combined generator
     per restriction to the shared qubits, joining the first generator
     with that restriction on each side.  A trace mapping output
-    generators to their per-side parts is attached.
+    generators to their per-side parts is attached; run_verification's
+    random rounds compare the group without it, and the trace is
+    checked by the welding tests.
     """
     kind = _kind(weld_type.lower() if isinstance(weld_type, str) else weld_type, "weld_type")
-    _require_stabilizer_inputs(code1, code2)
-    rows = {"x": list(code1.gens.x_packed), "z": list(code1.gens.z_packed)}
-    layout, seam = _weld_core(rows, code1.n, code2.gens, ident, kind)
-    gens = GeneratingSet._packed(layout.n, rows["x"], rows["z"])
+    gens, layout, seam = _weld_gens(code1, code2, ident, kind)
     return CssCode(gens, (), None, _trace(layout, kind, code1.gens, gens, seam))
 
 

@@ -99,7 +99,7 @@ INTEGERS = [
     ("random_weld_case-max_side", lambda v: random_weld_case(np.random.default_rng(0), v), 6, 4),
     ("run_verification-seed", lambda v: run_verification(seed=v, rounds=1), 3, 0),
     ("run_verification-rounds", lambda v: run_verification(rounds=v), 1, 0),
-    ("run_verification-max_side", lambda v: run_verification(rounds=1, max_side=v), 6, None),
+    ("run_verification-max_side", lambda v: run_verification(rounds=0, max_side=v), 6, 4),
 ]
 
 

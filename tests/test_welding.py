@@ -1,11 +1,13 @@
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import gf2_reference as ref
 import numpy as np
 import pytest
 
-from weldkit import css, gf2
+from weldkit import css, gf2, welding
 from weldkit.builders import (
     SolidSpec,
     SurfaceSpec,
@@ -31,6 +33,7 @@ from weldkit.pauli import PauliOperator, format_operator, multiply, parse_operat
 from weldkit.verify import _spoiled_cases, random_weld_case, run_verification
 from weldkit.welding import (
     QubitIdentification,
+    WeldTrace,
     anticommuting_entries,
     contract,
     parse_identification,
@@ -261,6 +264,41 @@ def test_weld_and_oracle_return_the_same_adopted_rows():
         assert not groups_equal(oracle, thinned)
         dropped += 1
     assert dropped >= 300
+
+
+def test_trace_free_weld_returns_welds_rows_and_layout():
+    rng = np.random.default_rng(2510)
+    seen = {"x": 0, "z": 0}
+    while min(seen.values()) < 200:
+        code1, code2, ident, kind = random_weld_case(rng, max_side=24)
+        if seen[kind] == 200:
+            continue
+        seen[kind] += 1
+        gens, layout, _ = welding._weld_gens(code1, code2, ident, kind)
+        merged = weld(code1, code2, ident, kind)
+        assert isinstance(merged.weld_trace, WeldTrace)
+        assert type(gens.x_packed) is type(gens.z_packed) is tuple
+        assert (gens.x_packed, gens.z_packed) == (merged.gens.x_packed, merged.gens.z_packed)
+        assert layout == merged.weld_trace.layout
+
+
+def test_verify_rounds_build_no_trace(monkeypatch):
+    traced = []
+
+    def counting(*args):
+        traced.append(args[1])
+        return trace(*args)
+
+    trace = welding._trace
+    monkeypatch.setattr(welding, "_trace", counting)
+    counts = []
+    for rounds in (0, 50):
+        traced.clear()
+        assert run_verification(seed=4, rounds=rounds).ok
+        counts.append(len(traced))
+    # the golden two-qubit z-weld; the spoiled and logical-carrying
+    # inputs are rejected before a trace is made
+    assert counts == [1, 1] and traced == ["z"]
 
 
 def test_weld_reproduces_the_reference_pairing():
@@ -514,6 +552,18 @@ def test_parse_identification_rejects_malformed():
         parse_identification("0 1\n2 1\n")
 
 
+def test_verify_reports_match_the_bench_reference():
+    # the benchmark's verify workload checks the same reports, digested as
+    # bench/workloads.py report_digest does; the digest pins the random
+    # stream and the spoiled instances' witnesses
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify.json"
+    want = json.loads(reference.read_text())
+    for seed in (0, 3):
+        report = run_verification(seed=seed, rounds=1000, max_side=24)
+        checks = [(check.name, check.ok, check.detail) for check in report.checks]
+        assert hashlib.sha256(repr(checks).encode() + b"|").hexdigest() == want[str(seed)]
+
+
 def test_verification_rejects_bad_arguments():
     with pytest.raises(ValidationError, match="rounds"):
         run_verification(rounds=-1)
@@ -523,8 +573,10 @@ def test_verification_rejects_bad_arguments():
         with pytest.raises(ValidationError, match="seed must be an integer"):
             run_verification(seed=seed, rounds=1)
     assert run_verification(seed=np.int64(3), rounds=2) == run_verification(seed=3, rounds=2)
-    with pytest.raises(ValidationError, match="max_side"):
-        run_verification(rounds=1, max_side=3)
+    for rounds in (0, 1):
+        for max_side in (3, -7):
+            with pytest.raises(ValidationError, match=f"max_side must be at least 4, got {max_side}"):
+                run_verification(rounds=rounds, max_side=max_side)
     with pytest.raises(ValidationError, match="max_side"):
         random_weld_case(np.random.default_rng(0), max_side=3)
     for sizes in ({"rounds": 2.5}, {"rounds": "3"}, {"rounds": 3, "max_side": 6.5}):
