@@ -25,6 +25,7 @@ from .css import (
     CssCode,
     GeneratingSet,
     LogicalClass,
+    _odd_overlap,
     fold_logical,
     permute_qubits,
     promote_to_logical,
@@ -32,7 +33,7 @@ from .css import (
 )
 from .errors import MetadataError, ValidationError, _integers, _kind
 from .pauli import PauliOperator
-from .welding import _require_weldable, _weld_core
+from .welding import _Indexed, _require_weldable, _weld_core
 
 __all__ = [
     "SurfaceSpec",
@@ -757,11 +758,14 @@ def _weld_along_graph(
     make_piece(edge) returns a k=0 piece whose folded string shows up at
     both of its boundaries; piece_ends gives the two ordered boundary
     qubit tuples (first vertex, second vertex); one piece object may
-    serve several edges.  The assembly stays in packed rows from the
-    first piece (welded onto nothing) on.  Each distinct piece object is
-    validated and ranked once and the assembly never: weld equals
-    weld_oracle, whose output is the full commutant of the adopted
-    block, so k=0 inputs give a valid k=0 output.
+    serve several edges.  The assembly is one welding._Indexed from the
+    first piece (welded onto nothing) on, indexed at the boundary qubits
+    of every vertex, the only qubits a later weld shares; each weld
+    indexes the ends of the vertices it reaches first, so it costs its
+    piece plus the rows at its seam, not the whole assembly.  Each
+    distinct piece object is validated and ranked once and the assembly
+    never: weld equals weld_oracle, whose output is the full commutant
+    of the adopted block, so k=0 inputs give a valid k=0 output.
 
     The folded strings merge into one generator row, the union of every
     piece's string: _lift(asm, string support).  Once both weld checks
@@ -771,25 +775,24 @@ def _weld_along_graph(
     unless the rows are equal.  So each weld joins the two strings into
     their union, and the row is found by its support afterwards.
     """
-    rows = {"x": [], "z": []}
-    n = 0
+    rows = _Indexed.of(GeneratingSet._packed(0, (), ()), weld_type)
     vertex_qubits: dict = {}
     embeddings = []
     for edge in _ordered_edges(graph):
         piece = make_piece(edge)
         _require_weldable(piece, "piece")
-        pairs = []
+        pairs, boundary = [], []
         for vertex, end in zip(edge, piece_ends):
             if vertex in vertex_qubits:
                 pairs.extend(zip(vertex_qubits[vertex], end))
-        layout = _weld_core(rows, n, piece.gens, pairs, weld_type)[0]
-        n, embed = layout.n, layout.embed2
+            else:
+                boundary.extend(end)
+        embed = _weld_core(rows, piece.gens, pairs, boundary)[0].embed2
         for vertex, end in zip(edge, piece_ends):
             if vertex not in vertex_qubits:
                 vertex_qubits[vertex] = tuple(embed[q] for q in end)
         embeddings.append((edge, embed))
-    gens = GeneratingSet._packed(n, rows["x"], rows["z"])
-    return _Assembly(CssCode(gens), vertex_qubits, embeddings)
+    return _Assembly(CssCode(rows.gens()), vertex_qubits, embeddings)
 
 
 def _lift(asm: _Assembly, support) -> set[int]:
@@ -952,10 +955,13 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     """One solid per graph edge, rough boundaries welded at shared vertices.
 
     The Z strings of all pieces merge into one welded string, promoted
-    against the membrane of the first piece.  Flat-X regions are the
-    solids with the boundary layers between them; flat-Z sheets continue
-    straight through the welds, so their grid keeps the single-solid
-    shape whatever the graph looks like.
+    against the membrane of the first piece.  The faces the re-picked
+    layers dropped are added back after a check that each commutes with
+    every X row, which for this k=0 assembly means it is in the group;
+    neither that check nor the promotion eliminates a generator block.
+    Flat-X regions are the solids with the boundary layers between them;
+    flat-Z sheets continue straight through the welds, so their grid
+    keeps the single-solid shape whatever the graph looks like.
     """
     if spec.horizontal_plaquettes:
         raise ValidationError(
@@ -982,8 +988,10 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     code = asm.code
     phantoms = _phantom_welded_faces(graph, asm, lay)
     if phantoms:
-        basis = gf2._echelon(code.gens.z_packed)
-        if any(gf2._residual(basis, v) for v in phantoms):
+        # the assembly is a k=0 weld output, so its Z block is the full
+        # commutant of its X block: a face is in the group exactly when
+        # it overlaps every X row on an even count
+        if _odd_overlap(code.gens.columns("x"), phantoms) is not None:
             raise AssertionError("reconstructed plaquette left the group")
         z_rows = code.gens.z_packed + tuple(phantoms)
         code = CssCode(GeneratingSet._packed(code.n, code.gens.x_packed, z_rows))

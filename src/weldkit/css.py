@@ -155,23 +155,34 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
     code = gens if isinstance(gens, CssCode) else None
     if code is not None:
         gens = code.gens
-    # columns[q] marks the z generators touching qubit q; XOR-ing them
-    # over an x row's support leaves the z generators it anticommutes with
-    z_masks = gens.columns("z")
-    for i, row in enumerate(gens.x_packed):
-        hits = 0
-        while row:
-            low = row & -row
-            hits ^= z_masks[low.bit_length() - 1]
-            row ^= low
-        if hits:
-            j = (hits & -hits).bit_length() - 1
-            return CssViolation(
-                f"x generator {i} anticommutes with z generator {j}", x_index=i, z_index=j
-            )
+    found = _odd_overlap(gens.columns("z"), gens.x_packed)
+    if found is not None:
+        i, hits = found
+        j = (hits & -hits).bit_length() - 1
+        return CssViolation(
+            f"x generator {i} anticommutes with z generator {j}", x_index=i, z_index=j
+        )
     if code is None:
         return None
     return _logical_violation(gens, code.logicals)
+
+
+def _odd_overlap(columns, rows):
+    """(i, hits) for the first of the packed rows that overlaps the block oddly, or None.
+
+    columns is a block's GeneratingSet.columns: columns[q] marks the block
+    rows touching qubit q, so XOR-ing them over row i's support leaves
+    hits, the block rows that overlap row i on an odd count.
+    """
+    for i, row in enumerate(rows):
+        hits = 0
+        while row:
+            low = row & -row
+            hits ^= columns[low.bit_length() - 1]
+            row ^= low
+        if hits:
+            return i, hits
+    return None
 
 
 def _logical_violation(gens: GeneratingSet, logicals) -> CssViolation | None:
@@ -263,10 +274,13 @@ def promote_to_logical(
     """Remove one generator and install it as a logical representative.
 
     The generator must be independent of the rest, otherwise its removal
-    would not change the group and nothing new would be encoded.  The
-    anticommuting representative of the opposite type is solved for when
-    not supplied.  Either way the classes are then checked as validate
-    checks them.  The weld trace is dropped, since the rows change.
+    would not change the group and nothing new would be encoded.  No
+    elimination tests that.  The anticommuting representative of the
+    opposite type is solved for when not supplied, and the solve fails
+    for a dependent row.  Either way the classes are then checked as
+    validate checks them, and a partner that anticommutes with the row
+    and commutes with every remaining row proves the row independent.
+    The weld trace is dropped, since the rows change.
     """
     n = code.n
     index = _integer(index, "generator index")
@@ -277,10 +291,6 @@ def promote_to_logical(
     row = remaining.pop(index)
     gens = GeneratingSet._packed(n, blocks["x"], blocks["z"])
     rep = _row_operator(n, kind, row)
-    if not gf2._residual(gf2._echelon(remaining), row):
-        raise ValidationError(
-            f"{kind} generator {index} is dependent, removing it does not change the group"
-        )
     draft = CssCode(gens, code.logicals, code.region_metadata)
     if partner is None:
         partner = anticommuting_partner(draft, rep)

@@ -14,7 +14,10 @@ ground truth in tests.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +137,7 @@ def _layout(n1: int, n2: int, ident) -> WeldLayout:
         pair_map[b] = a
     n = n1 + n2 - len(pair_map)
     fresh = iter(range(n1, n))
-    embed2 = tuple(pair_map[j] if j in pair_map else next(fresh) for j in range(n2))
+    embed2 = tuple([pair_map[j] if j in pair_map else next(fresh) for j in range(n2)])
     return WeldLayout(n, embed2, tuple(pair_map.values()))
 
 
@@ -165,17 +168,36 @@ def _format_row(row: int, kind: str, n: int) -> str:
     return format_operator(_row_operator(n, kind, row))
 
 
+def _split(rows: list[int], mask: int):
+    """(rows, touching, first) for _require_seam, plus the rows that avoid mask.
+
+    touching lists the indices of the rows that meet mask and first maps
+    each restriction to the lowest such row.
+    """
+    touching: list[int] = []
+    avoiding: list[int] = []
+    first: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        hit = row & mask
+        if hit:
+            touching.append(i)
+            first.setdefault(hit, i)
+        else:
+            avoiding.append(row)
+    return (rows, touching, first), avoiding
+
+
 def _require_seam(sides, mask: int, kind: str, n: int):
     """Raise WeldError unless the weld-type rows are well matched and independent.
 
-    sides holds (rows, touching, first) per side: touching lists the
-    indices of the rows that meet the shared qubits and first maps each
-    restriction to the lowest such row.  Well matched: every restriction
-    of one side is one of the other side's; the witness names the first
-    row without a partner.  Independent: no product of a side's touching
-    rows avoids the weld without vanishing, a rank comparison of their
-    restrictions against the full rows; the witness lists such a subset,
-    shrunk greedily, best effort.
+    sides holds (rows, touching, first) per side, as _split makes them.
+    Well matched: every restriction of one side is one of the other
+    side's; the witness names the first row without a partner.
+    Independent: no product of a side's touching rows avoids the weld
+    without vanishing, a rank comparison of their restrictions against
+    the full rows; the witness lists such a subset, shrunk greedily, best
+    effort.  Neither check depends on the order of a side's rows, only
+    the witnesses do.
     """
     for side, (rows, _, first) in enumerate(sides, start=1):
         partners = sides[2 - side][2]
@@ -208,53 +230,113 @@ def _require_seam(sides, mask: int, kind: str, n: int):
         )
 
 
-def _weld_core(rows: dict, n1: int, gens2: GeneratingSet, ident, kind: str):
-    """Weld gens2 onto an n1-qubit code held as int rows, bit q = qubit q.
+@dataclass(eq=False)
+class _Indexed:
+    """A code being welded onto: packed rows, bit q = qubit q, and a seam index.
 
-    rows maps "x" and "z" to code 1's rows and is updated in place to
-    the output's: the opposite-type rows of code 1 then code 2, and the
-    weld-type rows that avoid the weld, code 1's then code 2's, then one
-    a ^ b ^ (a & mask) per matched pair (a, b).  Returns the layout and
-    the seam (untouched1, untouched2, matched) those rows came from.
-    contract keeps code-1 qubits and appends code 2's unshared ones, so
-    only gens2's rows are relabelled, at a cost of their weight.  Each
-    side's weld-type rows are split by their restriction to the shared
-    qubits once, here, for both checks (_require_seam) and the pairing:
-    a is the first row of side 1 with a restriction and b the first of
-    side 2, and pairs are ordered as the restrictions' 0/1 arrays
-    compare as bytes.
+    other holds the rows of the type opposite kind, in order.  rows maps
+    a handle to each kind-type row, in block order: a dict keeps that
+    order when rows are deleted and appended.  For each qubit in the mask
+    indexed, index lists the handles of the kind-type rows that touch it,
+    so a weld finds the rows at its seam without a scan of the block.  A
+    row only ever gains qubits and handles (drawn from handles) are not
+    reused, so an entry is stale exactly when its handle has left rows.
+    """
+
+    kind: str
+    n: int
+    other: list
+    rows: dict
+    indexed: int
+    index: defaultdict
+    handles: Iterator[int]
+
+    @classmethod
+    def of(cls, gens: GeneratingSet, kind: str) -> "_Indexed":
+        """gens, with nothing indexed yet."""
+        rows = _typed_rows(gens, kind)
+        other = list(_typed_rows(gens, "x" if kind == "z" else "z"))
+        handles = itertools.count(len(rows))
+        return cls(kind, gens.n, other, dict(enumerate(rows)), 0, defaultdict(set), handles)
+
+    def gens(self) -> GeneratingSet:
+        rows = list(self.rows.values())
+        x, z = (self.other, rows) if self.kind == "z" else (rows, self.other)
+        return GeneratingSet._packed(self.n, x, z)
+
+    def index_rows(self, rows, qubits: int):
+        """Index the (handle, row) pairs on the qubits of mask qubits, which become indexed."""
+        self.indexed |= qubits
+        index = self.index
+        for handle, row in rows:
+            hit = row & qubits
+            while hit:
+                low = hit & -hit
+                index[low.bit_length() - 1].add(handle)
+                hit ^= low
+
+
+def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
+    """Weld gens2 onto asm in place, at the cost of gens2 plus the seam.
+
+    asm becomes the output: the opposite-type rows of code 1 then code 2,
+    and the weld-type rows that avoid the weld, code 1's then code 2's,
+    then one a ^ b ^ (a & mask) per matched pair (a, b), ordered as the
+    restrictions' 0/1 arrays compare as bytes.  Returns the layout and
+    the seam (untouched2, matched) those last rows came from.  contract
+    keeps code-1 qubits and appends code 2's unshared ones, so only
+    gens2's rows are relabelled, at a cost of their weight.
+
+    Code 1's side of the seam is the rows asm's index lists at the shared
+    qubits, which one scan of the block indexes if they are not yet;
+    boundary names the code-2 qubits a later weld may share, indexed on
+    the output.  Both checks (_require_seam) read that side in any order,
+    so only a failing one splits the whole block, for witnesses that name
+    rows by their position in it.  A welded row a | (b & ~mask) keeps a's
+    handle and moves to the end of the block, so a's index entries stay
+    valid and only b's bits on boundary qubits are indexed.
 
     With both checks passed, two rows of one side share a restriction
     only if they are equal (their product would avoid the weld), so a
-    repeated row is welded once, with its first copy.  The output needs
-    no check: this weld equals weld_oracle, whose output is the full
-    commutant of the adopted block, so k=0 inputs give a valid k=0 output.
+    repeated row is welded once.  The output needs no check: this weld
+    equals weld_oracle, whose output is the full commutant of the adopted
+    block, so k=0 inputs give a valid k=0 output.
     """
-    layout = _layout(n1, gens2.n, ident)
-    n, mask = layout.n, layout.mask
-    other = "x" if kind == "z" else "z"
-    sides, untouched = [], []
-    for side_rows in (rows[kind], gf2._relabel(_typed_rows(gens2, kind), layout.embed2)):
-        touching: list[int] = []
-        avoiding: list[int] = []
-        first: dict[int, int] = {}
-        for i, row in enumerate(side_rows):
-            hit = row & mask
-            if hit:
-                touching.append(i)
-                first.setdefault(hit, i)
-            else:
-                avoiding.append(row)
-        sides.append((side_rows, touching, first))
-        untouched.append(avoiding)
-    _require_seam(sides, mask, kind, n)
-    (weld1, _, first1), (weld2, _, first2) = sides
-    # bit q of a restriction is character q of its key
-    keys = sorted(first1, key=lambda r: format(r, f"0{n}b")[::-1])
-    matched = [(weld1[first1[key]], weld2[first2[key]]) for key in keys]
-    rows[kind] = untouched[0] + untouched[1] + [a ^ b ^ (a & mask) for a, b in matched]
-    rows[other] += gf2._relabel(_typed_rows(gens2, other), layout.embed2)
-    return layout, (*untouched, matched)
+    layout = _layout(asm.n, gens2.n, ident)
+    n, mask, kind, embed, rows = layout.n, layout.mask, asm.kind, layout.embed2, asm.rows
+    unindexed = mask & ~asm.indexed
+    if unindexed:  # as on code 1 of a public weld: one scan of the block
+        asm.index_rows(rows.items(), unindexed)
+    at_seam = {h: rows[h] for q in layout.shared for h in asm.index.get(q, ()) if h in rows}
+    first1 = {row & mask: h for h, row in at_seam.items()}
+    side2, untouched2 = _split(gf2._relabel(_typed_rows(gens2, kind), embed), mask)
+    try:
+        _require_seam([(at_seam, list(at_seam), first1), side2], mask, kind, n)
+    except WeldError:  # raise it again with code 1's rows named by block position
+        _require_seam([_split(list(rows.values()), mask)[0], side2], mask, kind, n)
+        raise
+    weld2, _, first2 = side2
+    # restrictions compare as their 0/1 arrays do as bytes: as their bits
+    # read upward from the lowest shared qubit, with bin dropping the zeros
+    # past the highest set bit, which leaves the order unchanged
+    low = min(layout.shared, default=0)
+    keys = sorted(first1, key=lambda r: bin(r >> low)[:1:-1])
+    matched = [(at_seam[first1[key]], weld2[first2[key]]) for key in keys]
+    for h in at_seam:
+        del rows[h]
+    added = dict(zip(asm.handles, untouched2))
+    for key, (a, b) in zip(keys, matched):
+        added[first1[key]] = a ^ b ^ (a & mask)
+    rows.update(added)
+    if boundary:
+        # an unshared boundary qubit is new, so only the rows just added meet it
+        fresh = 0
+        for q in boundary:
+            fresh |= 1 << embed[q]
+        asm.index_rows(added.items(), fresh & ~mask)
+    asm.other += gf2._relabel(_typed_rows(gens2, "x" if kind == "z" else "z"), embed)
+    asm.n = n
+    return layout, (untouched2, matched)
 
 
 @dataclass(frozen=True)
@@ -309,7 +391,9 @@ def _trace(
     """
     n, mask = layout.n, layout.mask
     other = "x" if kind == "z" else "z"
-    untouched1, untouched2, matched = seam
+    untouched2, matched = seam
+    welded = _typed_rows(gens, kind)
+    untouched1 = welded[: len(welded) - len(untouched2) - len(matched)]
     adopted1 = _typed_rows(gens1, other)
     # (label, block, side, rows): each of these rows sits alone in its side's slot
     carried = [
@@ -395,9 +479,9 @@ def _weld_gens(code1: CssCode, code2: CssCode, ident, kind: str):
     the trace is left out, for callers that would throw it away.
     """
     _require_stabilizer_inputs(code1, code2)
-    rows = {"x": list(code1.gens.x_packed), "z": list(code1.gens.z_packed)}
-    layout, seam = _weld_core(rows, code1.n, code2.gens, ident, kind)
-    return GeneratingSet._packed(layout.n, rows["x"], rows["z"]), layout, seam
+    asm = _Indexed.of(code1.gens, kind)
+    layout, seam = _weld_core(asm, code2.gens, ident, ())
+    return asm.gens(), layout, seam
 
 
 def weld(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCode:

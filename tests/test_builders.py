@@ -28,10 +28,18 @@ from weldkit.builders import (
     star,
     surface_welding_chain,
 )
-from weldkit.css import CssCode, encoded_qubits, fold_logical, groups_equal, syndrome, validate
-from weldkit.errors import MetadataError, ValidationError
+from weldkit.css import (
+    CssCode,
+    GeneratingSet,
+    encoded_qubits,
+    fold_logical,
+    groups_equal,
+    syndrome,
+    validate,
+)
+from weldkit.errors import MetadataError, ValidationError, WeldError
 from weldkit.pauli import PauliOperator
-from weldkit.welding import contract, weld_oracle
+from weldkit.welding import contract, weld, weld_oracle
 
 
 def test_welding_chain_sizes():
@@ -346,6 +354,118 @@ def test_region_metadata_is_pinned(build, digest):
 )
 def test_welded_builds_are_pinned(build, digest):
     assert code_digest(build()) == digest
+
+
+def packed_digest(code) -> str:
+    """code_digest's record read from the packed rows, with no dense view.
+
+    Rows go through int.to_bytes, so a large build hashes without
+    unpacking a uint8 matrix per block.
+    """
+    h = hashlib.sha256()
+    width = (code.n + 7) // 8
+    shape = (code.n, len(code.gens.x_packed), len(code.gens.z_packed), len(code.logicals))
+    h.update(repr(shape).encode())
+    rows = [*code.gens.x_packed, *code.gens.z_packed]
+    for cls in code.logicals:
+        rows += [cls.x_rep.x, cls.x_rep.z, cls.z_rep.x, cls.z_rep.z]
+    for row in rows:
+        h.update(row.to_bytes(width, "little"))
+    h.update(region_digest(code).encode())
+    return h.hexdigest()[:16]
+
+
+# Larger welded solids than the pins above: the sweep's largest cell, and
+# a cubic assembly of 4x4x4 solids (n = 9,855).
+@pytest.mark.parametrize(
+    "build, n, digest",
+    [
+        (lambda: build_welded_solid(grid2d(4, 4), SolidSpec(3, 3, 2)), 832, "4daf5ecbcd54701a"),
+        (
+            lambda: build_welded_solid(cubic(3, 3, 3), SolidSpec(4, 4, 4)),
+            9855,
+            "f99042412c23b14a",
+        ),
+    ],
+    ids=["solid-grid4x4-3x3x2", "solid-cubic3-4x4x4"],
+)
+def test_large_welded_builds_are_pinned(build, n, digest):
+    code = build()
+    assert code.n == n
+    assert packed_digest(code) == digest
+
+
+def _rough_piece(spoil=None) -> CssCode:
+    """The 13-qubit rough surface piece, its Z rows changed by spoil if given.
+
+    Rows 0 and 1 meet the top layer (qubits 0-2), 4 and 5 the bottom layer
+    (10-12), 2 and 3 neither, and the folded string, row 6, both.
+    """
+    gens = builders._lattice_gens(builders._Lattice(2, 0, 3), "z")
+    z_rows = list(gens.z_packed)
+    if spoil is not None:
+        spoil(z_rows)
+    return CssCode(GeneratingSet._packed(gens.n, gens.x_packed, z_rows))
+
+
+def _unmatched_on_top(z_rows):
+    # the same group, but row 0's restriction to the top layer is gone
+    z_rows[0] ^= z_rows[1]
+
+
+def _dependent_on_bottom(z_rows):
+    # row 4 times row 2, which avoids both layers: two rows now share
+    # row 4's bottom restriction, and their product avoids the weld
+    z_rows.append(z_rows[4] ^ z_rows[2])
+
+
+@pytest.mark.parametrize(
+    "spoiled_edge, spoil, check",
+    [
+        ((3, 4), _unmatched_on_top, "well_matched"),
+        ((2, 3), _dependent_on_bottom, "weld_independence"),
+    ],
+    ids=["well-matched", "independence"],
+)
+def test_graph_loop_rejects_with_the_witness_of_weld(spoiled_edge, spoil, check):
+    # the fourth weld of a path fails on the assembly's side; its witness
+    # names rows by their position in the whole assembled block, as weld's
+    # does on the same three-weld assembly and piece
+    lay = builders._Lattice(2, 0, 3)
+    ends = (lay.layer(0), lay.layer(2))
+    pieces = {edge: _rough_piece() for edge in path(5).edges}
+    pieces[spoiled_edge] = _rough_piece(spoil)
+    with pytest.raises(WeldError) as looped:
+        builders._weld_along_graph(path(5), pieces.__getitem__, ends, "z")
+    partial = builders._weld_along_graph(path(4), pieces.__getitem__, ends, "z")
+    pairs = list(zip(partial.vertex_qubits[3], ends[0]))
+    with pytest.raises(WeldError) as direct:
+        weld(partial.code, pieces[3, 4], pairs, "z")
+    assert looped.value.check == direct.value.check == check
+    assert looped.value.witness == direct.value.witness
+    assert str(looped.value) == str(direct.value)
+    # the assembly's side fails, at rows past the first piece's
+    witness = looped.value.witness
+    if check == "well_matched":
+        assert witness["side"] == 1
+        positions = [witness["index"]]
+    else:
+        assert str(looped.value).startswith("code 1 ")
+        positions = witness["subset"]
+    assert max(positions) >= len(pieces[0, 1].gens.z_packed)
+
+
+def test_graph_welds_visit_only_their_pieces(monkeypatch):
+    # each weld of the loop splits and indexes the piece's weld-type rows,
+    # never the assembly's block, which it reaches through the index
+    import weldkit.welding as welding
+
+    splits = _count_calls(monkeypatch, welding, "_split")
+    indexed = _count_calls(monkeypatch, welding._Indexed, "index_rows")
+    code = build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2))
+    assert len(splits) == 12
+    visited = [len(rows) for rows, _ in splits] + [len(rows) for _, rows, _ in indexed]
+    assert max(visited) < len(code.gens.z_packed) // 4
 
 
 def _count_core_welds(monkeypatch) -> list:

@@ -263,6 +263,22 @@ def test_promote_rejects_dependent_row_removal():
         promote_to_logical(code, "q", 0)
 
 
+def test_promote_finds_a_dependent_row_through_its_partner():
+    # x row 0 is the sum of the other two, so no operator anticommutes with
+    # it alone: the solve for a partner fails, a partner that commutes with
+    # the other rows commutes with it too, and one that anticommutes with
+    # it anticommutes with another row
+    code = CssCode(
+        GeneratingSet(3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1, 1, 1]])
+    )
+    with pytest.raises(ValidationError, match="no anticommuting partner exists"):
+        promote_to_logical(code, "x", 0)
+    with pytest.raises(ValidationError, match="class 0 representatives commute"):
+        promote_to_logical(code, "x", 0, parse_operator("ZZZ"))
+    with pytest.raises(ValidationError, match="z rep of class 0 anticommutes with a generator"):
+        promote_to_logical(code, "x", 0, parse_operator("ZII"))
+
+
 def test_promote_accepts_explicit_partner_only_if_valid():
     code = CssCode(
         GeneratingSet(3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1, 1, 1]])
