@@ -4,7 +4,11 @@ One spin per vertex, ferromagnetic bonds on the edges: a configuration
 costs its number of frustrated bonds.  spin_flip_barrier finds the
 lowest peak cost over all single-flip paths between two configurations
 by deepening a threshold search; a flip updates the frustration from
-the flipped spin's own bonds.  Kept free of the stabilizer machinery on
+the flipped spin's own bonds.  Each threshold's depth-first search
+tries the flips toward the target first.  That order cannot change an
+answer: every threshold below the barrier is still searched to
+exhaustion, and the order only decides how soon the target is found
+once a threshold reaches it.  Kept free of the stabilizer machinery on
 purpose, so it can serve as an independent cross-check: it imports
 nothing from weldkit, shares no code with the bottleneck engine in
 energy.py and uses no syndrome masks.
@@ -33,7 +37,11 @@ def spin_flip_barrier(n_spins, edges, target_mask, start_mask=0):
     if not 0 < n <= MAX_SPINS:
         raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
     bonds = []
-    for u, v in edges:
+    for bond in edges:
+        try:
+            u, v = bond
+        except (TypeError, ValueError):
+            raise ValueError(f"bond {bond!r} is not a pair of spins") from None
         u, v = _index(u, "bond end"), _index(v, "bond end")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"bond ({u},{v}) leaves the spin range")
@@ -63,7 +71,11 @@ def spin_flip_barrier(n_spins, edges, target_mask, start_mask=0):
             s, f = stack.pop()
             if s == target:
                 return threshold
-            for j in range(n):
+            # flips toward the target go on the stack last, so they pop first
+            todo = s ^ target
+            order = [j for j in range(n) if not todo >> j & 1]
+            order += [j for j in range(n) if todo >> j & 1]
+            for j in order:
                 t = s ^ (1 << j)
                 if t in seen:
                     continue

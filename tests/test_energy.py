@@ -534,6 +534,22 @@ def test_parity_bound_equals_the_spin_flip_barrier_at_certify_scale():
             assert bound == spin_flip_barrier(len(graph.vertices), edges, mask), target
 
 
+@pytest.mark.parametrize(
+    "dims, spins, floor, barrier",
+    [((4, 5), 8, 4, 5), ((4, 5), 20, 0, 5), ((2, 3, 3), 6, 6, 7), ((2, 3, 3), 18, 0, 9)],
+    ids=["grid2d(4,5)-0..7", "grid2d(4,5)-full", "cubic(2,3,3)-0..5", "cubic(2,3,3)-full"],
+)
+def test_parity_bound_equals_the_spin_flip_barrier_above_the_floor(dims, spins, floor, barrier):
+    # the barrier lies above both endpoints' frustration, so the oracle
+    # exhausts a threshold before it reaches the target
+    graph = cubic(*dims) if len(dims) == 3 else grid2d(*dims)
+    region = region_graph_from_weld_graph(graph, "x")
+    assert sum((u < spins) != (v < spins) for u, v in region.incidence) == floor
+    rep = PauliOperator.from_support(region.n, z=range(spins))
+    assert parity_lower_bound(region, rep).barrier == barrier
+    assert spin_flip_barrier(region.n, region.incidence, (1 << spins) - 1) == barrier
+
+
 def _pin(result):
     # every field of a BarrierResult: barrier, witness steps and both counts
     return hashlib.sha256(repr(result).encode()).hexdigest()[:16]

@@ -1,8 +1,12 @@
+import ast
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weldkit import ising
 from weldkit.ising import MAX_SPINS, spin_flip_barrier
 
 
@@ -68,6 +72,11 @@ def test_input_validation():
         spin_flip_barrier(3, [(1, 1)], 0)
     with pytest.raises(ValueError):
         spin_flip_barrier(3, [], 1 << 3)
+    # a bond that is not a pair is named, whatever it is instead
+    with pytest.raises(ValueError, match=r"bond 1 is not a pair"):
+        spin_flip_barrier(3, [1, 2], 1)
+    with pytest.raises(ValueError, match=r"bond \(0, 1, 2\) is not a pair"):
+        spin_flip_barrier(3, [(0, 1, 2)], 1)
 
 
 @pytest.mark.parametrize(
@@ -131,14 +140,48 @@ def _random_bonds(rng, n):
     return bonds
 
 
+def _frustration(bonds, s):
+    return sum(1 for u, v in bonds if ((s >> u) ^ (s >> v)) & 1)
+
+
 def test_local_update_matches_the_from_scratch_oracle():
     rng = random.Random(5)
-    for case in range(200):
-        n = 1 + case % 12
+    above_the_floor = 0
+    for case in range(420):
+        n = 1 + case % 14
         bonds = _random_bonds(rng, n)
         start = rng.randrange(1 << n) if case % 3 else 0
         target = start if case % 7 == 0 else rng.randrange(1 << n)
         want = _reference_spin_flip_barrier(n, bonds, target, start)
         assert spin_flip_barrier(n, bonds, target, start) == want, (n, bonds, start, target)
+        above_the_floor += want > max(_frustration(bonds, start), _frustration(bonds, target))
+    # enough cases exhaust a threshold before reaching the target, so the
+    # target-first order is checked where it must not stop the search early
+    assert above_the_floor >= 20
     # a doubled bond counts twice along the way
     assert spin_flip_barrier(2, [(0, 1), (0, 1)], 0b01) == 2
+
+
+def outside_imports(source: str) -> list[str]:
+    """Imports in source that are relative or leave the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.level, node.module or "")]
+        else:
+            continue
+        for level, name in names:
+            if level or name.split(".")[0] not in sys.stdlib_module_names:
+                found.append(f"{node.lineno}: {'.' * level}{name}")
+    return found
+
+
+def test_the_oracle_imports_only_the_standard_library():
+    # its independence from the engine it cross-checks rests on this
+    source = "import operator\nimport numpy as np\nfrom . import energy\nfrom weldkit.gf2 import rank\n"
+    assert outside_imports(source) == ["2: numpy", "3: .", "4: weldkit.gf2"]
+    source = Path(ising.__file__).read_text()
+    assert outside_imports(source) == []
+    assert "import operator" in source
