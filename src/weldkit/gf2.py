@@ -12,8 +12,7 @@ Dense 0/1 arrays appear only at the library's edge.  _packed_block packs
 and validates array-likes in the two array constructors, GeneratingSet
 and PauliOperator, through as_matrix and _pack; _view gives the
 read-only uint8 views of packed rows.  _check_packed validates rows built
-inside.  welding._trace builds the weld trace's operators from rows it
-checks once, in bulk, and seeds their views from one bulk _unpack.
+inside.
 """
 
 from __future__ import annotations

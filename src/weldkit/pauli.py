@@ -53,8 +53,7 @@ class PauliOperator:
         op.__post_init__()
         return op
 
-    # Every construction but the weld trace's ends here, and bench/tracer.py
-    # counts these calls; welding._trace checks its rows once, in bulk.
+    # Every construction ends here, and bench/tracer.py counts these calls.
     def __post_init__(self):
         gf2._check_packed((self.x, self.z), self.n)
 
@@ -182,10 +181,11 @@ def format_operator(p: PauliOperator, style: str = "auto") -> str:
 
     The sparse form reads "n=5; X:0,1; Z:3,4" where a qubit named in both
     lists carries a Y.  style picks "dense" or "sparse" explicitly;
-    "auto" uses dense up to 64 qubits.
+    "auto" uses dense from 1 up to 64 qubits, and sparse ("n=0") on
+    none, whose dense string would be empty.
     """
     if style == "auto":
-        style = "dense" if p.n <= DENSE_LIMIT else "sparse"
+        style = "dense" if 0 < p.n <= DENSE_LIMIT else "sparse"
     if style == "dense":
         return "".join("IXZY"[(p.x >> q & 1) | (p.z >> q & 1) << 1] for q in range(p.n))
     if style == "sparse":

@@ -20,8 +20,6 @@ from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2
 from .css import CssCode, GeneratingSet, _row_operator, encoded_qubits, validate_or_raise
 from .errors import MetadataError, ValidationError, WeldError, _integers, _kind
@@ -379,15 +377,6 @@ def _trace(
 
     gens1 is code 1, whose rows keep their bits on the output register,
     and gens the output; seam is what _weld_core returned with it.
-
-    Every row an operator is made of is checked once, in bulk, and the
-    operators and entries are then filled in directly, without a
-    per-object check.  Each operator's x_bits and z_bits views are seeded
-    from one bulk unpack plus one shared zero row: the traced benchmark's
-    weld probe reads every entry's views, and making them one by one
-    inside it would inflate the probe's time.  The seeding goes once the
-    trace holds row indices instead of operators (ROADMAP item 2), after
-    the benchmark revision (item 1) resizes that probe.
     """
     n, mask = layout.n, layout.mask
     other = "x" if kind == "z" else "z"
@@ -395,51 +384,24 @@ def _trace(
     welded = _typed_rows(gens, kind)
     untouched1 = welded[: len(welded) - len(untouched2) - len(matched)]
     adopted1 = _typed_rows(gens1, other)
-    # (label, block, side, rows): each of these rows sits alone in its side's slot
-    carried = [
+    identity = PauliOperator._packed(n, 0, 0)
+    entries: list[TraceEntry] = []
+    row = {"x": 0, "z": 0}
+    # each of these rows sits alone in its side's slot
+    for label, block, side, rows in (
         ("adopted", other, 1, adopted1),
         ("adopted", other, 2, _typed_rows(gens, other)[len(adopted1):]),
         ("untouched", kind, 1, untouched1),
         ("untouched", kind, 2, untouched2),
-    ]
-    flat = [row for *_, rows in carried for row in rows]
-    for a, b in matched:
-        flat += (a ^ b ^ (a & mask), a, b, a & mask)
-    gf2._check_packed(flat, n)
-    dense = gf2._unpack(flat, n)
-    zero = np.zeros(n, dtype=np.uint8)
-    dense.flags.writeable = zero.flags.writeable = False
-
-    def pauli(x, z, x_bits, z_bits):  # the rows are checked and the views seeded
-        op = PauliOperator.__new__(PauliOperator)
-        op.__dict__.update(n=n, x=x, z=z, x_bits=x_bits, z_bits=z_bits)
-        return op
-
-    identity = pauli(0, 0, zero, zero)
-    rows_and_bits = zip(flat, dense)  # typed() takes the rows in this order
-
-    def typed(block):
-        row, bits = next(rows_and_bits)
-        return pauli(row, 0, bits, zero) if block == "x" else pauli(0, row, zero, bits)
-
-    def entry(label, block, row, op, part1, part2, shared_part):
-        made = TraceEntry.__new__(TraceEntry)
-        made.__dict__.update(
-            kind=label, block=block, row=row, op=op, part1=part1, part2=part2,
-            shared_part=shared_part,
-        )
-        return made
-
-    entries: list[TraceEntry] = []
-    row = {"x": 0, "z": 0}
-    for label, block, side, rows in carried:
-        for _ in rows:
-            op = typed(block)
+    ):
+        for r in rows:
+            op = _row_operator(n, block, r)
             parts = (op, identity) if side == 1 else (identity, op)
-            entries.append(entry(label, block, row[block], op, *parts, identity))
+            entries.append(TraceEntry(label, block, row[block], op, *parts, identity))
             row[block] += 1
-    for _ in matched:
-        entries.append(entry("welded", kind, row[kind], *(typed(kind) for _ in range(4))))
+    for a, b in matched:
+        ops = [_row_operator(n, kind, r) for r in (a ^ b ^ (a & mask), a, b, a & mask)]
+        entries.append(TraceEntry("welded", kind, row[kind], *ops))
         row[kind] += 1
     return WeldTrace(kind, layout, tuple(entries))
 

@@ -419,6 +419,13 @@ def test_text_round_trip():
     assert again.logicals[0].z_rep == code.logicals[0].z_rep
 
 
+def test_a_code_on_no_qubits_round_trips():
+    code = CssCode(GeneratingSet._packed(0, [0], []))
+    assert to_text(code) == "n=0 k=0\nX: n=0\n"
+    for again in (from_text(to_text(code)), loads(dumps(code, "json"))):
+        assert (again.n, again.gens.x_packed, again.gens.z_packed) == (0, (0,), ())
+
+
 def test_json_round_trip():
     code = build_repetition(4)
     data = to_json_dict(code)

@@ -3,8 +3,9 @@
 Dense 0/1 arrays stay at the library's edge.  Only pauli.py may read an
 operator's dense x_bits/z_bits views, and outside gf2.py a module may
 call gf2's dense edge helpers only where EDGE allows it; builders.py
-does not import numpy at all.  The check parses the sources, so it
-needs no import hook and sees code that no test happens to run.
+and welding.py do not import numpy at all.  The check parses the
+sources, so it needs no import hook and sees code that no test happens
+to run.
 """
 
 import ast
@@ -25,15 +26,13 @@ DENSE = {
 # in a module.  The public dense functions run nowhere else.
 EDGE = {name: frozenset() for name in DENSE} | {
     "_pack": frozenset(),
+    "_unpack": frozenset(),
     # the two array constructors pack their 0/1 input once
     "_packed_block": frozenset({"css.py:GeneratingSet.__init__", "pauli.py:PauliOperator.__init__"}),
     # the read-only x_rows/z_rows and x_bits/z_bits views
     "_view": frozenset({"css.py", "pauli.py"}),
-    # _trace seeds the weld trace's views for the benchmark's weld probe;
-    # this goes once the trace holds row indices (ROADMAP item 2)
-    "_unpack": frozenset({"welding.py:_trace"}),
 }
-NO_NUMPY = {"builders.py"}
+NO_NUMPY = {"builders.py", "welding.py"}
 
 
 def _scoped(tree):
@@ -93,31 +92,26 @@ def test_the_check_sees_both_kinds_of_conversion():
         "def _trace(op, m):\n"
         "    return gf2._pack(m), gf2._unpack(m, 3), gf2._view(m, 3), op.x_bits\n"
     )
-    assert conversions("css.py", source) == [
+    used = set()
+    assert conversions("css.py", source, used) == [
         "css.py:2 imports gf2.as_matrix",
         "css.py:8 reads .x_bits",
         "css.py:8 uses gf2._pack",
         "css.py:8 uses gf2._unpack",
     ]
-    assert conversions("builders.py", source) == [
-        "builders.py:2 imports gf2.as_matrix",
-        "builders.py:3 imports numpy",
-        "builders.py:6 uses gf2._packed_block",
-        "builders.py:8 reads .x_bits",
-        "builders.py:8 uses gf2._pack",
-        "builders.py:8 uses gf2._unpack",
-        "builders.py:8 uses gf2._view",
-    ]
+    assert used == {("_packed_block", "css.py:GeneratingSet.__init__"), ("_view", "css.py")}
+    for module in ("builders.py", "welding.py"):
+        assert conversions(module, source) == [
+            f"{module}:2 imports gf2.as_matrix",
+            f"{module}:3 imports numpy",
+            f"{module}:6 uses gf2._packed_block",
+            f"{module}:8 reads .x_bits",
+            f"{module}:8 uses gf2._pack",
+            f"{module}:8 uses gf2._unpack",
+            f"{module}:8 uses gf2._view",
+        ]
     # _packed_block is allowed in PauliOperator's constructor, not in any other
     assert "pauli.py:6 uses gf2._packed_block" in conversions("pauli.py", source)
-    used = set()
-    assert conversions("welding.py", source.replace("gf2._pack(m), ", ""), used) == [
-        "welding.py:2 imports gf2.as_matrix",
-        "welding.py:6 uses gf2._packed_block",
-        "welding.py:8 reads .x_bits",
-        "welding.py:8 uses gf2._view",
-    ]
-    assert used == {("_unpack", "welding.py:_trace")}
     assert conversions("gf2.py", source) == ["gf2.py:8 reads .x_bits"]
 
 

@@ -89,6 +89,8 @@ def test_format_style_override():
 
 
 def test_parse_rejects_garbage():
+    with pytest.raises(ValidationError, match="empty operator text"):
+        parse_operator("")
     with pytest.raises(ValidationError):
         parse_operator("XQX")
     with pytest.raises(ValidationError):
@@ -263,7 +265,9 @@ def test_operations_match_a_dense_reference(n):
         assert format_operator(p, style="dense") == dense
         sparse = _sparse_reference(n, px, pz)
         assert format_operator(p, style="sparse") == sparse
-        assert format_operator(p) == (dense if n <= DENSE_LIMIT else sparse)
+        # n=0 renders sparse, as "n=0": its dense string would be empty
+        assert format_operator(p) == (dense if 0 < n <= DENSE_LIMIT else sparse)
+        assert parse_operator(format_operator(p)) == p
         assert parse_operator(sparse) == p
         if n:
             assert parse_operator(dense) == p

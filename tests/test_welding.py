@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -347,6 +349,20 @@ def test_trace_views_match_the_packed_rows_and_are_read_only():
                 for view in (op.x_bits, op.z_bits):
                     with pytest.raises(ValueError):
                         view[0] = 1 - view[0]
+
+
+def test_weld_outputs_copy_with_their_trace():
+    rng = np.random.default_rng(28)
+    for merged in [golden_weld()] + [weld(*random_weld_case(rng)) for _ in range(20)]:
+        for clone in (pickle.loads(pickle.dumps(merged)), copy.deepcopy(merged)):
+            assert clone.weld_trace == merged.weld_trace
+            assert (clone.gens.x_packed, clone.gens.z_packed) == (
+                merged.gens.x_packed,
+                merged.gens.z_packed,
+            )
+            for e in clone.weld_trace.entries:
+                for op in (e.op, e.part1, e.part2, e.shared_part):
+                    assert not (op.x_bits.flags.writeable or op.z_bits.flags.writeable)
 
 
 def test_weld_and_oracle_validate_each_input_code_once(monkeypatch):
