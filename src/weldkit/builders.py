@@ -25,7 +25,6 @@ from .css import (
     CssCode,
     GeneratingSet,
     LogicalClass,
-    _odd_overlap,
     fold_logical,
     permute_qubits,
     promote_to_logical,
@@ -956,9 +955,11 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
 
     The Z strings of all pieces merge into one welded string, promoted
     against the membrane of the first piece.  The faces the re-picked
-    layers dropped are added back after a check that each commutes with
-    every X row, which for this k=0 assembly means it is in the group;
-    neither that check nor the promotion eliminates a generator block.
+    layers dropped are added back with no check of their own: the
+    assembly encodes k=0, so its Z block is the full commutant of its X
+    block, and a face is in the group exactly when it commutes with every
+    X row, which the promotion's class check and the closing validate
+    test.  Neither eliminates a generator block.
     Flat-X regions are the solids with the boundary layers between them;
     flat-Z sheets continue straight through the welds, so their grid
     keeps the single-solid shape whatever the graph looks like.
@@ -988,11 +989,6 @@ def build_welded_solid(graph: WeldGraph, spec: SolidSpec) -> CssCode:
     code = asm.code
     phantoms = _phantom_welded_faces(graph, asm, lay)
     if phantoms:
-        # the assembly is a k=0 weld output, so its Z block is the full
-        # commutant of its X block: a face is in the group exactly when
-        # it overlaps every X row on an even count
-        if _odd_overlap(code.gens.columns("x"), phantoms) is not None:
-            raise AssertionError("reconstructed plaquette left the group")
         z_rows = code.gens.z_packed + tuple(phantoms)
         code = CssCode(GeneratingSet._packed(code.n, code.gens.x_packed, z_rows))
 

@@ -155,34 +155,24 @@ def validate(gens: GeneratingSet | CssCode) -> CssViolation | None:
     code = gens if isinstance(gens, CssCode) else None
     if code is not None:
         gens = code.gens
-    found = _odd_overlap(gens.columns("z"), gens.x_packed)
-    if found is not None:
-        i, hits = found
-        j = (hits & -hits).bit_length() - 1
-        return CssViolation(
-            f"x generator {i} anticommutes with z generator {j}", x_index=i, z_index=j
-        )
-    if code is None:
-        return None
-    return _logical_violation(gens, code.logicals)
-
-
-def _odd_overlap(columns, rows):
-    """(i, hits) for the first of the packed rows that overlaps the block oddly, or None.
-
-    columns is a block's GeneratingSet.columns: columns[q] marks the block
-    rows touching qubit q, so XOR-ing them over row i's support leaves
-    hits, the block rows that overlap row i on an odd count.
-    """
-    for i, row in enumerate(rows):
+    # columns[q] marks the z rows touching qubit q, so XOR-ing them over an
+    # x row's support leaves the z rows it overlaps on an odd count; the
+    # transpose serves this one pass, so it is not cached on gens
+    columns = gf2._transpose(gens.z_packed, gens.n)
+    for i, row in enumerate(gens.x_packed):
         hits = 0
         while row:
             low = row & -row
             hits ^= columns[low.bit_length() - 1]
             row ^= low
         if hits:
-            return i, hits
-    return None
+            j = (hits & -hits).bit_length() - 1
+            return CssViolation(
+                f"x generator {i} anticommutes with z generator {j}", x_index=i, z_index=j
+            )
+    if code is None:
+        return None
+    return _logical_violation(gens, code.logicals)
 
 
 def _logical_violation(gens: GeneratingSet, logicals) -> CssViolation | None:

@@ -213,7 +213,10 @@ def _require_seam(sides, mask: int, kind: str, n: int):
                 )
     for side, (rows, touching, _) in enumerate(sides, start=1):
         hits = [rows[i] for i in touching]
-        if len(gf2._echelon([row & mask for row in hits])) == len(gf2._echelon(hits)):
+        # rank(restrictions) <= rank(hits) <= len(hits), so a full
+        # restriction rank settles it without the wide rows
+        rank = len(gf2._echelon([row & mask for row in hits]))
+        if rank == len(hits) or rank == len(gf2._echelon(hits)):
             continue
         chosen = gf2._vanishing_subset(hits, mask, n)
         product = functools.reduce(operator.xor, (hits[j] for j in chosen))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import weldkit.builders as builders
+from weldkit import gf2
 from weldkit.builders import (
     FlatRegionGraph,
     QubitPatch,
@@ -106,22 +107,52 @@ def test_welded_assemblies_encode_one_qubit():
         assert encoded_qubits(solid) == 1
 
 
-def test_phantom_face_outside_the_group_is_caught(monkeypatch):
-    import weldkit.builders as builders
+def _build_with_stray_face(monkeypatch, on_membrane: bool):
+    """build_welded_solid(path(3), SolidSpec(2, 2, 2)) with a lone Z added to its faces.
 
+    The lone Z sits on a qubit of the first piece's top layer, which the
+    promoted membrane covers, or on a qubit off that layer.  A lone Z
+    anticommutes with the X generators on its qubit, so no product of Z
+    generators can equal it.
+    """
     real = builders._phantom_welded_faces
 
     def with_stray_face(graph, asm, lay):
         faces = real(graph, asm, lay)
         assert faces
-        # a lone Z anticommutes with the X generators on its qubit, so no
-        # product of Z generators can equal it
-        stray = 1 << int(np.nonzero(asm.code.x_rows[0])[0][0])
-        return faces[:1] + [stray] + faces[1:]
+        embed = asm.piece_embeddings[0][1]
+        membrane = {embed[q] for q in lay.layer(0)}
+        q = min(membrane if on_membrane else set(range(asm.code.n)) - membrane)
+        return faces[:1] + [1 << q] + faces[1:]
 
     monkeypatch.setattr(builders, "_phantom_welded_faces", with_stray_face)
-    with pytest.raises(AssertionError, match="reconstructed plaquette left the group"):
-        build_welded_solid(path(3), SolidSpec(2, 2, 2))
+    build_welded_solid(path(3), SolidSpec(2, 2, 2))
+
+
+def test_phantom_face_outside_the_group_is_caught(monkeypatch):
+    # the membrane overlaps the stray face once, so the promotion refuses it
+    with pytest.raises(ValidationError, match="logical x rep of class 0 anticommutes"):
+        _build_with_stray_face(monkeypatch, on_membrane=True)
+
+
+def test_phantom_face_off_the_membrane_is_caught_by_validate(monkeypatch):
+    with pytest.raises(ValidationError, match=r"x generator \d+ anticommutes with z generator"):
+        _build_with_stray_face(monkeypatch, on_membrane=False)
+
+
+def test_welded_solid_checks_its_group_with_one_transpose(monkeypatch):
+    widths = []
+    real = gf2._transpose
+
+    def counting(rows, width):
+        widths.append(width)
+        return real(rows, width)
+
+    monkeypatch.setattr(gf2, "_transpose", counting)
+    code = build_welded_solid(cubic(2, 2, 2), SolidSpec(2, 2, 2))
+    assert widths.count(code.n) == 1
+    assert "_x_columns" not in code.gens.__dict__
+    assert "_z_columns" not in code.gens.__dict__
 
 
 def test_smooth_welding_also_encodes_one_qubit():
@@ -375,8 +406,9 @@ def packed_digest(code) -> str:
     return h.hexdigest()[:16]
 
 
-# Larger welded solids than the pins above: the sweep's largest cell, and
-# a cubic assembly of 4x4x4 solids (n = 9,855).
+# Larger welded solids than the pins above: the sweep's largest cell, a
+# cubic assembly of 4x4x4 solids (n = 9,855), and 540 welds through one
+# merged string (n = 3,024).
 @pytest.mark.parametrize(
     "build, n, digest",
     [
@@ -386,8 +418,13 @@ def packed_digest(code) -> str:
             9855,
             "f99042412c23b14a",
         ),
+        (
+            lambda: build_welded_solid(cubic(6, 6, 6), SolidSpec(1, 1, 2)),
+            3024,
+            "f0b69e8f6b474beb",
+        ),
     ],
-    ids=["solid-grid4x4-3x3x2", "solid-cubic3-4x4x4"],
+    ids=["solid-grid4x4-3x3x2", "solid-cubic3-4x4x4", "solid-cubic6-1x1x2"],
 )
 def test_large_welded_builds_are_pinned(build, n, digest):
     code = build()

@@ -18,6 +18,7 @@ from weldkit.builders import (
     build_two_qubit,
     build_welded_solid,
     build_welded_surface,
+    cubic,
     path,
     star,
     surface_welding_chain,
@@ -456,6 +457,30 @@ def test_welded_builds_validate_each_generating_set_once(monkeypatch, build):
     build()
     assert len(seen) > 1
     assert len({id(gens) for gens in seen}) == len(seen)
+
+
+def test_graph_welds_check_independence_on_the_restrictions_alone(monkeypatch):
+    # a full restriction rank settles independence, so no seam check of a
+    # graph build echelons the merged string or any row past its seam
+    masks, ranked = [], []
+    seam, echelon = welding._require_seam, gf2._echelon
+
+    def recording_seam(sides, mask, kind, n):
+        masks.append(mask)
+        try:
+            return seam(sides, mask, kind, n)
+        finally:
+            masks.pop()
+
+    def recording_echelon(rows):
+        if masks:
+            ranked.append(all(row & ~masks[-1] == 0 for row in rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(welding, "_require_seam", recording_seam)
+    monkeypatch.setattr(gf2, "_echelon", recording_echelon)
+    build_welded_solid(cubic(3, 3, 3), SolidSpec(1, 1, 2))
+    assert ranked and all(ranked)
 
 
 def test_unmatched_generator_is_rejected_with_witness():
