@@ -47,6 +47,7 @@ from .errors import (
     FeasibilityError,
     ValidationError,
     WeldkitError,
+    _integer,
 )
 from .pauli import format_operator
 from .verify import run_verification
@@ -258,13 +259,15 @@ def cmd_sweep(args) -> int:
     blank; the bounds always fill in, which is the point of having
     them.  A bound above a filled exact cell raises AssertionError.
     """
+    max_size = _integer(args.max_size, "max_size", 1)
+    max_pieces = _integer(args.max_pieces, "max_pieces", 1)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(
         ["d", "R", "n", "barrier_X", "barrier_Z", "bound_X", "bound_Z", "seconds"]
     )
-    for d in range(1, args.max_size + 1):
-        for pieces in range(1, args.max_pieces + 1):
+    for d in range(1, max_size + 1):
+        for pieces in range(1, max_pieces + 1):
             started = time.perf_counter()
             spec = SolidSpec(d, d, 2)
             if pieces == 1:

@@ -566,16 +566,11 @@ def tune_scaling(side_length=None, qubit_budget=None) -> ScalingPlan:
                 size -= 1
             while (size + 1) ** 3 <= room:
                 size += 1
-            if size >= 1:
-                candidates.append((size, pieces))
+            candidates.append((size, pieces))  # room >= 1, so size >= 1
             pieces += 1
     else:
         (length,) = _integers((side_length,), "side_length", 1)
-        for pieces in range(1, length + 1):
-            size = length // pieces
-            if size < 1:
-                break
-            candidates.append((size, pieces))
+        candidates = [(length // pieces, pieces) for pieces in range(1, length + 1)]
 
     def rating(cand):
         size, pieces = cand

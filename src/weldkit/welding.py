@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from . import gf2
 from .css import CssCode, GeneratingSet, _row_operator, encoded_qubits, validate_or_raise
-from .errors import MetadataError, ValidationError, WeldError, _integers, _kind
-from .pauli import PauliOperator, commutes, format_operator
+from .errors import ValidationError, WeldError, _integers, _kind
+from .pauli import PauliOperator, format_operator
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ class WeldLayout:
 
     Code-1 qubits keep their indices and unshared code-2 qubits are
     appended in code-2 order, so layouts are deterministic and
-    round-trippable.  The two embeddings agree exactly on the
-    identified pairs; code 1's is the identity, so it is derived.
+    round-trippable.  Code 1's embedding is the identity, so only code
+    2's is stored; the two agree exactly on the identified pairs.
     """
 
     n: int
@@ -104,21 +104,9 @@ class WeldLayout:
     shared: tuple[int, ...]
 
     @property
-    def embed1(self) -> tuple[int, ...]:
-        return tuple(range(self.n - len(self.embed2) + len(self.shared)))
-
-    @property
     def mask(self) -> int:
         """The shared qubits as an int row, bit q = qubit q."""
         return sum(1 << q for q in self.shared)  # the qubits are distinct
-
-    def embed_operator(self, op: PauliOperator, side: int) -> PauliOperator:
-        if side not in (1, 2):
-            raise ValidationError(f"side must be 1 or 2, got {side!r}")
-        emb = self.embed1 if side == 1 else self.embed2
-        if op.n != len(emb):
-            raise ValidationError(f"operator acts on {op.n} qubits, side {side} has {len(emb)}")
-        return PauliOperator._packed(self.n, *gf2._relabel((op.x, op.z), emb))
 
 
 def _layout(n1: int, n2: int, ident) -> WeldLayout:
@@ -361,16 +349,11 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class WeldTrace:
+    """What weld attached to its output: the layout and one entry per output row."""
+
     weld_type: str
     layout: WeldLayout
     entries: tuple[TraceEntry, ...]
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
-    def welded(self) -> tuple[TraceEntry, ...]:
-        return tuple(e for e in self.entries if e.kind == "welded")
 
 
 def _trace(
@@ -488,47 +471,3 @@ def weld_oracle(code1: CssCode, code2: CssCode, ident, weld_type: str) -> CssCod
         z_rows = set1.z_packed + set2.z_packed
         gens = GeneratingSet._packed(layout.n, gf2._kernel(z_rows, layout.n), z_rows)
     return CssCode(gens)
-
-
-def welded_operator_trace(code: CssCode) -> WeldTrace:
-    """The decomposition record weld attached to its output, or an error."""
-    trace = code.weld_trace
-    if not isinstance(trace, WeldTrace):
-        raise MetadataError("this code is not a direct weld output, so no trace is attached")
-    return trace
-
-
-def trace_successor(trace: WeldTrace, side: int, op: PauliOperator) -> PauliOperator:
-    """The output generator that absorbed a given pre-weld generator.
-
-    op lives on the original register of the named side; it is embedded
-    through the layout and looked up among the trace entries.
-    """
-    embedded = trace.layout.embed_operator(op, side)
-    if embedded.is_identity:
-        # the other side's entries keep the identity in this slot
-        raise ValidationError("operator is not a tracked generator of that side")
-    for entry in trace.entries:
-        if (entry.part1 if side == 1 else entry.part2) == embedded:
-            return entry.op
-    raise ValidationError("operator is not a tracked generator of that side")
-
-
-def anticommuting_entries(code_or_trace, probe: PauliOperator) -> tuple[int, ...]:
-    """Indices of trace entries whose generator anticommutes with probe.
-
-    The interesting case: a probe that anticommuted with exactly one
-    pre-weld generator and commuted with everything else anticommutes
-    with exactly the output generator that absorbed it.
-    """
-    if isinstance(code_or_trace, WeldTrace):
-        trace = code_or_trace
-    else:
-        trace = welded_operator_trace(code_or_trace)
-    if probe.n != trace.n:
-        raise ValidationError(
-            f"probe acts on {probe.n} qubits, but the welded code has {trace.n}"
-        )
-    return tuple(
-        i for i, entry in enumerate(trace.entries) if not commutes(entry.op, probe)
-    )

@@ -291,6 +291,17 @@ def test_a_state_cap_below_one_is_a_usage_error(verb, cap, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "option, name, value",
+    [("--max-size", "max_size", "0"), ("--max-pieces", "max_pieces", "-2")],
+)
+def test_a_sweep_bound_below_one_is_a_usage_error(option, name, value, capsys):
+    assert main(["sweep", option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must be at least 1, got {value}\n"
+    assert captured.out == ""
+
+
 def test_verify_rejects_negative_rounds(capsys):
     assert main(["verify", "--rounds", "-1"]) == 1
     captured = capsys.readouterr()

@@ -242,7 +242,7 @@ def test_operations_match_a_dense_reference(n):
         assert p.x_bits.tolist() == px.tolist() and p.z_bits.tolist() == pz.tolist()
 
         prod = multiply(p, q)
-        assert prod == PauliOperator(n, px ^ qx, pz ^ qz)
+        assert prod == PauliOperator(n, px ^ qx, pz ^ qz) == p * q
         overlap = int(np.sum(px & qz) + np.sum(pz & qx)) % 2
         assert symplectic(p, q) == overlap
         assert commutes(p, q) == (overlap == 0)
@@ -268,6 +268,7 @@ def test_operations_match_a_dense_reference(n):
         # n=0 renders sparse, as "n=0": its dense string would be empty
         assert format_operator(p) == (dense if 0 < n <= DENSE_LIMIT else sparse)
         assert parse_operator(format_operator(p)) == p
+        assert repr(p) == f"PauliOperator({format_operator(p)!r})"
         assert parse_operator(sparse) == p
         if n:
             assert parse_operator(dense) == p

@@ -31,19 +31,16 @@ from weldkit.css import (
     permute_qubits,
     validate,
 )
-from weldkit.errors import MetadataError, ValidationError, WeldError
-from weldkit.pauli import PauliOperator, format_operator, multiply, parse_operator
+from weldkit.errors import ValidationError, WeldError
+from weldkit.pauli import PauliOperator, commutes, format_operator, multiply, parse_operator
 from weldkit.verify import _spoiled_cases, random_weld_case, run_verification
 from weldkit.welding import (
     QubitIdentification,
     WeldTrace,
-    anticommuting_entries,
     contract,
     parse_identification,
-    trace_successor,
     weld,
     weld_oracle,
-    welded_operator_trace,
 )
 
 
@@ -148,37 +145,17 @@ def test_golden_weld_produces_three_qubit_group():
 
 
 def test_golden_weld_trace_decomposition():
-    trace = welded_operator_trace(golden_weld())
+    trace = golden_weld().weld_trace
     assert sorted(e.kind for e in trace.entries) == ["adopted", "adopted", "welded"]
     for entry in trace.entries:
         product = multiply(multiply(entry.part1, entry.part2), entry.shared_part)
         assert entry.op == product
 
-    merged_row = trace.welded()[0]
+    [merged_row] = [e for e in trace.entries if e.kind == "welded"]
     assert merged_row.op == parse_operator("ZZZ")
     assert merged_row.part1 == parse_operator("ZZI")
     assert merged_row.part2 == parse_operator("IZZ")
     assert merged_row.shared_part == PauliOperator.from_support(3, z=(1,))
-
-
-def test_trace_successor_finds_absorbing_generator():
-    trace = welded_operator_trace(golden_weld())
-    zz = parse_operator("ZZ")
-    assert trace_successor(trace, 1, zz) == parse_operator("ZZZ")
-    assert trace_successor(trace, 2, zz) == parse_operator("ZZZ")
-    assert trace_successor(trace, 1, parse_operator("XX")) == parse_operator("XXI")
-    with pytest.raises(ValidationError):
-        trace_successor(trace, 1, parse_operator("ZI"))
-    # side-2 entries keep the identity in their side-1 slot
-    for side in (1, 2):
-        with pytest.raises(ValidationError, match="not a tracked generator"):
-            trace_successor(trace, side, PauliOperator.identity(2))
-
-
-def test_trace_successor_rejects_an_operator_on_the_wrong_register():
-    trace = welded_operator_trace(golden_weld())
-    with pytest.raises(ValidationError, match="3 qubits.*side 1 has 2"):
-        trace_successor(trace, 1, parse_operator("ZZZ"))
 
 
 def test_repeated_weld_row_pairs_with_the_first_partner():
@@ -186,27 +163,17 @@ def test_repeated_weld_row_pairs_with_the_first_partner():
     doubled = CssCode(GeneratingSet(2, base.x_rows, [[1, 1], [1, 1]]))
     merged = weld(doubled, base, [(1, 0)], "z")
     assert groups_equal(merged, weld_oracle(doubled, base, [(1, 0)], "z"))
-    welded = [entry.op for entry in welded_operator_trace(merged).welded()]
+    welded = [e.op for e in merged.weld_trace.entries if e.kind == "welded"]
     assert welded == [parse_operator("ZZZ")]
 
 
 def test_anticommuting_entries_single_out_the_weld():
+    # a probe that anticommutes with one pre-weld generator (code 1's ZZ)
+    # and commutes with the rest meets only the generator that absorbed it
     merged = golden_weld()
     probe = PauliOperator.from_support(3, x=(0,))
-    hits = anticommuting_entries(merged, probe)
-    trace = welded_operator_trace(merged)
-    assert len(hits) == 1
-    assert trace.entries[hits[0]].kind == "welded"
-
-
-def test_anticommuting_entries_rejects_a_probe_on_the_wrong_register():
-    with pytest.raises(ValidationError, match="2 qubits.*has 3"):
-        anticommuting_entries(golden_weld(), parse_operator("XI"))
-
-
-def test_trace_requires_a_welded_code():
-    with pytest.raises(MetadataError):
-        welded_operator_trace(build_two_qubit())
+    hits = [e.kind for e in merged.weld_trace.entries if not commutes(e.op, probe)]
+    assert hits == ["welded"]
 
 
 def test_only_a_direct_weld_output_carries_a_trace():
@@ -224,8 +191,6 @@ def test_only_a_direct_weld_output_carries_a_trace():
     ]
     for code in rewritten:
         assert code.weld_trace is None
-        with pytest.raises(MetadataError):
-            welded_operator_trace(code)
 
 
 def test_weld_matches_kernel_oracle_on_random_cases():
@@ -314,7 +279,7 @@ def test_weld_reproduces_the_reference_pairing():
             got = [
                 (e.kind, e.block, e.row)
                 + tuple(op_bytes(op) for op in (e.op, e.part1, e.part2, e.shared_part))
-                for e in welded_operator_trace(merged).entries
+                for e in merged.weld_trace.entries
             ]
             assert got == want
             for block, rows in (("x", merged.x_rows), ("z", merged.z_rows)):
@@ -329,8 +294,8 @@ def test_weld_trace_entries_are_pinned_by_digest():
     digest = hashlib.sha256()
     for i in range(300):
         code1, code2, ident, kind = random_weld_case(rng, max_side=12 if i < 150 else 24)
-        trace = welded_operator_trace(weld(code1, code2, ident, kind))
-        digest.update(f"{trace.n}|".encode())
+        trace = weld(code1, code2, ident, kind).weld_trace
+        digest.update(f"{trace.layout.n}|".encode())
         for e in trace.entries:
             digest.update(f"{e.kind},{e.block},{e.row};".encode())
             for op in (e.op, e.part1, e.part2, e.shared_part):
@@ -343,7 +308,7 @@ def test_weld_trace_entries_are_pinned_by_digest():
 def test_trace_views_match_the_packed_rows_and_are_read_only():
     rng = np.random.default_rng(16)
     for _ in range(40):
-        trace = welded_operator_trace(weld(*random_weld_case(rng)))
+        trace = weld(*random_weld_case(rng)).weld_trace
         for e in trace.entries:
             for op in (e.op, e.part1, e.part2, e.shared_part):
                 assert PauliOperator(op.n, op.x_bits, op.z_bits) == op
@@ -425,13 +390,14 @@ def test_weld_is_symmetric_up_to_relabeling():
         backward = weld(code2, code1, pairing.swapped(), weld_type)
         assert forward.n == backward.n
 
-        lay_f = welded_operator_trace(forward).layout
-        lay_b = welded_operator_trace(backward).layout
+        lay_f = forward.weld_trace.layout
+        lay_b = backward.weld_trace.layout
+        # code 1 keeps its qubit indices on either layout
         perm = [0] * forward.n
         for i, q in enumerate(lay_b.embed2):
-            perm[q] = lay_f.embed1[i]
-        for j, q in enumerate(lay_b.embed1):
-            perm[q] = lay_f.embed2[j]
+            perm[q] = i
+        for j in range(code2.n):
+            perm[j] = lay_f.embed2[j]
         assert groups_equal(permute_qubits(backward, perm), forward)
 
 
@@ -539,21 +505,10 @@ def test_weld_type_is_checked():
 
 def test_contract_layout_and_embeddings():
     layout, set1, set2 = contract(build_two_qubit(), build_two_qubit(), [(1, 0)])
-    assert (layout.n, layout.embed1, layout.embed2) == (3, (0, 1), (1, 2))
+    assert (layout.n, layout.embed2) == (3, (1, 2))
     assert layout.shared == (1,)
     assert set1.z_rows.tolist() == [[1, 1, 0]]
     assert set2.z_rows.tolist() == [[0, 1, 1]]
-    op = layout.embed_operator(parse_operator("XZ"), 2)
-    assert op == parse_operator("IXZ")
-
-
-def test_embed_operator_checks_the_width():
-    layout, _, _ = contract(build_two_qubit(), build_two_qubit(), [(1, 0)])
-    for side in (1, 2):
-        with pytest.raises(ValidationError, match="3 qubits, side .* has 2"):
-            layout.embed_operator(parse_operator("XZI"), side)
-    with pytest.raises(ValidationError, match="side must be 1 or 2"):
-        layout.embed_operator(parse_operator("XZ"), 3)
 
 
 def test_contract_range_checks():
@@ -580,6 +535,7 @@ def test_identification_accepts_numpy_integers():
 def test_parse_identification_accepts_comments_and_blanks():
     ident = parse_identification("0 3\n# full line comment\n2 1  # trailing\n\n")
     assert ident.pairs == ((0, 3), (2, 1))
+    assert len(ident) == 2
 
 
 def test_parse_identification_rejects_malformed():
