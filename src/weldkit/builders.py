@@ -796,7 +796,7 @@ def _weld_along_graph(
 
 def _lift(asm: _Assembly, support) -> set[int]:
     """The qubits a per-piece support covers, over every piece of asm."""
-    return {int(embed[q]) for _, embed in asm.piece_embeddings for q in support}
+    return {embed[q] for _, embed in asm.piece_embeddings for q in support}
 
 
 def _weld_strips(lay: _Lattice, piece: CssCode) -> CssCode:
@@ -891,9 +891,9 @@ def build_welded_surface(
     # share their corners).
     split_kind = "x" if weld_type == "z" else "z"
     meta = {split_kind: _piece_region_graph(graph, asm, split_kind, "piece")}
-    if btype == "rough" or spec.height >= 2:
-        # A smooth assembly of one-row pieces has a single rough side,
-        # which leaves the welded particle type nothing to move between.
+    if spec.height >= 2:
+        # Rough pieces have height >= 2.  One-row smooth pieces have a single
+        # rough side, which leaves the welded particle type nothing to move between.
         meta[weld_type] = _one_region(
             weld_type,
             code.n,

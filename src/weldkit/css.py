@@ -71,11 +71,8 @@ class GeneratingSet:
         return gf2._view(self.z_packed, self.n)
 
     def columns(self, kind: str) -> tuple[int, ...]:
-        """Per-qubit masks of one block, cached: bit i of entry q is bit q of row i."""
-        key = f"_{_kind(kind)}_columns"
-        if key not in self.__dict__:
-            self.__dict__[key] = tuple(gf2._transpose(getattr(self, f"{kind}_packed"), self.n))
-        return self.__dict__[key]
+        """Per-qubit masks of one block: bit i of entry q is bit q of row i."""
+        return tuple(gf2._transpose(getattr(self, f"{_kind(kind)}_packed"), self.n))
 
     def x_ops(self) -> list[PauliOperator]:
         return [_row_operator(self.n, "x", row) for row in self.x_packed]

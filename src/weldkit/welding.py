@@ -225,18 +225,18 @@ class _Indexed:
 
     other holds the rows of the type opposite kind, in order.  rows maps
     a handle to each kind-type row, in block order: a dict keeps that
-    order when rows are deleted and appended.  For each qubit in the mask
-    indexed, index lists the handles of the kind-type rows that touch it,
-    so a weld finds the rows at its seam without a scan of the block.  A
-    row only ever gains qubits and handles (drawn from handles) are not
-    reused, so an entry is stale exactly when its handle has left rows.
+    order when rows are deleted and appended.  A graph weld's assembly
+    indexes its boundary qubits: for each, index lists the handles of the
+    kind-type rows that touch it, so a later weld finds the rows at its
+    seam without a scan of the block.  A row only ever gains qubits and
+    handles (drawn from handles) are not reused, so an entry is stale
+    exactly when its handle has left rows.
     """
 
     kind: str
     n: int
     other: list
     rows: dict
-    indexed: int
     index: defaultdict
     handles: Iterator[int]
 
@@ -246,7 +246,7 @@ class _Indexed:
         rows = _typed_rows(gens, kind)
         other = list(_typed_rows(gens, "x" if kind == "z" else "z"))
         handles = itertools.count(len(rows))
-        return cls(kind, gens.n, other, dict(enumerate(rows)), 0, defaultdict(set), handles)
+        return cls(kind, gens.n, other, dict(enumerate(rows)), defaultdict(set), handles)
 
     def gens(self) -> GeneratingSet:
         rows = list(self.rows.values())
@@ -254,8 +254,7 @@ class _Indexed:
         return GeneratingSet._packed(self.n, x, z)
 
     def index_rows(self, rows, qubits: int):
-        """Index the (handle, row) pairs on the qubits of mask qubits, which become indexed."""
-        self.indexed |= qubits
+        """Index the (handle, row) pairs on the qubits of mask qubits."""
         index = self.index
         for handle, row in rows:
             hit = row & qubits
@@ -277,7 +276,8 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
     gens2's rows are relabelled, at a cost of their weight.
 
     Code 1's side of the seam is the rows asm's index lists at the shared
-    qubits, which one scan of the block indexes if they are not yet;
+    qubits when asm has an index, as a graph weld's assembly does, and
+    otherwise the rows that one scan of the block finds meeting the mask;
     boundary names the code-2 qubits a later weld may share, indexed on
     the output.  Both checks (_require_seam) read that side in any order,
     so only a failing one splits the whole block, for witnesses that name
@@ -293,10 +293,10 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
     """
     layout = _layout(asm.n, gens2.n, ident)
     n, mask, kind, embed, rows = layout.n, layout.mask, asm.kind, layout.embed2, asm.rows
-    unindexed = mask & ~asm.indexed
-    if unindexed:  # as on code 1 of a public weld: one scan of the block
-        asm.index_rows(rows.items(), unindexed)
-    at_seam = {h: rows[h] for q in layout.shared for h in asm.index.get(q, ()) if h in rows}
+    if asm.index:
+        at_seam = {h: rows[h] for q in layout.shared for h in asm.index.get(q, ()) if h in rows}
+    else:  # as on code 1 of a public weld: one scan of the block
+        at_seam = {h: row for h, row in rows.items() if row & mask}
     first1 = {row & mask: h for h, row in at_seam.items()}
     side2, untouched2 = _split(gf2._relabel(_typed_rows(gens2, kind), embed), mask)
     try:

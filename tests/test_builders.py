@@ -747,6 +747,38 @@ def test_region_graph_rejects_a_boundary_that_touches_no_region():
         FlatRegionGraph("x", 3, regions, boundaries, ((0, 1),))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WeldGraph((0, 1, 2), ((0, 1, 2),)), "edge (0, 1, 2) must have two endpoints"),
+        (
+            lambda: build_welded_solid(WeldGraph((0,), ()), SolidSpec(1, 1, 2)),
+            "weld graph has no edges, nothing to build",
+        ),
+        (
+            lambda: FlatRegionGraph(
+                "x", 2, (QubitPatch("r0", (0, 1)),), (QubitPatch("b0", (0,)),), ((0,), (0,))
+            ),
+            "incidence must list boundaries per region",
+        ),
+        (
+            lambda: build_welded_surface(path(2), "jagged", SurfaceSpec(2, 2)),
+            "boundary_type must be 'rough' or 'smooth'",
+        ),
+        (
+            lambda: build_welded_solid(path(2), SolidSpec(1, 1, 1)),
+            "welding needs dz >= 2 so the two rough layers are distinct",
+        ),
+    ],
+    ids=["edge-arity", "no-edges", "incidence-length", "boundary-type", "flat-solid"],
+)
+def test_malformed_builder_inputs_raise_validation_error(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("qubit", [1.7, 1.0, "3", None])
 def test_qubit_patches_take_integer_qubits_only(qubit):
     with pytest.raises(ValidationError, match="integers"):

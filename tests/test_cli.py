@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from weldkit import cli
+from weldkit import cli, verify
 from weldkit.builders import SolidSpec, build_repetition, build_solid, build_two_qubit
 from weldkit.cli import main
 from weldkit.css import CssCode, GeneratingSet, dumps, groups_equal, loads
+from weldkit.errors import ValidationError, WeldError
 
 
 FAMILY_NAMES = ("two-qubit", "repetition", "surface", "solid", "welded-surface", "welded-solid")
@@ -226,6 +227,48 @@ def test_verify_json_lists_every_check(capsys):
     assert main(["verify", "--rounds", "2", "--json"]) == 0
     checks = json.loads(capsys.readouterr().out)
     assert checks and all(set(c) == {"name", "ok", "detail"} and c["ok"] for c in checks)
+
+
+def test_verify_reports_each_failed_check_and_exits_1(monkeypatch, capsys):
+    # an oracle that disagrees from round 1 on, and a weld that lets the
+    # spoiled instances and the logical-carrying input through
+    real_oracle, real_weld = verify.weld_oracle, verify.weld
+    oracle_calls = []
+
+    def disagreeing_oracle(*args):
+        oracle_calls.append(args)
+        agreed = real_oracle(*args)
+        if len(oracle_calls) == 1:
+            return agreed
+        return CssCode(GeneratingSet._packed(agreed.n, (), ()))
+
+    def lenient_weld(code1, code2, ident, weld_type):
+        if code1 is code2:
+            raise ValidationError("not a weld check")
+        if code1.logicals:
+            return code1
+        try:
+            return real_weld(code1, code2, ident, weld_type)
+        except WeldError:
+            return code1
+
+    monkeypatch.setattr(verify, "weld_oracle", disagreeing_oracle)
+    monkeypatch.setattr(verify, "weld", lenient_weld)
+    report = verify.run_verification(rounds=3)
+    failed = {c.name: c.detail for c in report.checks if not c.ok}
+    assert failed == {
+        "weld matches oracle on 3 random instances": "round 1 disagreed",
+        "spoiled instance raises well_matched": "weld accepted it",
+        "spoiled instance raises weld_independence": "weld accepted it",
+        "spoiled instance raises self_weld": "wrong rejection: not a weld check",
+        "logical-carrying input rejected": "",
+    }
+    oracle_calls.clear()
+    assert main(["verify", "--rounds", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out == report.summary() + "\n"
+    assert "FAIL weld matches oracle on 3 random instances  (round 1 disagreed)\n" in out
+    assert "FAIL logical-carrying input rejected\n" in out
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,7 @@ from weldkit.css import (
 )
 from weldkit import gf2
 from weldkit.errors import FeasibilityError, ValidationError
-from weldkit.pauli import PauliOperator, multiply, parse_operator
+from weldkit.pauli import PauliOperator, multiply, parse_operator, weight
 
 
 def steane_like_block():
@@ -387,6 +387,11 @@ def test_distance_of_known_codes():
     assert (dx, dz) == (1, 3)
     surf = build_surface(SurfaceSpec(2, 2))
     assert distance(surf) == (3, 2)
+    # the coset search finds a lighter member than the stored representative
+    (logical,) = surf.logicals
+    heavy = multiply(logical.x_rep, PauliOperator._packed(surf.n, surf.gens.x_packed[0], 0))
+    assert weight(heavy) == 4
+    assert distance(replace(surf, logicals=(LogicalClass(heavy, logical.z_rep),))) == (3, 2)
     square = build_surface(SurfaceSpec(2, 3))
     assert square.n == 13
     assert distance(square) == (3, 3)
@@ -396,6 +401,32 @@ def test_distance_of_known_codes():
     for rank_cap, complaint in ((2.5, "an integer, got 2.5"), (0, "at least 1, got 0")):
         with pytest.raises(ValidationError, match=f"rank_cap must be {complaint}"):
             distance(square, rank_cap=rank_cap)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: syndrome(build_two_qubit(), PauliOperator.from_support(3, x=(0,))),
+            "error on 3 qubits, code has 2",
+        ),
+        (
+            lambda: anticommuting_partner(build_repetition(3), PauliOperator.identity(3)),
+            "representative must be pure and nontrivial",
+        ),
+        (lambda: distance(build_two_qubit()), "distance needs at least one promoted logical class"),
+        (
+            lambda: from_json_dict({"n": 2, "logical_x": ["XX"], "logical_z": []}),
+            "logical_x and logical_z lengths differ",
+        ),
+    ],
+    ids=["syndrome-register", "partner-identity", "distance-no-logicals", "json-logical-lengths"],
+)
+def test_malformed_code_queries_raise_validation_error(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == message
 
 
 def test_permute_qubits_preserves_structure():

@@ -134,6 +134,40 @@ def test_exact_barrier_input_checks():
         exact_barrier(code, charged, "z")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda code: exact_barrier(code, PauliOperator.from_support(4, z=(0, 1, 2)), "z"),
+            "operator is on 4 qubits, code has 3",
+        ),
+        (
+            lambda code: operator_barrier(code, PauliOperator.from_support(4, z=(0, 1, 2))),
+            "operator is on 4 qubits, code has 3",
+        ),
+        (
+            lambda code: operator_barrier(code, PauliOperator.from_support(3, x=(0,), z=(1,))),
+            "operator must be pure x-type or pure z-type",
+        ),
+    ],
+    ids=["exact-register", "operator-register", "operator-mixed"],
+)
+def test_barrier_operators_off_the_code_raise_validation_error(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call(build_repetition(3))
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == message
+
+
+def test_searches_leave_no_column_masks_on_the_code():
+    # each search transposes the blocks it reads for that call alone
+    code = build_repetition(3)
+    result = exact_barrier(code, code.logicals[0].z_rep, "z")
+    assert walk_barrier(code, result.witness) == result.barrier
+    assert "_x_columns" not in code.gens.__dict__
+    assert "_z_columns" not in code.gens.__dict__
+
+
 def test_feasibility_cap_is_enforced():
     code = build_solid(SolidSpec(1, 1, 2))
     with pytest.raises(FeasibilityError) as exc:

@@ -99,6 +99,22 @@ def test_parse_rejects_garbage():
         parse_operator("n=x; X:0")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: format_operator(PauliOperator.identity(2), "fancy"), "unknown style 'fancy'"),
+        (lambda: parse_operator("n=3; X:0", 4), "operator declares n=3, expected 4"),
+        (lambda: parse_operator("X:0; Z:1"), "sparse operator needs an n= field"),
+    ],
+    ids=["format-style", "sparse-n-mismatch", "sparse-no-n"],
+)
+def test_malformed_renderings_raise_validation_error(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == message
+
+
 def test_operations_across_registers_raise_validation_error():
     a, b = parse_operator("XZ"), parse_operator("XZI")
     for op in (multiply, symplectic, commutes):

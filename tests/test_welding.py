@@ -250,6 +250,24 @@ def test_trace_free_weld_returns_welds_rows_and_layout():
         assert layout == merged.weld_trace.layout
 
 
+def test_single_welds_scan_their_seam_without_an_index(monkeypatch):
+    # only a graph weld's assembly indexes rows, at its boundary qubits;
+    # a single weld finds code 1's seam in one scan of its block
+    indexed = []
+    index_rows = welding._Indexed.index_rows
+
+    def counting(self, *args):
+        indexed.append(args)
+        return index_rows(self, *args)
+
+    monkeypatch.setattr(welding._Indexed, "index_rows", counting)
+    code1, code2, ident, kind = random_weld_case(np.random.default_rng(5), max_side=24)
+    assert ident
+    weld(code1, code2, ident, kind)
+    welding._weld_gens(code1, code2, ident, kind)
+    assert indexed == []
+
+
 def test_verify_rounds_build_no_trace(monkeypatch):
     traced = []
 
