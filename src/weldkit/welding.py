@@ -275,12 +275,13 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
     keeps code-1 qubits and appends code 2's unshared ones, so only
     gens2's rows are relabelled, at a cost of their weight.
 
-    Code 1's side of the seam is the rows asm's index lists at the shared
-    qubits when asm has an index, as a graph weld's assembly does, and
-    otherwise the rows that one scan of the block finds meeting the mask;
-    boundary names the code-2 qubits a later weld may share, indexed on
-    the output.  Both checks (_require_seam) read that side in any order,
-    so only a failing one splits the whole block, for witnesses that name
+    Code 1's side of the seam is the rows that one scan of the block finds
+    meeting the mask, or, once asm has an index (a graph weld's assembly),
+    the rows it lists at the shared qubits.  The index finds them all only
+    if each shared qubit was in boundary, the code-2 qubits a later weld
+    may share, on an earlier weld onto asm, as _weld_along_graph's vertex
+    ends are.  Both checks (_require_seam) read that side in any order, so
+    only a failing one splits the whole block, for witnesses that name
     rows by their position in it.  A welded row a | (b & ~mask) keeps a's
     handle and moves to the end of the block, so a's index entries stay
     valid and only b's bits on boundary qubits are indexed.
