@@ -17,7 +17,7 @@ level over its column grid, the Z rows the half-plaquettes of faces().
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from . import gf2
@@ -92,6 +92,10 @@ class SolidSpec:
 
     def __post_init__(self):
         _integer_sizes(self, ("dx", "dy", "dz"), "solid cell counts")
+        flat = self.horizontal_plaquettes
+        if flat not in (True, False):
+            raise ValidationError(f"horizontal_plaquettes must be True or False, got {flat!r}")
+        object.__setattr__(self, "horizontal_plaquettes", bool(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +116,20 @@ class WeldGraph:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        seen = set(self.vertices)
+        vertices = tuple(self.vertices)
+        edges = tuple(tuple(e) if isinstance(e, Iterable) else e for e in self.edges)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        try:
+            seen = set(vertices)
+            hash(edges)
+        except TypeError:  # an unhashable label, of a vertex or an endpoint
+            raise ValidationError(f"labels must be hashable, got {vertices!r}, {edges!r}") from None
         if len(seen) != len(self.vertices):
             raise ValidationError("duplicate vertex labels in weld graph")
         adjacent: dict = {v: set() for v in self.vertices}
         for edge in self.edges:
-            if len(edge) != 2:
+            if not isinstance(edge, tuple) or len(edge) != 2:
                 raise ValidationError(f"edge {edge!r} must have two endpoints")
             u, v = edge
             if u == v:

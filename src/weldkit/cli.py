@@ -252,12 +252,19 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _sweep_cell(search, *args):
+    """search(*args).barrier, or a blank cell if the search outgrows the cap."""
+    try:
+        return search(*args).barrier
+    except FeasibilityError:
+        return ""
+
+
 def cmd_sweep(args) -> int:
     """Exact barriers and parity bounds over a small welded-solid grid.
 
-    Cells whose coset spaces outgrow the cap leave the exact columns
-    blank; the bounds always fill in, which is the point of having
-    them.  A bound above a filled exact cell raises AssertionError.
+    A cell whose search outgrows the cap stays blank, and a bound above a
+    filled exact cell raises AssertionError.
     """
     max_size = _integer(args.max_size, "max_size", 1)
     max_pieces = _integer(args.max_pieces, "max_pieces", 1)
@@ -277,21 +284,15 @@ def cmd_sweep(args) -> int:
             logical = code.logicals[0]
             cells = {}
             for kind, rep in (("X", logical.x_rep), ("Z", logical.z_rep)):
-                try:
-                    cells[f"barrier_{kind}"] = exact_barrier(
-                        code, rep, kind.lower(), args.max_states
-                    ).barrier
-                except FeasibilityError:
-                    cells[f"barrier_{kind}"] = ""
+                barrier = _sweep_cell(exact_barrier, code, rep, kind.lower(), args.max_states)
                 graph = flat_region_graph(code, "z" if kind == "X" else "x")
-                bound = parity_lower_bound(graph, rep, args.max_states).barrier
-                barrier = cells[f"barrier_{kind}"]
-                if barrier != "" and bound > barrier:
+                bound = _sweep_cell(parity_lower_bound, graph, rep, args.max_states)
+                if "" not in (barrier, bound) and bound > barrier:
                     raise AssertionError(
                         f"parity bound {bound} exceeds exact barrier {barrier} "
                         f"for {kind} at d={d}, R={pieces}"
                     )
-                cells[f"bound_{kind}"] = bound
+                cells[f"barrier_{kind}"], cells[f"bound_{kind}"] = barrier, bound
             writer.writerow(
                 [
                     d,

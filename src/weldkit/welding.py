@@ -154,29 +154,12 @@ def _format_row(row: int, kind: str, n: int) -> str:
     return format_operator(_row_operator(n, kind, row))
 
 
-def _split(rows: list[int], mask: int):
-    """(rows, touching, first) for _require_seam, plus the rows that avoid mask.
-
-    touching lists the indices of the rows that meet mask and first maps
-    each restriction to the lowest such row.
-    """
-    touching: list[int] = []
-    avoiding: list[int] = []
-    first: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        hit = row & mask
-        if hit:
-            touching.append(i)
-            first.setdefault(hit, i)
-        else:
-            avoiding.append(row)
-    return (rows, touching, first), avoiding
-
-
 def _require_seam(sides, mask: int, kind: str, n: int):
     """Raise WeldError unless the weld-type rows are well matched and independent.
 
-    sides holds (rows, touching, first) per side, as _split makes them.
+    sides holds each side's seam, {position: row} for its weld-type rows
+    that meet mask, in block order; witnesses name rows by key.  Returns
+    each side's map from a restriction to its first key, for the pairing.
     Well matched: every restriction of one side is one of the other
     side's; the witness names the first row without a partner.
     Independent: no product of a side's touching rows avoids the weld
@@ -185,22 +168,22 @@ def _require_seam(sides, mask: int, kind: str, n: int):
     effort.  Neither check depends on the order of a side's rows, only
     the witnesses do.
     """
-    for side, (rows, _, first) in enumerate(sides, start=1):
-        partners = sides[2 - side][2]
-        # first is in row order, so the first missing key is the lowest row
-        for key, i in first.items():
-            if key not in partners:
+    firsts = [{row & mask: i for i, row in reversed(seam.items())} for seam in sides]
+    for side, seam in enumerate(sides, start=1):
+        partners = firsts[2 - side]
+        for i, row in seam.items():
+            if row & mask not in partners:
                 witness = {
                     "side": side,
                     "index": i,
-                    "generator": _format_row(rows[i], kind, n),
-                    "shared_restriction": _format_row(key, kind, n),
+                    "generator": _format_row(row, kind, n),
+                    "shared_restriction": _format_row(row & mask, kind, n),
                 }
                 raise WeldError(
                     "well_matched", witness, f"unmatched weld-touching generator: {witness}"
                 )
-    for side, (rows, touching, _) in enumerate(sides, start=1):
-        hits = [rows[i] for i in touching]
+    for side, seam in enumerate(sides, start=1):
+        hits = list(seam.values())
         # rank(restrictions) <= rank(hits) <= len(hits), so a full
         # restriction rank settles it without the wide rows
         rank = len(gf2._echelon([row & mask for row in hits]))
@@ -208,8 +191,9 @@ def _require_seam(sides, mask: int, kind: str, n: int):
             continue
         chosen = gf2._vanishing_subset(hits, mask, n)
         product = functools.reduce(operator.xor, (hits[j] for j in chosen))
+        keys = list(seam)
         witness = {
-            "subset": tuple(touching[j] for j in chosen),
+            "subset": tuple(keys[j] for j in chosen),
             "product": _format_row(product, kind, n),
         }
         raise WeldError(
@@ -217,6 +201,7 @@ def _require_seam(sides, mask: int, kind: str, n: int):
             witness,
             f"code {side} generators multiply to identity on the weld: {witness}",
         )
+    return firsts
 
 
 @dataclass(eq=False)
@@ -275,16 +260,17 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
     keeps code-1 qubits and appends code 2's unshared ones, so only
     gens2's rows are relabelled, at a cost of their weight.
 
-    Code 1's side of the seam is the rows that one scan of the block finds
-    meeting the mask, or, once asm has an index (a graph weld's assembly),
-    the rows it lists at the shared qubits.  The index finds them all only
-    if each shared qubit was in boundary, the code-2 qubits a later weld
-    may share, on an earlier weld onto asm, as _weld_along_graph's vertex
-    ends are.  Both checks (_require_seam) read that side in any order, so
-    only a failing one splits the whole block, for witnesses that name
-    rows by their position in it.  A welded row a | (b & ~mask) keeps a's
-    handle and moves to the end of the block, so a's index entries stay
-    valid and only b's bits on boundary qubits are indexed.
+    Code 1's side of the seam, keyed by handle, is the rows one scan of
+    the block finds meeting the mask or, once asm has an index (a graph
+    weld's assembly), the rows it lists at the shared qubits.  The index
+    finds them all only if each shared qubit was in boundary, the code-2
+    qubits a later weld may share, on an earlier weld onto asm, as
+    _weld_along_graph's vertex ends are.  Handles are block positions
+    until a weld deletes seam rows, which a graph weld does only once asm
+    has an index, so only a failing weld with an index checks the whole
+    block again, to name rows by position.  A welded row a | (b & ~mask)
+    keeps a's handle and moves to the end of the block, so a's index
+    entries stay valid and only b's bits on boundary qubits are indexed.
 
     With both checks passed, two rows of one side share a restriction
     only if they are equal (their product would avoid the weld), so a
@@ -298,20 +284,22 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
         at_seam = {h: rows[h] for q in layout.shared for h in asm.index.get(q, ()) if h in rows}
     else:  # as on code 1 of a public weld: one scan of the block
         at_seam = {h: row for h, row in rows.items() if row & mask}
-    first1 = {row & mask: h for h, row in at_seam.items()}
-    side2, untouched2 = _split(gf2._relabel(_typed_rows(gens2, kind), embed), mask)
+    rows2 = gf2._relabel(_typed_rows(gens2, kind), embed)
+    seam2 = {i: row for i, row in enumerate(rows2) if row & mask}
+    untouched2 = [row for row in rows2 if not row & mask]
     try:
-        _require_seam([(at_seam, list(at_seam), first1), side2], mask, kind, n)
-    except WeldError:  # raise it again with code 1's rows named by block position
-        _require_seam([_split(list(rows.values()), mask)[0], side2], mask, kind, n)
+        first1, first2 = _require_seam((at_seam, seam2), mask, kind, n)
+    except WeldError:
+        if asm.index:  # raise it again with code 1's rows named by block position
+            block = {i: row for i, row in enumerate(rows.values()) if row & mask}
+            _require_seam((block, seam2), mask, kind, n)
         raise
-    weld2, _, first2 = side2
     # restrictions compare as their 0/1 arrays do as bytes: as their bits
     # read upward from the lowest shared qubit, with bin dropping the zeros
     # past the highest set bit, which leaves the order unchanged
     low = min(layout.shared, default=0)
     keys = sorted(first1, key=lambda r: bin(r >> low)[:1:-1])
-    matched = [(at_seam[first1[key]], weld2[first2[key]]) for key in keys]
+    matched = [(at_seam[first1[key]], seam2[first2[key]]) for key in keys]
     for h in at_seam:
         del rows[h]
     added = dict(zip(asm.handles, untouched2))

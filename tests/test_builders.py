@@ -308,6 +308,8 @@ def test_horizontal_plaquettes_are_redundant():
         build_welded_solid(path(3), spec)
     with pytest.raises(ValidationError, match="half-plaquettes"):
         build_solid_by_welding(spec)
+    # a numpy bool is a flag too, kept as a bool
+    assert SolidSpec(2, 2, 3, np.True_).horizontal_plaquettes is True
 
 
 @pytest.mark.parametrize(
@@ -492,16 +494,45 @@ def test_graph_loop_rejects_with_the_witness_of_weld(spoiled_edge, spoil, check)
     assert max(positions) >= len(pieces[0, 1].gens.z_packed)
 
 
-def test_graph_welds_visit_only_their_pieces(monkeypatch):
-    # each weld of the loop splits and indexes the piece's weld-type rows,
-    # never the assembly's block, which it reaches through the index
+@pytest.mark.parametrize(
+    "spoiled_edge, spoil",
+    [((3, 4), _unmatched_on_top), ((2, 3), _dependent_on_bottom)],
+    ids=["well-matched", "independence"],
+)
+def test_only_a_rejected_graph_weld_checks_its_seam_again(monkeypatch, spoiled_edge, spoil):
+    # a single weld's handles are its block positions, so one check names
+    # the witness; a graph weld's seam comes from the index, so a rejected
+    # one checks the whole block again, to name rows by position
     import weldkit.welding as welding
 
-    splits = _count_calls(monkeypatch, welding, "_split")
+    lay = builders._Lattice(2, 0, 3)
+    ends = (lay.layer(0), lay.layer(2))
+    pieces = {edge: _rough_piece() for edge in path(5).edges}
+    pieces[spoiled_edge] = _rough_piece(spoil)
+    partial = builders._weld_along_graph(path(4), pieces.__getitem__, ends, "z")
+    pairs = list(zip(partial.vertex_qubits[3], ends[0]))
+    checks = _count_calls(monkeypatch, welding, "_require_seam")
+    with pytest.raises(WeldError):
+        weld(partial.code, pieces[3, 4], pairs, "z")
+    assert len(checks) == 1
+    checks.clear()
+    with pytest.raises(WeldError):
+        builders._weld_along_graph(path(5), pieces.__getitem__, ends, "z")
+    # three welds pass with one check each, and the fourth fails twice
+    assert len(checks) == 3 + 2
+
+
+def test_graph_welds_visit_only_their_pieces(monkeypatch):
+    # each weld of the loop checks both sides' seams and indexes the rows
+    # it adds, never the assembly's block, whose seam the index finds
+    import weldkit.welding as welding
+
+    checks = _count_calls(monkeypatch, welding, "_require_seam")
     indexed = _count_calls(monkeypatch, welding._Indexed, "index_rows")
     code = build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2))
-    assert len(splits) == 12
-    visited = [len(rows) for rows, _ in splits] + [len(rows) for _, rows, _ in indexed]
+    assert len(checks) == 12
+    visited = [len(seam) for sides, *_ in checks for seam in sides]
+    visited += [len(rows) for _, rows, _ in indexed]
     assert max(visited) < len(code.gens.z_packed) // 4
 
 
@@ -751,6 +782,19 @@ def test_region_graph_rejects_a_boundary_that_touches_no_region():
     "call, message",
     [
         (lambda: WeldGraph((0, 1, 2), ((0, 1, 2),)), "edge (0, 1, 2) must have two endpoints"),
+        (lambda: WeldGraph((0, 1), (5,)), "edge 5 must have two endpoints"),
+        (
+            lambda: WeldGraph(([0], [1]), (([0], [1]),)),
+            "labels must be hashable, got ([0], [1]), (([0], [1]),)",
+        ),
+        (
+            lambda: WeldGraph((0, 1), (([0], 1),)),
+            "labels must be hashable, got (0, 1), (([0], 1),)",
+        ),
+        (
+            lambda: build_solid(SolidSpec(1, 1, 2, "no")),
+            "horizontal_plaquettes must be True or False, got 'no'",
+        ),
         (
             lambda: build_welded_solid(WeldGraph((0,), ()), SolidSpec(1, 1, 2)),
             "weld graph has no edges, nothing to build",
@@ -770,7 +814,17 @@ def test_region_graph_rejects_a_boundary_that_touches_no_region():
             "welding needs dz >= 2 so the two rough layers are distinct",
         ),
     ],
-    ids=["edge-arity", "no-edges", "incidence-length", "boundary-type", "flat-solid"],
+    ids=[
+        "edge-arity",
+        "edge-not-a-pair",
+        "unhashable-labels",
+        "unhashable-endpoint",
+        "flat-flag",
+        "no-edges",
+        "incidence-length",
+        "boundary-type",
+        "flat-solid",
+    ],
 )
 def test_malformed_builder_inputs_raise_validation_error(call, message):
     with pytest.raises(ValidationError) as exc:

@@ -404,6 +404,16 @@ def test_sweep_produces_the_barrier_table(tmp_path):
     assert first[3] == "2" and first[5] == "2"
 
 
+def test_sweep_leaves_a_bound_past_the_cap_blank(capsys):
+    # R=5's flat-X graph has 25 boundary spins, past the sweep's cap: that
+    # one cell stays blank and the rest of the table still fills
+    assert main(["sweep", "--max-size", "1", "--max-pieces", "5"]) == 0
+    rows = [line.rsplit(",", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert rows[-1] == "1,5,260,,,2,"
+    assert main(["sweep", "--max-size", "1", "--max-pieces", "4"]) == 0
+    assert rows[:-1] == [line.rsplit(",", 1)[0] for line in capsys.readouterr().out.splitlines()]
+
+
 def test_sweep_asserts_the_bound_stays_below_the_barrier(tmp_path, monkeypatch):
     real = cli.parity_lower_bound
 

@@ -399,6 +399,57 @@ def test_weld_raises_the_witnesses_of_the_reference_checks():
         assert format_operator(typed_op(product, kind)) == witness["product"]
 
 
+def _spoiled_weld_case(rng):
+    """A random_weld_case with one side's weld-type block spoiled.
+
+    The side drops a weld-touching row, gains a row that repeats a
+    touching row's restriction with other interior bits, or gains a
+    random row; its opposite block is the kernel of the spoiled block,
+    so both inputs stay valid k=0 codes.
+    """
+    code1, code2, ident, kind = random_weld_case(rng, max_side=24)
+    side = int(rng.integers(0, 2))
+    gens = (code1, code2)[side].gens
+    n, rows = gens.n, list(welding._typed_rows(gens, kind))
+    mask = sum(1 << pair[side] for pair in ident)
+    touching = [i for i, row in enumerate(rows) if row & mask]
+    spoil = int(rng.integers(0, 3))
+    if spoil == 0:
+        del rows[touching[int(rng.integers(0, len(touching)))]]
+    elif spoil == 1:
+        interior = int(rng.integers(0, 1 << n)) & ~mask
+        rows.insert(int(rng.integers(0, len(rows) + 1)), rows[touching[0]] & mask | interior)
+    else:
+        rows.insert(int(rng.integers(0, len(rows) + 1)), int(rng.integers(1, 1 << n)))
+    kernel = gf2._kernel(rows, n)
+    x, z = (kernel, rows) if kind == "z" else (rows, kernel)
+    spoiled = CssCode(GeneratingSet._packed(n, x, z))
+    codes = (spoiled, code2) if side == 0 else (code1, spoiled)
+    return (*codes, ident, kind)
+
+
+def test_spoiled_welds_raise_pinned_witnesses():
+    # a digest of each rejection's check, witness and message, or of the
+    # output rows of a weld the spoiling left sound
+    rng = np.random.default_rng(32)
+    digest = hashlib.sha256()
+    outcomes = {"well_matched": 0, "weld_independence": 0, "accepted": 0}
+    for _ in range(400):
+        code1, code2, ident, kind = _spoiled_weld_case(rng)
+        try:
+            merged = weld(code1, code2, ident, kind)
+        except WeldError as exc:
+            outcomes[exc.check] += 1
+            digest.update(repr((exc.check, repr(exc.witness), str(exc))).encode())
+        else:
+            outcomes["accepted"] += 1
+            digest.update(repr((merged.gens.x_packed, merged.gens.z_packed)).encode())
+    assert min(outcomes.values()) > 0
+    assert digest.hexdigest() == (
+        "5ed3ec7c83c1f503ea1d896db2b3b9d6ab1c9f708de126e1f75047106149a29f"
+    )
+
+
 def test_weld_is_symmetric_up_to_relabeling():
     rng = np.random.default_rng(11)
     for _ in range(6):
