@@ -768,13 +768,16 @@ def _weld_along_graph(
     both of its boundaries; piece_ends gives the two ordered boundary
     qubit tuples (first vertex, second vertex); one piece object may
     serve several edges.  The assembly is one welding._Indexed from the
-    first piece (welded onto nothing) on, indexed at the boundary qubits
-    of every vertex, the only qubits a later weld shares; each weld
-    indexes the ends of the vertices it reaches first, so it costs its
-    piece plus the rows at its seam, not the whole assembly.  Each
-    distinct piece object is validated and ranked once and the assembly
-    never: weld equals weld_oracle, whose output is the full commutant
-    of the adopted block, so k=0 inputs give a valid k=0 output.
+    first piece (welded onto nothing) on.  A weld shares only the qubits
+    of its edge's known vertices, so the loop keeps each vertex's handles
+    of the rows meeting its qubits, taken from the rows added by the weld
+    that reaches it first (no other row meets it), and hands the weld
+    core those still in the block as its seam; a welded row keeps its
+    code-1 handle and restriction, so each weld costs its piece plus its
+    seam, not the whole assembly.  Each distinct piece object is
+    validated and ranked once and the assembly never: weld equals
+    weld_oracle, whose output is the full commutant of the adopted
+    block, so k=0 inputs give a valid k=0 output.
 
     The folded strings merge into one generator row, the union of every
     piece's string: _lift(asm, string support).  Once both weld checks
@@ -784,24 +787,27 @@ def _weld_along_graph(
     unless the rows are equal.  So each weld joins the two strings into
     their union, and the row is found by its support afterwards.
     """
-    rows = _Indexed.of(GeneratingSet._packed(0, (), ()), weld_type)
+    block = _Indexed.of(GeneratingSet._packed(0, (), ()), weld_type)
     vertex_qubits: dict = {}
+    handles: dict = {}  # vertex -> handles of the rows that meet its qubits
     embeddings = []
     for edge in _ordered_edges(graph):
         piece = make_piece(edge)
         _require_weldable(piece, "piece")
-        pairs, boundary = [], []
+        pairs, seam = [], {}
         for vertex, end in zip(edge, piece_ends):
             if vertex in vertex_qubits:
                 pairs.extend(zip(vertex_qubits[vertex], end))
-            else:
-                boundary.extend(end)
-        embed = _weld_core(rows, piece.gens, pairs, boundary)[0].embed2
+                seam.update((h, block.rows[h]) for h in handles[vertex] if h in block.rows)
+        layout, _, added = _weld_core(block, piece.gens, pairs, seam)
+        embed = layout.embed2
         for vertex, end in zip(edge, piece_ends):
             if vertex not in vertex_qubits:
-                vertex_qubits[vertex] = tuple(embed[q] for q in end)
+                vertex_qubits[vertex] = qubits = tuple(embed[q] for q in end)
+                mask = sum(1 << q for q in set(qubits))
+                handles[vertex] = {h for h, row in added.items() if row & mask}
         embeddings.append((edge, embed))
-    return _Assembly(CssCode(rows.gens()), vertex_qubits, embeddings)
+    return _Assembly(CssCode(block.gens()), vertex_qubits, embeddings)
 
 
 def _lift(asm: _Assembly, support) -> set[int]:

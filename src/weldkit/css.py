@@ -209,16 +209,10 @@ def validate_or_raise(gens: GeneratingSet | CssCode):
         raise ValidationError(violation.message)
 
 
-def rank_gf2(gens: GeneratingSet | CssCode) -> int:
-    """Dimension of the generated group as a GF(2) vector space."""
-    if isinstance(gens, CssCode):
-        gens = gens.gens
-    return len(gf2._echelon(gens.x_packed)) + len(gf2._echelon(gens.z_packed))
-
-
 def encoded_qubits(code: CssCode | GeneratingSet) -> int:
+    """n less the rank of the generated group over GF(2)."""
     gens = code.gens if isinstance(code, CssCode) else code
-    return gens.n - rank_gf2(gens)
+    return gens.n - len(gf2._echelon(gens.x_packed)) - len(gf2._echelon(gens.z_packed))
 
 
 def groups_equal(a, b) -> bool:
@@ -454,9 +448,12 @@ def from_text(text: str) -> CssCode:
         tagged.append((tag.strip().upper(), body.strip()))
     if header is None:
         raise ValidationError("empty code text")
-    fields = dict(
-        part.split("=", 1) for part in header.replace(",", " ").split() if "=" in part
-    )
+    fields: dict[str, str] = {}
+    for token in header.replace(",", " ").split():
+        key, eq, value = token.partition("=")
+        if not eq or key not in ("n", "k") or key in fields:
+            raise ValidationError(f"bad header token {token!r}: want n= and k= once each")
+        fields[key] = value
     try:
         n = int(fields["n"])
         k = int(fields.get("k", "0"))
@@ -501,6 +498,11 @@ def to_json_dict(code: CssCode) -> dict:
 
 
 def from_json_dict(data: dict) -> CssCode:
+    if not isinstance(data, dict):
+        raise ValidationError(f"code json must be an object, got {type(data).__name__}")
+    for key in data:
+        if key not in ("n", "x_gens", "z_gens", "logical_x", "logical_z"):
+            raise ValidationError(f"code json has an unknown key {key!r}")
     n = data.get("n")
     if type(n) is not int or n < 0:
         raise ValidationError("code json needs a non-negative integer 'n'")

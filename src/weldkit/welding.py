@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -206,71 +205,51 @@ def _require_seam(sides, mask: int, kind: str, n: int):
 
 @dataclass(eq=False)
 class _Indexed:
-    """A code being welded onto: packed rows, bit q = qubit q, and a seam index.
+    """A code being welded onto: packed rows, bit q = qubit q, under handles.
 
     other holds the rows of the type opposite kind, in order.  rows maps
     a handle to each kind-type row, in block order: a dict keeps that
-    order when rows are deleted and appended.  A graph weld's assembly
-    indexes its boundary qubits: for each, index lists the handles of the
-    kind-type rows that touch it, so a later weld finds the rows at its
-    seam without a scan of the block.  A row only ever gains qubits and
-    handles (drawn from handles) are not reused, so an entry is stale
-    exactly when its handle has left rows.
+    order when rows are deleted and appended.  Handles start as block
+    positions and are drawn from handles, never reused, so a caller
+    that keeps handles across welds knows a row is gone exactly when
+    its handle has left rows.
     """
 
     kind: str
     n: int
     other: list
     rows: dict
-    index: defaultdict
     handles: Iterator[int]
 
     @classmethod
     def of(cls, gens: GeneratingSet, kind: str) -> "_Indexed":
-        """gens, with nothing indexed yet."""
         rows = _typed_rows(gens, kind)
         other = list(_typed_rows(gens, "x" if kind == "z" else "z"))
-        handles = itertools.count(len(rows))
-        return cls(kind, gens.n, other, dict(enumerate(rows)), defaultdict(set), handles)
+        return cls(kind, gens.n, other, dict(enumerate(rows)), itertools.count(len(rows)))
 
     def gens(self) -> GeneratingSet:
         rows = list(self.rows.values())
         x, z = (self.other, rows) if self.kind == "z" else (rows, self.other)
         return GeneratingSet._packed(self.n, x, z)
 
-    def index_rows(self, rows, qubits: int):
-        """Index the (handle, row) pairs on the qubits of mask qubits."""
-        index = self.index
-        for handle, row in rows:
-            hit = row & qubits
-            while hit:
-                low = hit & -hit
-                index[low.bit_length() - 1].add(handle)
-                hit ^= low
 
-
-def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
+def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, at_seam=None):
     """Weld gens2 onto asm in place, at the cost of gens2 plus the seam.
 
     asm becomes the output: the opposite-type rows of code 1 then code 2,
     and the weld-type rows that avoid the weld, code 1's then code 2's,
     then one a ^ b ^ (a & mask) per matched pair (a, b), ordered as the
-    restrictions' 0/1 arrays compare as bytes.  Returns the layout and
-    the seam (untouched2, matched) those last rows came from.  contract
-    keeps code-1 qubits and appends code 2's unshared ones, so only
-    gens2's rows are relabelled, at a cost of their weight.
+    restrictions' 0/1 arrays compare as bytes.  Returns the layout, the
+    seam (untouched2, matched) those last rows came from, and the rows
+    added to asm.rows, by handle.  contract keeps code-1 qubits and
+    appends code 2's unshared ones, so only gens2's rows are relabelled,
+    at a cost of their weight.
 
-    Code 1's side of the seam, keyed by handle, is the rows one scan of
-    the block finds meeting the mask or, once asm has an index (a graph
-    weld's assembly), the rows it lists at the shared qubits.  The index
-    finds them all only if each shared qubit was in boundary, the code-2
-    qubits a later weld may share, on an earlier weld onto asm, as
-    _weld_along_graph's vertex ends are.  Handles are block positions
-    until a weld deletes seam rows, which a graph weld does only once asm
-    has an index, so only a failing weld with an index checks the whole
-    block again, to name rows by position.  A welded row a | (b & ~mask)
-    keeps a's handle and moves to the end of the block, so a's index
-    entries stay valid and only b's bits on boundary qubits are indexed.
+    at_seam, {handle: row} for every row of asm meeting the mask, is
+    code 1's seam; without it (a single weld) one scan of the block finds
+    it, keyed by position.  A passed seam that fails is checked again on
+    the whole block, so that the witness names rows by position.  A
+    welded row keeps a's handle and a's restriction to the weld.
 
     With both checks passed, two rows of one side share a restriction
     only if they are equal (their product would avoid the weld), so a
@@ -280,9 +259,8 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
     """
     layout = _layout(asm.n, gens2.n, ident)
     n, mask, kind, embed, rows = layout.n, layout.mask, asm.kind, layout.embed2, asm.rows
-    if asm.index:
-        at_seam = {h: rows[h] for q in layout.shared for h in asm.index.get(q, ()) if h in rows}
-    else:  # as on code 1 of a public weld: one scan of the block
+    passed = at_seam is not None
+    if not passed:
         at_seam = {h: row for h, row in rows.items() if row & mask}
     rows2 = gf2._relabel(_typed_rows(gens2, kind), embed)
     seam2 = {i: row for i, row in enumerate(rows2) if row & mask}
@@ -290,7 +268,7 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
     try:
         first1, first2 = _require_seam((at_seam, seam2), mask, kind, n)
     except WeldError:
-        if asm.index:  # raise it again with code 1's rows named by block position
+        if passed:  # raise it again with code 1's rows named by block position
             block = {i: row for i, row in enumerate(rows.values()) if row & mask}
             _require_seam((block, seam2), mask, kind, n)
         raise
@@ -306,15 +284,9 @@ def _weld_core(asm: _Indexed, gens2: GeneratingSet, ident, boundary):
     for key, (a, b) in zip(keys, matched):
         added[first1[key]] = a ^ b ^ (a & mask)
     rows.update(added)
-    if boundary:
-        # an unshared boundary qubit is new, so only the rows just added meet it
-        fresh = 0
-        for q in boundary:
-            fresh |= 1 << embed[q]
-        asm.index_rows(added.items(), fresh & ~mask)
     asm.other += gf2._relabel(_typed_rows(gens2, "x" if kind == "z" else "z"), embed)
     asm.n = n
-    return layout, (untouched2, matched)
+    return layout, (untouched2, matched), added
 
 
 @dataclass(frozen=True)
@@ -417,7 +389,7 @@ def _weld_gens(code1: CssCode, code2: CssCode, ident, kind: str):
     """
     _require_stabilizer_inputs(code1, code2)
     asm = _Indexed.of(code1.gens, kind)
-    layout, seam = _weld_core(asm, code2.gens, ident, ())
+    layout, seam, _ = _weld_core(asm, code2.gens, ident)
     return asm.gens(), layout, seam
 
 

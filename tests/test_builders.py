@@ -501,8 +501,9 @@ def test_graph_loop_rejects_with_the_witness_of_weld(spoiled_edge, spoil, check)
 )
 def test_only_a_rejected_graph_weld_checks_its_seam_again(monkeypatch, spoiled_edge, spoil):
     # a single weld's handles are its block positions, so one check names
-    # the witness; a graph weld's seam comes from the index, so a rejected
-    # one checks the whole block again, to name rows by position
+    # the witness; a graph weld's seam comes from the loop's vertex
+    # handles, so a rejected one checks the whole block again, to name
+    # rows by position
     import weldkit.welding as welding
 
     lay = builders._Lattice(2, 0, 3)
@@ -523,17 +524,47 @@ def test_only_a_rejected_graph_weld_checks_its_seam_again(monkeypatch, spoiled_e
 
 
 def test_graph_welds_visit_only_their_pieces(monkeypatch):
-    # each weld of the loop checks both sides' seams and indexes the rows
-    # it adds, never the assembly's block, whose seam the index finds
+    # each weld of the loop checks both sides' seams, never the
+    # assembly's block, whose seam the loop's vertex handles find
     import weldkit.welding as welding
 
     checks = _count_calls(monkeypatch, welding, "_require_seam")
-    indexed = _count_calls(monkeypatch, welding._Indexed, "index_rows")
     code = build_welded_solid(cubic(2, 2, 2), SolidSpec(1, 1, 2))
     assert len(checks) == 12
     visited = [len(seam) for sides, *_ in checks for seam in sides]
-    visited += [len(rows) for _, rows, _ in indexed]
     assert max(visited) < len(code.gens.z_packed) // 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # cycles, and vertices of degree 3
+        lambda: build_welded_solid(cubic(2, 2, 2), SolidSpec(2, 2, 2)),
+        lambda: build_welded_surface(star(4), "smooth", SurfaceSpec(2, 2)),
+        # the five-qubit chain welds a piece whose two ends coincide
+        lambda: build_surface_by_welding(SurfaceSpec(3, 4)),
+        lambda: build_solid_by_welding(SolidSpec(2, 2, 2)),
+    ],
+    ids=["cubic-solid", "star-surface", "surface-chain", "solid-strips"],
+)
+def test_graph_loop_hands_the_weld_core_its_whole_seam(monkeypatch, build):
+    # the seam the loop passes is every row of the block that meets the
+    # shared qubits, as a scan of the block would find it
+    import weldkit.welding as welding
+
+    real = welding._weld_core
+    passed = []
+
+    def checked(asm, gens2, ident, at_seam=None):
+        if at_seam is not None:
+            mask = welding._layout(asm.n, gens2.n, ident).mask
+            assert at_seam == {h: row for h, row in asm.rows.items() if row & mask}
+            passed.append(len(at_seam))
+        return real(asm, gens2, ident, at_seam)
+
+    monkeypatch.setattr(builders, "_weld_core", checked)
+    build()
+    assert passed and max(passed) > 0
 
 
 def _count_core_welds(monkeypatch) -> list:
@@ -986,6 +1017,7 @@ def test_weld_graph_validation():
         WeldGraph(("a", "b"), (("a", "b"), ("b", "a")))
     disconnected = WeldGraph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
     assert not disconnected.is_connected()
+    assert WeldGraph((), ()).is_connected() is False
     with pytest.raises(ValidationError):
         build_welded_surface(disconnected, "rough", SurfaceSpec(1, 1))
 

@@ -291,6 +291,8 @@ def test_analysis_needs_a_code_file_or_a_family(capsys):
         ('{"n": 3, "x_gens": null}', "'x_gens' must be a list of strings"),
         ('{"n": 3, "logical_x": 5, "logical_z": 5}', "'logical_x' must be a list of strings"),
         ('{"n": 2.7, "x_gens": ["XX"]}', "integer 'n'"),
+        ('{"n": 2, "x_gens": ["XX"], "z_gen": ["ZZ"]}', "unknown key 'z_gen'"),
+        ("n=2 q=7\nX: XX\nZ: ZZ\n", "bad header token 'q=7'"),
     ],
 )
 def test_malformed_code_files_are_clean_errors(tmp_path, text, message, capsys):

@@ -535,6 +535,16 @@ def test_from_text_rejects_malformed():
         from_text("n=1 k=0\nX X\n")
 
 
+@pytest.mark.parametrize(
+    "header, token",
+    [("n=2 bogus", "bogus"), ("n=2 q=7", "q=7"), ("n=2 n=3", "n=3"), ("n=2 k=0 k=0", "k=0")],
+    ids=["not-key-value", "unknown-key", "repeated-n", "repeated-k"],
+)
+def test_from_text_rejects_a_bad_header_token(header, token):
+    with pytest.raises(ValidationError, match=f"bad header token '{token}'"):
+        from_text(header + "\nX: XX\nZ: ZZ\n")
+
+
 def test_dumps_rejects_an_unknown_format():
     with pytest.raises(ValidationError, match="unknown code format 'yaml'"):
         dumps(build_two_qubit(), "yaml")
@@ -551,6 +561,21 @@ def test_dumps_rejects_an_unknown_format():
 )
 def test_json_operator_lists_must_hold_strings(data, field):
     with pytest.raises(ValidationError, match=f"field '{field}' must be a list of strings"):
+        from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 2, "x_gens": ["XX"], "z_gen": ["ZZ"]}, "unknown key 'z_gen'"),
+        ({"n": 1, "k": 0}, "unknown key 'k'"),
+        ([1], "must be an object, got list"),
+        ("n=1", "must be an object, got str"),
+    ],
+    ids=["misspelt-field", "text-header-key", "list", "string"],
+)
+def test_code_json_is_an_object_with_known_keys(data, message):
+    with pytest.raises(ValidationError, match=message):
         from_json_dict(data)
 
 

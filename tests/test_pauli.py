@@ -79,6 +79,8 @@ def test_parse_format_round_trip_sparse():
     text = format_operator(big)
     assert text.startswith("n=")
     assert parse_operator(text) == big
+    # an empty field between separators is skipped
+    assert parse_operator("n=3; ; X:0") == PauliOperator.from_support(3, x=(0,))
 
 
 def test_format_style_override():
